@@ -3,8 +3,14 @@
 Every subcommand writes CSV/JSON data files (and SVG figures unless
 --no-plot) under the --out prefix.  All randomness derives from --seed
 through named streams, so fixed arguments reproduce byte-identical
-outputs; --threads is accepted for interface stability but the
-workloads run sequentially, which keeps reduction order fixed.
+outputs.
+
+--threads matters to mog only: with 2 or more (the default, min(2,
+cores)) each duality-gap evaluation runs its descent half on a worker
+thread beside its ascent half.  Those halves always run with
+OpenBLAS held at one thread, so the outputs do not depend on --threads;
+where the loaded OpenBLAS cannot be found the halves run in sequence.
+The other subcommands accept the flag and run sequentially.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -176,7 +183,8 @@ def cmd_rate(args) -> int:
 def cmd_mog(args) -> int:
     log = mog.train_mog(args.alg, seed=args.seed, iterations=args.iters,
                         lr_g=args.lr, lr_d=args.lr, co_gamma=args.co_gamma,
-                        dg_k=args.k, log_interval=args.log_interval)
+                        dg_k=args.k, log_interval=args.log_interval,
+                        threads=args.threads)
     prefix = _out_prefix(args)
     log.write_csv(f"{prefix}.csv")
     log.write_samples_csv(f"{prefix}_samples.csv")
@@ -239,7 +247,11 @@ def _add_common(sub, with_game=True):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, default="out")
     sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for interface stability; runs sequential")
+                     help="mog: 2 or more runs the two halves of each "
+                          "duality-gap evaluation concurrently (default "
+                          "min(2, cores)), falling back to sequential when "
+                          "OpenBLAS cannot be pinned to one thread; the "
+                          "other commands run sequentially")
     sub.add_argument("--no-plot", action="store_true")
     if with_game:
         sub.add_argument("--game", type=str, required=True,
@@ -322,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--co-gamma", dest="co_gamma", type=float, default=1.0)
     mg.add_argument("--log-interval", dest="log_interval", type=int,
                     default=100)
-    mg.set_defaults(func=cmd_mog)
+    mg.set_defaults(func=cmd_mog, threads=min(2, os.cpu_count() or 1))
 
     plot = subs.add_parser("plot", help="re-render an existing CSV as SVG")
     plot.add_argument("--csv", type=str, required=True)

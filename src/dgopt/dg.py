@@ -11,7 +11,8 @@ gradient modes are provided for the outer descent:
   so grad_u = grad_u M(u, v_w) and grad_v = -grad_v M(u_w, v).  Needs
   first-order information only.
 * ``unrolled``   - the full total derivative through the k inner steps,
-  accumulated forward with Hessian blocks.
+  accumulated forward with Hessian blocks.  Games with a box domain are
+  rejected, since the clamped inner steps have no usable derivative.
 
 Warm starting makes the estimate non-negative whenever the inner step
 size is at most 1/L on an L-smooth game, since each ascent (descent)
@@ -131,6 +132,68 @@ class AdaGradState:
         return AdaGradState(sum_sq=0.0, diameter=float(diameter), box=box)
 
 
+def _inner_setup(game: GameOracle, p: JointPoint, k: int, gamma: float):
+    """Checked k, the inner step in the iterates' dtype, and each
+    player's box (None when the game is unbounded)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if hasattr(p.u, "dtype"):
+        gamma = p.u.dtype.type(gamma)
+    if game.domain is None:
+        return gamma, None, None
+    lo, hi, du = game.domain.lo, game.domain.hi, game.dim_u
+    return gamma, (lo[:du], hi[:du]), (lo[du:], hi[du:])
+
+
+def _descent_chain(game, p, k, gamma, box):
+    """k warm-started descent steps on u -> M(u, p.v) from p.u."""
+    u, v = p
+    uw = u.copy()
+    for i in range(1, k + 1):
+        uw = uw - gamma * game.grad_u(uw, v)
+        if box is not None:
+            uw = np.clip(uw, box[0], box[1])
+        if not np.all(np.isfinite(uw)):
+            raise NonFiniteValueError(
+                f"inner descent iterate became non-finite at inner step {i}",
+                point=p)
+    return uw
+
+
+def _ascent_chain(game, p, k, gamma, box):
+    """k warm-started ascent steps on v -> M(p.u, v) from p.v."""
+    u, v = p
+    vw = v.copy()
+    for i in range(1, k + 1):
+        vw = vw + gamma * game.grad_v(u, vw)
+        if box is not None:
+            vw = np.clip(vw, box[0], box[1])
+        if not np.all(np.isfinite(vw)):
+            raise NonFiniteValueError(
+                f"inner ascent iterate became non-finite at inner step {i}",
+                point=p)
+    return vw
+
+
+def _run_halves(descent, ascent, executor):
+    """Both halves' results, (descent(), ascent()).
+
+    The halves share no state.  Without an executor they run in
+    sequence, descent first; with one, descent runs on it while ascent
+    runs on the caller.  Either way a descent error is the one raised
+    when both halves fail.
+    """
+    if executor is None:
+        return descent(), ascent()
+    future = executor.submit(descent)
+    try:
+        ascended = ascent()
+    except Exception:
+        future.result()
+        raise
+    return future.result(), ascended
+
+
 def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
                          gamma: float) -> tuple:
     """k warm-started inner gradient steps against a frozen opponent.
@@ -141,33 +204,9 @@ def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
     carries a box domain the inner iterates are clamped to it, which
     keeps the estimate below the exact box duality gap.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    u, v = p
-    uw = u.copy()
-    vw = v.copy()
-    gamma = u.dtype.type(gamma) if hasattr(u, "dtype") else gamma
-    u_box = v_box = None
-    if game.domain is not None:
-        u_box = (game.domain.lo[:game.dim_u], game.domain.hi[:game.dim_u])
-        v_box = (game.domain.lo[game.dim_u:], game.domain.hi[game.dim_u:])
-    for i in range(1, k + 1):
-        uw = uw - gamma * game.grad_u(uw, v)
-        if u_box is not None:
-            uw = np.clip(uw, u_box[0], u_box[1])
-        if not np.all(np.isfinite(uw)):
-            raise NonFiniteValueError(
-                f"inner descent iterate became non-finite at inner step {i}",
-                point=p)
-    for i in range(1, k + 1):
-        vw = vw + gamma * game.grad_v(u, vw)
-        if v_box is not None:
-            vw = np.clip(vw, v_box[0], v_box[1])
-        if not np.all(np.isfinite(vw)):
-            raise NonFiniteValueError(
-                f"inner ascent iterate became non-finite at inner step {i}",
-                point=p)
-    return uw, vw
+    gamma, u_box, v_box = _inner_setup(game, p, k, gamma)
+    return (_descent_chain(game, p, k, gamma, u_box),
+            _ascent_chain(game, p, k, gamma, v_box))
 
 
 def _unrolled_grads(game, p, k, gamma):
@@ -175,10 +214,14 @@ def _unrolled_grads(game, p, k, gamma):
 
     Forward accumulation: for the ascent chain y_{i+1} = y_i + gamma *
     grad_v M(u, y_i) track A = dy/du and B = dy/dv; for the descent
-    chain track C = dx/du and D = dx/dv.  Domain clamping is not applied
-    here: differentiating through a projection needs its (discontinuous)
-    Jacobian, and every game this mode targets is unbounded.
+    chain track C = dx/du and D = dx/dv.  Differentiating through a box
+    projection needs its (discontinuous) Jacobian, so a game with a box
+    domain is rejected rather than differentiated as if unbounded.
     """
+    if game.domain is not None:
+        raise ValueError(f"the unrolled DG gradient cannot differentiate "
+                         f"through the box domain of {game.name}; use the "
+                         f"envelope mode")
     u, v = p
     du, dv = game.dim_u, game.dim_v
 
@@ -211,13 +254,19 @@ def _unrolled_grads(game, p, k, gamma):
 
 
 def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
-                eta: Optional[float] = None) -> DGEstimate:
+                eta: Optional[float] = None, executor=None) -> DGEstimate:
     """DG value and gradient at p under the configured inner loop.
 
     At k = 0 the estimate is identically zero, so the total derivative
     carries no information; both modes then return the envelope
     gradients (grad_u M(u,v), -grad_v M(u,v)), which is what makes
     k = 0 DG-descent coincide with plain gradient descent-ascent.
+
+    The envelope estimate has two independent halves: descent (the
+    u-chain, then M and grad_v at (u_k, v)) and ascent (the v-chain,
+    then M and grad_u at (u, v_k)).  Given an executor, the descent
+    half runs on it while the ascent half runs here; the result is the
+    same either way.
     """
     gamma = cfg.resolved_gamma(eta)
     u, v = p
@@ -226,10 +275,20 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
         uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, gamma)
         value = game.value(u, vw) - game.value(uw, v)
     else:
-        uw, vw = worst_case_responses(game, p, cfg.k, gamma)
-        value = game.value(u, vw) - game.value(uw, v)
-        grad_u = game.grad_u(u, vw)
-        grad_v = -game.grad_v(uw, v)
+        gamma, u_box, v_box = _inner_setup(game, p, cfg.k, gamma)
+
+        def descent():
+            uw = _descent_chain(game, p, cfg.k, gamma, u_box)
+            return (uw, *game.value_and_grad_v(uw, v))
+
+        def ascent():
+            vw = _ascent_chain(game, p, cfg.k, gamma, v_box)
+            return (vw, *game.value_and_grad_u(u, vw))
+
+        (uw, low, gv), (vw, high, grad_u) = _run_halves(descent, ascent,
+                                                        executor)
+        value = high - low
+        grad_v = -gv
 
     if not math.isfinite(value):
         raise NonFiniteValueError("duality-gap value is non-finite", point=p)
@@ -237,10 +296,18 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
                       grad_u=grad_u, grad_v=grad_v)
 
 
-def dg_metric(game: GameOracle, p: JointPoint, k: int, gamma: float) -> float:
-    """Monitoring metric: the k-step DG value only, no gradients."""
-    uw, vw = worst_case_responses(game, p, k, gamma)
-    value = game.value(p.u, vw) - game.value(uw, p.v)
+def dg_metric(game: GameOracle, p: JointPoint, k: int, gamma: float,
+              executor=None) -> float:
+    """Monitoring metric: the k-step DG value only, no gradients.
+
+    Runs in the same two halves as dg_estimate, on the executor if one
+    is given."""
+    gamma, u_box, v_box = _inner_setup(game, p, k, gamma)
+    low, high = _run_halves(
+        lambda: game.value(_descent_chain(game, p, k, gamma, u_box), p.v),
+        lambda: game.value(p.u, _ascent_chain(game, p, k, gamma, v_box)),
+        executor)
+    value = high - low
     if not math.isfinite(value):
         raise NonFiniteValueError("duality-gap metric is non-finite", point=p)
     return float(value)

@@ -129,6 +129,12 @@ class GameOracle:
     def joint_grad(self, p: JointPoint) -> Array:
         return np.concatenate([self.grad_u(p.u, p.v), self.grad_v(p.u, p.v)])
 
+    def value_and_grad_u(self, u: Array, v: Array):
+        return self.value(u, v), self.grad_u(u, v)
+
+    def value_and_grad_v(self, u: Array, v: Array):
+        return self.value(u, v), self.grad_v(u, v)
+
 
 def _fd_steps(x: Array, h: float) -> Array:
     # step scaled by coordinate magnitude, floored at h

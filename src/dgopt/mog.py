@@ -13,8 +13,11 @@ catalog, so the duality-gap machinery applies unchanged.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -107,13 +110,14 @@ def mlp_forward(layout: MLPLayout, params, x):
 
     Returns the (n,) output and the activation stack for backprop.
     In-place bias add and tanh keep temporary traffic down; the batch
-    matmuls dominate the remaining cost.
+    matmuls dominate the remaining cost.  A width-1 input layer is an
+    outer product, so it broadcasts instead of calling BLAS.
     """
     layers = layout.unpack(params)
     acts = [x]
     h = x
     for w, b in layers[:-1]:
-        t = h @ w
+        t = h * w if w.shape[0] == 1 else h @ w
         t += b
         np.tanh(t, out=t)
         acts.append(t)
@@ -124,27 +128,44 @@ def mlp_forward(layout: MLPLayout, params, x):
     return out[:, 0], acts
 
 
-def mlp_backward(layout: MLPLayout, params, acts, dout, dtype):
-    """Gradients of sum(dout * output) w.r.t. params and the input."""
+def _through_weights(g, w, out=None):
+    """g @ w.T, broadcast as an outer product when w has one column."""
+    if w.shape[1] == 1:
+        return np.multiply(g, w[:, 0], out=out)
+    return np.matmul(g, w.T, out=out)
+
+
+def mlp_backward(layout: MLPLayout, params, acts, dout, dtype,
+                 param_grads=True, input_grad=True):
+    """Gradients of sum(dout * output) w.r.t. params and the input.
+
+    Returns (param gradient, input gradient), each None when not asked
+    for.  The pass consumes ``acts``: it overwrites the hidden
+    activations (never ``acts[0]``, the input) with the backpropagated
+    signal, so they must come from a forward pass nobody reuses.
+    """
     layers = layout.unpack(params)
-    grad = np.zeros(layout.dim, dtype=dtype)
-    glayers = layout.unpack(grad)  # views into grad
+    grad = np.zeros(layout.dim, dtype=dtype) if param_grads else None
+    glayers = layout.unpack(grad) if param_grads else None
     g = dout.astype(dtype, copy=False)[:, None]
-    w, _ = layers[-1]
-    gw, gb = glayers[-1]
-    gw[:] = acts[-1].T @ g
-    gb[:] = g.sum(axis=0)
-    g = g @ w.T
-    for idx in range(len(layers) - 2, -1, -1):
-        h = acts[idx + 1]
-        tmp = np.square(h)
-        np.subtract(1.0, tmp, out=tmp)
-        g *= tmp
-        gw, gb = glayers[idx]
-        gw[:] = acts[idx].T @ g
-        gb[:] = g.sum(axis=0)
-        g = g @ layers[idx][0].T
-    return grad, g
+    spare = None
+    for idx in range(len(layers) - 1, -1, -1):
+        w = layers[idx][0]
+        if param_grads:
+            gw, gb = glayers[idx]
+            gw[:] = acts[idx].T @ g
+            gb[:] = g.sum(axis=0)
+        if idx == 0:
+            return grad, (_through_weights(g, w) if input_grad else None)
+        # through the weights, then the tanh whose output is acts[idx]
+        if spare is not None and spare.shape[1] != w.shape[0]:
+            spare = None
+        up = _through_weights(g, w, spare)
+        h = acts[idx]
+        np.square(h, out=h)
+        np.subtract(1.0, h, out=h)
+        h *= up
+        spare, g = up, h
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +194,8 @@ class MogGanGame:
         self.noise = rng.standard_normal((n, NOISE_DIM)).astype(self.dtype)
         eval_rng = seeded_rng(seed, "mog-eval-noise")
         self.eval_noise = eval_rng.standard_normal((1000, NOISE_DIM)).astype(self.dtype)
-        # small FIFO keyed by parameter bytes: the duality-gap inner loops
-        # re-evaluate the same generator against a moving discriminator
-        self._fake_cache = {}
+        # each thread's last generator pass (see _fake)
+        self._last_fake = threading.local()
 
     def init_params(self):
         u = G_LAYOUT.init(seeded_rng(self.seed, "mog-init-g"), self.dtype)
@@ -189,15 +209,22 @@ class MogGanGame:
         out, _ = mlp_forward(G_LAYOUT, u, z)
         return out
 
-    def _fake_with_cache(self, u):
-        key = hashlib.sha1(u.tobytes()).digest()
-        hit = self._fake_cache.get(key)
-        if hit is not None:
-            return hit
-        out, acts = mlp_forward(G_LAYOUT, u, self.noise)
-        if len(self._fake_cache) >= 4:
-            self._fake_cache.pop(next(iter(self._fake_cache)))
-        self._fake_cache[key] = (out, acts)
+    def _fake(self, u, for_backward=False):
+        """G(u) on the training noise, and its activations.
+
+        A DG inner chain evaluates one generator against many
+        discriminators, so each thread keeps its last pass and reuses it
+        while u is unchanged.  Backward consumes activations: handing
+        them out for a backward pass leaves only the output cached.
+        """
+        key = u.tobytes()
+        last = getattr(self._last_fake, "entry", None)
+        if (last is not None and last[0] == key
+                and (last[2] is not None or not for_backward)):
+            out, acts = last[1], last[2]
+        else:
+            out, acts = mlp_forward(G_LAYOUT, u, self.noise)
+        self._last_fake.entry = (key, out, None if for_backward else acts)
         return out, acts
 
     def discriminate(self, v, x):
@@ -211,12 +238,15 @@ class MogGanGame:
         inside = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
         return clamped, inside
 
-    # -- oracle surface ----------------------------------------------------
+    def _on_batch(self, u, v, for_backward=False):
+        """D on the real data followed by G(u)'s fakes: clamped
+        probabilities, the unclamped mask and both nets' activations."""
+        fake, gacts = self._fake(u, for_backward)
+        logits, dacts = self.discriminate(v, np.concatenate([self.data, fake]))
+        p, inside = self._clamped_probs(logits)
+        return p, inside, dacts, gacts
 
-    def value(self, u, v) -> float:
-        fake, _ = self._fake_with_cache(u)
-        logits, _ = self.discriminate(v, np.concatenate([self.data, fake]))
-        p, _ = self._clamped_probs(logits)
+    def _objective(self, p) -> float:
         real_term = float(np.mean(np.log(p[:self.n])))
         fake_term = float(np.mean(np.log(1.0 - p[self.n:])))
         total = real_term + fake_term
@@ -224,34 +254,67 @@ class MogGanGame:
             raise NonFiniteValueError("GAN objective is non-finite")
         return total
 
-    def grad_v(self, u, v) -> np.ndarray:
-        fake, _ = self._fake_with_cache(u)
-        x = np.concatenate([self.data, fake])
-        logits, acts = self.discriminate(v, x)
-        p, inside = self._clamped_probs(logits)
-        dlogit = np.empty_like(logits)
+    def _backward_v(self, v, p, inside, dacts, input_grad=False):
+        """D's parameter gradient over the whole batch (and, if asked,
+        the gradient w.r.t. D's inputs)."""
+        dlogit = np.empty_like(p)
         dlogit[:self.n] = (1.0 - p[:self.n]) / self.n
         dlogit[self.n:] = -p[self.n:] / self.n
         dlogit[~inside] = 0.0
-        grad, _ = mlp_backward(D_LAYOUT, v, acts, dlogit, self.dtype)
+        return mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, True,
+                            input_grad)
+
+    def _backward_u(self, u, v, p, inside, dacts, gacts):
+        """G's parameter gradient from D's pass over the fake rows only."""
+        dlogit = -p / self.n
+        dlogit[~inside] = 0.0
+        _, dx = mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, False, True)
+        return self._backward_g(u, gacts, dx)
+
+    def _backward_g(self, u, gacts, dx):
+        grad, _ = mlp_backward(G_LAYOUT, u, gacts, dx[:, 0], self.dtype, True,
+                               False)
         return grad
+
+    # -- oracle surface ----------------------------------------------------
+
+    def value(self, u, v) -> float:
+        p, _, _, _ = self._on_batch(u, v)
+        return self._objective(p)
+
+    def grad_v(self, u, v) -> np.ndarray:
+        p, inside, dacts, _ = self._on_batch(u, v)
+        return self._backward_v(v, p, inside, dacts)[0]
 
     def grad_u(self, u, v) -> np.ndarray:
         # only the fake term depends on the generator
-        fake, gacts = self._fake_with_cache(u)
+        fake, gacts = self._fake(u, for_backward=True)
         logits, dacts = self.discriminate(v, fake)
         p, inside = self._clamped_probs(logits)
-        dlogit = -p / self.n
-        dlogit[~inside] = 0.0
-        _, dx = mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype)
-        grad, _ = mlp_backward(G_LAYOUT, u, gacts, dx[:, 0], self.dtype)
-        return grad
+        return self._backward_u(u, v, p, inside, dacts, gacts)
+
+    def value_and_grad_v(self, u, v):
+        """value(u, v) and grad_v(u, v) from one pass."""
+        p, inside, dacts, _ = self._on_batch(u, v)
+        return self._objective(p), self._backward_v(v, p, inside, dacts)[0]
+
+    def value_and_grad_u(self, u, v):
+        """value(u, v) and grad_u(u, v) from one pass; D's backward
+        covers only the fake rows."""
+        p, inside, dacts, gacts = self._on_batch(u, v, for_backward=True)
+        n = self.n
+        return self._objective(p), self._backward_u(
+            u, v, p[n:], inside[n:], [a[n:] for a in dacts], gacts)
+
+    def value_and_grads(self, u, v):
+        """value, grad_u and grad_v at (u, v) from one pass."""
+        p, inside, dacts, gacts = self._on_batch(u, v, for_backward=True)
+        value = self._objective(p)
+        grad_v, dx = self._backward_v(v, p, inside, dacts, input_grad=True)
+        return value, self._backward_g(u, gacts, dx[self.n:]), grad_v
 
     def joint_grad(self, p: JointPoint) -> np.ndarray:
         return np.concatenate([self.grad_u(p.u, p.v), self.grad_v(p.u, p.v)])
-
-    def value_and_grads(self, u, v):
-        return self.value(u, v), self.grad_u(u, v), self.grad_v(u, v)
 
     def hessian_blocks(self, p, h=1e-5):
         raise NotImplementedError("the GAN game exposes first-order "
@@ -339,21 +402,78 @@ def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
     return (game.joint_grad(plus) - game.joint_grad(minus)) / (2.0 * delta)
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) for the thread count of the OpenBLAS this process has
+    loaded, or None when there is none to find (another BLAS, or no
+    /proc/self/maps to list the loaded libraries)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.rpartition("/")[2]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, then restore it.
+
+    BLAS threads would compete with the two DG halves for the cores,
+    and the thread count changes how BLAS splits some reductions.
+    Without a known OpenBLAS this changes nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def train_mog(algorithm: str, seed: int, iterations: int = 20000,
               lr_g: float = 2e-4, lr_d: float = 2e-4, co_gamma: float = 1.0,
               dg_k: int = 10, log_interval: int = 100,
               dtype=np.float32, game: Optional[MogGanGame] = None,
-              n: int = 5000) -> MogTrainingLog:
+              n: int = 5000, threads: int = 1) -> MogTrainingLog:
     """Full-batch training with one of gda / eg / co / dg.
 
     The dg path estimates the duality gap with dg_k warm-started inner
     steps (inner step size = the learning rate) and both players descend
     its envelope gradient.  Logging happens every log_interval steps on
     a fixed 1000-draw noise evaluation set.
+
+    Every duality-gap evaluation (the dg step and the logged dg metric)
+    runs with OpenBLAS held at one thread.  With threads >= 2 its
+    descent half runs on a worker thread while the caller runs the
+    ascent half; with threads = 1, or when the loaded OpenBLAS cannot be
+    found, the halves run in sequence.  The output is the same either
+    way.
     """
     if algorithm not in MOG_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"known: {MOG_ALGORITHMS}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if game is None:
         game = MogGanGame(seed, n=n, dtype=dtype)
     u, v = game.init_params()
@@ -361,50 +481,63 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
     lr_d = game.dtype.type(lr_d)
     dg_cfg = dgmod.DGConfig(k=dg_k, gamma=float(lr_g), grad_mode="envelope")
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
+    pool = contextlib.nullcontext()
+    if threads > 1 and _openblas_thread_calls() is not None:
+        # imported here so that commands without MoG do not load it
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dg-descent")
 
-    def log_row(it, u, v):
-        value, gu, gv = game.value_and_grads(u, v)
-        dg_val = dgmod.dg_metric(game, JointPoint(u, v), dg_k, float(lr_g))
-        samples = game.eval_samples(u)
-        fracs = mode_coverage(samples)
-        disc_real = float(np.median(game.disc_outputs(v, game.data)))
-        disc_fake = float(np.median(game.disc_outputs(v, samples)))
-        log.rows.append((it, value, float(np.linalg.norm(gu)),
-                         float(np.linalg.norm(gv)), dg_val,
-                         fracs[0], fracs[1], fracs[2], disc_real, disc_fake))
+    with pool as executor:
 
-    log_row(0, u, v)
-    try:
-        for it in range(1, iterations + 1):
-            if algorithm == "gda":
-                gu = game.grad_u(u, v)
-                gv = game.grad_v(u, v)
-                u = u - lr_g * gu
-                v = v + lr_d * gv
-            elif algorithm == "eg":
-                gu = game.grad_u(u, v)
-                gv = game.grad_v(u, v)
-                u_mid = u - lr_g * gu
-                v_mid = v + lr_d * gv
-                gu_m = game.grad_u(u_mid, v_mid)
-                gv_m = game.grad_v(u_mid, v_mid)
-                u = u - lr_g * gu_m
-                v = v + lr_d * gv_m
-            elif algorithm == "co":
-                gu = game.grad_u(u, v)
-                gv = game.grad_v(u, v)
-                joint = np.concatenate([gu, gv])
-                hvp = _fd_hessian_vector(game, JointPoint(u, v), joint)
-                u = u - lr_g * (gu + co_gamma * hvp[:game.dim_u])
-                v = v + lr_d * gv - lr_d * co_gamma * hvp[game.dim_u:]
-            else:  # dg
-                est = dgmod.dg_estimate(game, JointPoint(u, v), dg_cfg)
-                u = u - lr_g * est.grad_u
-                v = v - lr_d * est.grad_v
-            if it % log_interval == 0 or it == iterations:
-                log_row(it, u, v)
-    except NonFiniteValueError:
-        log.status = "diverged"
+        def dg_halves(fn, *args):
+            with _one_blas_thread():
+                return fn(game, *args, executor=executor)
+
+        def log_row(it, u, v):
+            value, gu, gv = game.value_and_grads(u, v)
+            dg_val = dg_halves(dgmod.dg_metric, JointPoint(u, v), dg_k,
+                               float(lr_g))
+            samples = game.eval_samples(u)
+            fracs = mode_coverage(samples)
+            disc_real = float(np.median(game.disc_outputs(v, game.data)))
+            disc_fake = float(np.median(game.disc_outputs(v, samples)))
+            log.rows.append((it, value, float(np.linalg.norm(gu)),
+                             float(np.linalg.norm(gv)), dg_val,
+                             fracs[0], fracs[1], fracs[2], disc_real,
+                             disc_fake))
+
+        log_row(0, u, v)
+        try:
+            for it in range(1, iterations + 1):
+                if algorithm == "gda":
+                    gu = game.grad_u(u, v)
+                    gv = game.grad_v(u, v)
+                    u = u - lr_g * gu
+                    v = v + lr_d * gv
+                elif algorithm == "eg":
+                    gu = game.grad_u(u, v)
+                    gv = game.grad_v(u, v)
+                    u_mid = u - lr_g * gu
+                    v_mid = v + lr_d * gv
+                    gu_m = game.grad_u(u_mid, v_mid)
+                    gv_m = game.grad_v(u_mid, v_mid)
+                    u = u - lr_g * gu_m
+                    v = v + lr_d * gv_m
+                elif algorithm == "co":
+                    gu = game.grad_u(u, v)
+                    gv = game.grad_v(u, v)
+                    joint = np.concatenate([gu, gv])
+                    hvp = _fd_hessian_vector(game, JointPoint(u, v), joint)
+                    u = u - lr_g * (gu + co_gamma * hvp[:game.dim_u])
+                    v = v + lr_d * gv - lr_d * co_gamma * hvp[game.dim_u:]
+                else:  # dg
+                    est = dg_halves(dgmod.dg_estimate, JointPoint(u, v), dg_cfg)
+                    u = u - lr_g * est.grad_u
+                    v = v - lr_d * est.grad_v
+                if it % log_interval == 0 or it == iterations:
+                    log_row(it, u, v)
+        except NonFiniteValueError:
+            log.status = "diverged"
 
     log.final_samples = game.eval_samples(u)
     log.final_histogram, log.bin_edges = np.histogram(

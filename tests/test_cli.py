@@ -1,7 +1,11 @@
 """CLI subcommands: files, exit codes, determinism, SVG well-formedness."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,13 @@ class TestTraj:
     def test_unknown_algorithm_is_usage_error(self):
         code = run(["traj", "--game", "f1", "--alg", "newton", "--init", "0,0"])
         assert code == 2
+
+    def test_unrolled_dg_on_boxed_game_is_usage_error(self, tmp_path, capsys):
+        code = run(["traj", "--game", "motivation", "--alg", "dg", "--mode",
+                    "unrolled", "--init", "1,1", "--steps", "5", "--no-plot",
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "box domain" in capsys.readouterr().err
 
 
 class TestStability:
@@ -121,6 +132,41 @@ class TestDeterminism:
                 "svg": (tmp_path / sub / "run.svg").read_bytes(),
             })
         assert outputs[0] == outputs[1]
+
+    def test_mog_dg_byte_identical_across_threads_flag(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads / "mog"
+            code = run(["mog", "--alg", "dg", "--k", "3", "--iters", "3",
+                        "--log-interval", "2", "--seed", "4", "--threads",
+                        threads, "--out", str(out)])
+            assert code == 0
+            outputs.append({suffix: Path(f"{out}{suffix}").read_bytes()
+                            for suffix in (".csv", "_samples.csv",
+                                           "_hist.csv", ".svg")})
+        assert outputs[0] == outputs[1]
+
+    def test_catalog_dg_starts_no_thread_and_loads_no_blas_hooks(self, tmp_path):
+        script = (
+            "import threading, sys\n"
+            "from dgopt import cli, mog\n"
+            "assert mog._openblas_thread_calls.cache_info().currsize == 0\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda t: (started.append(t), start(t))\n"
+            "for args in (['traj', '--game', 'f1', '--alg', 'dg', '--init',\n"
+            "              '0.5,0.5', '--steps', '20', '--log-dg'],\n"
+            "             ['landscape', '--game', 'bilinear:c=3', '--box=-1,1',\n"
+            "              '--res', '5', '--measure', 'dg_approx']):\n"
+            "    assert cli.main(args + ['--no-plot', '--out', sys.argv[1]]) == 0\n"
+            "assert not started\n"
+            "assert mog._openblas_thread_calls.cache_info().currsize == 0\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}"
+                                          f"{os.environ.get('PYTHONPATH', '')}")
+        proc = subprocess.run([sys.executable, "-c", script,
+                               str(tmp_path / "run")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_repeat_invocations_byte_identical(self, tmp_path):
         blobs = []

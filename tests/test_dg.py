@@ -1,13 +1,17 @@
 """Duality-gap estimation: inner responses, both gradient modes, AdaGrad."""
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, dg_descent_step,
                       dg_estimate, dg_metric, worst_case_responses)
-from dgopt.games import (Box, JointPoint, NonFiniteValueError, make_bilinear,
-                         make_game, make_poly_f3, make_quadratic_f1,
-                         make_quadratic_f2)
+from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
+                         make_bilinear, make_game, make_poly_f3,
+                         make_quadratic_f1, make_quadratic_f2)
 from dgopt.optimizers import OptimizerConfig, gda_step, run_trajectory
 
 B3 = make_bilinear(3.0)
@@ -93,6 +97,11 @@ class TestDGEstimate:
             checked += 1
         assert checked == 50
 
+    def test_unrolled_rejects_boxed_game(self):
+        cfg = DGConfig(k=3, gamma=0.05, grad_mode="unrolled")
+        with pytest.raises(ValueError, match="box domain"):
+            dg_estimate(make_game("motivation"), JointPoint.of(1.0, 1.0), cfg)
+
     def test_envelope_and_unrolled_agree_at_k0(self):
         p = JointPoint.of(0.8, -0.5)
         env = dg_estimate(F2, p, DGConfig(k=0, gamma=0.05))
@@ -123,6 +132,83 @@ class TestDGEstimate:
             v10 = dg_metric(B3, p, k=10, gamma=gamma)
             v50 = dg_metric(B3, p, k=50, gamma=gamma)
             assert v50 >= v10 >= 0.0
+
+
+P_HALVES = JointPoint.of(0.3, -0.2)
+
+
+def _half(player, u, v):
+    """Which DG half makes a gradient call at P_HALVES: the descent
+    chain freezes v and its tail evaluates grad_v away from u; the
+    ascent chain freezes u and its tail evaluates grad_u away from v."""
+    if player == "u":
+        return "descent" if v[0] == P_HALVES.v[0] else "ascent"
+    return "ascent" if u[0] == P_HALVES.u[0] else "descent"
+
+
+def _failing_game(descent_fails_at, ascent_fails_at, descent_delay=0.0):
+    """A 1-D game whose descent (ascent) chain gradient turns infinite at
+    that inner step, None meaning never; descent steps can be slowed."""
+    steps = {"descent": 0, "ascent": 0}
+    fails_at = {"descent": descent_fails_at, "ascent": ascent_fails_at}
+
+    def grad(player):
+        def g(u, v):
+            half = _half(player, u, v)
+            if (half == "descent") != (player == "u"):
+                return np.array([0.1])      # the other half's tail
+            if half == "descent":
+                time.sleep(descent_delay)
+            steps[half] += 1
+            return np.array([np.inf if steps[half] == fails_at[half] else 0.1])
+        return g
+
+    return GameOracle("failing", 1, 1, lambda u, v: 0.0, grad("u"), grad("v"))
+
+
+class TestHalves:
+    @pytest.mark.parametrize("concurrent", [False, True])
+    @pytest.mark.parametrize("fails,message", [
+        ((2, None), "inner descent iterate became non-finite at inner step 2"),
+        ((None, 1), "inner ascent iterate became non-finite at inner step 1"),
+        ((3, 1), "inner descent iterate became non-finite at inner step 3"),
+    ])
+    def test_nonfinite_half_surfaces_in_sequential_order(self, concurrent,
+                                                         fails, message):
+        # the slow descent chain fails after the ascent chain has: the
+        # descent error still wins, as it does in sequence
+        evaluations = (
+            lambda game, ex: dg_estimate(game, P_HALVES,
+                                         DGConfig(k=4, gamma=0.1), executor=ex),
+            lambda game, ex: dg_metric(game, P_HALVES, 4, 0.1, executor=ex))
+        for evaluate in evaluations:
+            game = _failing_game(*fails, descent_delay=0.01)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                with pytest.raises(NonFiniteValueError) as err:
+                    evaluate(game, pool if concurrent else None)
+            assert str(err.value) == message
+
+    def test_descent_half_runs_on_the_executor(self):
+        threads = {"descent": set(), "ascent": set()}
+
+        def record(player, grad):
+            def g(u, v):
+                threads[_half(player, u, v)].add(threading.get_ident())
+                return grad(u, v)
+            return g
+
+        game = GameOracle("f1-recorded", 1, 1, F1.value,
+                          record("u", F1.grad_u), record("v", F1.grad_v))
+        cfg = DGConfig(k=5, gamma=0.05)
+        want = dg_estimate(F1, P_HALVES, cfg)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = dg_estimate(game, P_HALVES, cfg, executor=pool)
+        assert threads["ascent"] == {threading.get_ident()}
+        assert len(threads["descent"]) == 1
+        assert threading.get_ident() not in threads["descent"]
+        assert got.value == want.value
+        for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 class TestDGDescent:

@@ -1,12 +1,24 @@
 """GAN game oracle: dataset statistics, backprop checks, training plumbing."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from dgopt import mog
 from dgopt.games import JointPoint
 from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, _fd_hessian_vector,
                        gan_value_and_grads, mlp_backward, mlp_forward,
                        mode_coverage, sample_dataset, train_mog)
+
+
+def _moved_params(game, seed):
+    """A generic point off the zero-bias initialization."""
+    u, v = game.init_params()
+    rng = np.random.default_rng(seed)
+    return (u + (0.05 * rng.standard_normal(u.size)).astype(game.dtype),
+            v + (0.05 * rng.standard_normal(v.size)).astype(game.dtype))
 
 
 class TestDataset:
@@ -116,6 +128,47 @@ class TestGanOracle:
             fd = (game.value(u, v + e) - game.value(u, v - e)) / (2 * h)
             assert abs(gv[c] - fd) <= max(1e-4 * abs(fd), 1e-9)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_passes_equal_separate_calls_bit_for_bit(self, dtype):
+        game = MogGanGame(seed=5, n=600, dtype=dtype)
+        for u, v in (game.init_params(), _moved_params(game, 1)):
+            value = game.value(u, v)
+            gu, gv = game.grad_u(u, v), game.grad_v(u, v)
+            val_u, fused_gu = game.value_and_grad_u(u, v)
+            val_v, fused_gv = game.value_and_grad_v(u, v)
+            val, all_gu, all_gv = game.value_and_grads(u, v)
+            assert val_u == value and val_v == value and val == value
+            assert np.array_equal(fused_gu, gu) and np.array_equal(all_gu, gu)
+            assert np.array_equal(fused_gv, gv) and np.array_equal(all_gv, gv)
+
+    def test_concurrent_oracle_calls_match_sequential(self):
+        # one game shared by more threads than cores, switching often,
+        # with two generators against many discriminators: a generator
+        # pass cached by one thread (whose activations a backward pass
+        # consumes) must never serve another thread
+        game = MogGanGame(seed=7, n=200, dtype=np.float64)
+        points = [_moved_params(game, s) for s in range(6)]
+        calls = [(name, i % 2, j) for name in ("grad_v", "grad_u",
+                                               "value_and_grad_u",
+                                               "value_and_grads")
+                 for i in range(2) for j in range(len(points))]
+
+        def call(name, i, j):
+            out = getattr(game, name)(points[i][0], points[j][1])
+            return np.hstack(out)
+
+        want = [call(*c) for c in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(call, *c) for c in calls * 3]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want * 3):
+            assert np.array_equal(g, w)
+
     def test_loss_finite_under_extreme_discriminator(self):
         # saturate the discriminator head; clamping keeps logs finite
         game = MogGanGame(seed=2, n=200, dtype=np.float64)
@@ -211,6 +264,22 @@ class TestTrainingPlumbing:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             train_mog("adam", seed=0, iterations=1)
+
+    def test_threads_must_be_positive(self):
+        with pytest.raises(ValueError, match="threads"):
+            train_mog("dg", seed=0, iterations=1, threads=0)
+
+    def test_blas_thread_count_restored(self):
+        calls = mog._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS found in this process")
+        get, _ = calls
+        before = get()
+        with mog._one_blas_thread():
+            assert get() == 1
+        assert get() == before
+        train_mog("dg", seed=1, iterations=1, n=100, dg_k=2, threads=2)
+        assert get() == before
 
     def test_csv_outputs(self, tmp_path):
         log = train_mog("eg", seed=3, iterations=10, log_interval=5,
