@@ -29,8 +29,7 @@ DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "artifacts",
 def run_one(alg, seed, iters, out_dir):
     t0 = time.time()
     log = train_mog(alg, seed=seed, iterations=iters, dg_k=10,
-                    log_interval=100, dtype=np.float32,
-                    threads=min(2, os.cpu_count() or 1))
+                    log_interval=100, dtype=np.float32)
     wall = time.time() - t0
     first, last = log.rows[0], log.rows[-1]
     row = {

@@ -5,11 +5,12 @@ Every subcommand writes CSV/JSON data files (and SVG figures unless
 through named streams, so fixed arguments reproduce byte-identical
 outputs.
 
---threads matters to mog only: with 2 or more (the default, min(2,
-cores)) each duality-gap evaluation runs its descent half on a worker
-thread beside its ascent half.  Those halves always run with
-OpenBLAS held at one thread, so the outputs do not depend on --threads;
-where the loaded OpenBLAS cannot be found the halves run in sequence.
+--threads matters to mog only.  A mog run holds OpenBLAS at one thread
+throughout, so its outputs do not depend on the host's BLAS thread
+count; with --threads 2 or more (the default, min(2, cores)) each
+duality-gap evaluation runs its descent half on a worker thread beside
+its ascent half, and the outputs do not depend on --threads either.
+Where the loaded OpenBLAS cannot be found the halves run in sequence.
 The other subcommands accept the flag and run sequentially.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -103,11 +103,8 @@ def _plot_trajectory(game, traj, path):
     res = 41
     u_axis = np.linspace(-span, span, res)
     v_axis = np.linspace(-span, span, res)
-    values = np.empty((res, res))
-    for i, ui in enumerate(u_axis):
-        for j, vj in enumerate(v_axis):
-            values[i, j] = game.value(np.array([ui]), np.array([vj]))
-    svgplot.heatmap(canvas, axes, u_axis, v_axis, values)
+    svgplot.heatmap(canvas, axes, u_axis, v_axis,
+                    dynamics.value_grid(game, u_axis, v_axis))
     axes.polyline(pts[:, 0], pts[:, 1], color="#000000")
     axes.marker(pts[0, 0], pts[0, 1], color="#2ca02c")
     axes.marker(pts[-1, 0], pts[-1, 1], color="#d62728")
@@ -182,7 +179,7 @@ def cmd_rate(args) -> int:
 
 def cmd_mog(args) -> int:
     log = mog.train_mog(args.alg, seed=args.seed, iterations=args.iters,
-                        lr_g=args.lr, lr_d=args.lr, co_gamma=args.co_gamma,
+                        lr=args.lr, co_gamma=args.co_gamma,
                         dg_k=args.k, log_interval=args.log_interval,
                         threads=args.threads)
     prefix = _out_prefix(args)
@@ -249,9 +246,10 @@ def _add_common(sub, with_game=True):
     sub.add_argument("--threads", type=int, default=1,
                      help="mog: 2 or more runs the two halves of each "
                           "duality-gap evaluation concurrently (default "
-                          "min(2, cores)), falling back to sequential when "
-                          "OpenBLAS cannot be pinned to one thread; the "
-                          "other commands run sequentially")
+                          "min(2, cores)); the whole run holds OpenBLAS at "
+                          "one thread, and falls back to sequential halves "
+                          "when OpenBLAS cannot be found; the other "
+                          "commands run sequentially")
     sub.add_argument("--no-plot", action="store_true")
     if with_game:
         sub.add_argument("--game", type=str, required=True,
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--co-gamma", dest="co_gamma", type=float, default=1.0)
     mg.add_argument("--log-interval", dest="log_interval", type=int,
                     default=100)
-    mg.set_defaults(func=cmd_mog, threads=min(2, os.cpu_count() or 1))
+    mg.set_defaults(func=cmd_mog, threads=mog.DEFAULT_THREADS)
 
     plot = subs.add_parser("plot", help="re-render an existing CSV as SVG")
     plot.add_argument("--csv", type=str, required=True)

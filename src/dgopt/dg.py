@@ -90,8 +90,7 @@ class DGConfig:
             elif key == "mode":
                 kwargs["grad_mode"] = val
             elif key == "outer":
-                kwargs["outer"] = ("constant_eta" if val in ("const", "constant_eta")
-                                   else "adagrad")
+                kwargs["outer"] = "constant_eta" if val == "const" else val
             else:
                 raise ValueError(f"unknown dg config key {key!r}")
         return DGConfig(**kwargs)
@@ -331,22 +330,27 @@ def adagrad_step(state: AdaGradState, x: Array, g: Array):
 
 
 def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
-                    step: Union[float, AdaGradState]):
+                    step: Union[float, AdaGradState], executor=None):
     """One outer step: both players descend the DG gradient.
 
-    With a float step this is plain gradient descent on the estimate;
-    with an AdaGradState the joint vector takes a projected adaptive
-    step and the state is advanced in place.
+    With a float step (outer "constant_eta") this is plain gradient
+    descent on the estimate; with an AdaGradState (outer "adagrad") the
+    joint vector takes a projected adaptive step and the state is
+    advanced in place.  The executor goes on to dg_estimate.
     """
-    if isinstance(step, AdaGradState):
+    adaptive = isinstance(step, AdaGradState)
+    if cfg.outer != ("adagrad" if adaptive else "constant_eta"):
+        raise ValueError(f"DGConfig.outer is {cfg.outer!r} but the step is "
+                         f"a {type(step).__name__}")
+    if adaptive:
         if cfg.gamma is None:
             raise ValueError("the adagrad outer has no constant step to tie "
                              "gamma to; set DGConfig.gamma explicitly")
-        est = dg_estimate(game, p, cfg)
+        est = dg_estimate(game, p, cfg, executor=executor)
         g = np.concatenate([est.grad_u, est.grad_v])
         x_new, new_state = adagrad_step(step, p.concat(), g)
         step.sum_sq = new_state.sum_sq
         return JointPoint.split(x_new, game.dim_u)
     eta = float(step)
-    est = dg_estimate(game, p, cfg, eta=eta)
+    est = dg_estimate(game, p, cfg, eta=eta, executor=executor)
     return JointPoint(p.u - eta * est.grad_u, p.v - eta * est.grad_v)

@@ -162,6 +162,16 @@ def _box_axes(box: Box, resolution: int):
     return u_axis, v_axis
 
 
+def value_grid(game: GameOracle, u_axis, v_axis) -> Array:
+    """M(u_axis[i], v_axis[j]) at every node of a 1-D/1-D game's grid."""
+    values = np.empty((len(u_axis), len(v_axis)))
+    for i, ui in enumerate(u_axis):
+        uu = np.array([ui])
+        for j, vj in enumerate(v_axis):
+            values[i, j] = game.value(uu, np.array([vj]))
+    return values
+
+
 def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
     """Brute-force box duality gap for a 1-D/1-D game.
 
@@ -176,12 +186,7 @@ def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
         raise ValueError("resolution must be >= 3")
     u_axis, v_axis = _box_axes(box, resolution)
 
-    value_matrix = np.empty((resolution, resolution))
-    for i, ui in enumerate(u_axis):
-        uu = np.array([ui])
-        for j, vj in enumerate(v_axis):
-            value_matrix[i, j] = game.value(uu, np.array([vj]))
-
+    value_matrix = value_grid(game, u_axis, v_axis)
     row_max = value_matrix.max(axis=1)    # max over v' for each u
     col_min = value_matrix.min(axis=0)    # min over u' for each v
     grid_values = row_max[:, None] - col_min[None, :]
@@ -219,16 +224,13 @@ def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
         return grid
 
     u_axis, v_axis = _box_axes(box, resolution)
-    values = np.empty((resolution, resolution))
     if measure == "minimax_value":
-        for i, ui in enumerate(u_axis):
-            uu = np.array([ui])
-            for j, vj in enumerate(v_axis):
-                values[i, j] = game.value(uu, np.array([vj]))
+        values = value_grid(game, u_axis, v_axis)
     else:
         if dg_cfg is None:
             raise ValueError("dg_approx needs a DGConfig")
         gamma = dg_cfg.resolved_gamma(eta)
+        values = np.empty((resolution, resolution))
         for i, ui in enumerate(u_axis):
             for j, vj in enumerate(v_axis):
                 p = JointPoint.of(ui, vj)

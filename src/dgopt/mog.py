@@ -17,6 +17,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import dg as dgmod
 from .games import JointPoint, NonFiniteValueError
+from .optimizers import OptimizerConfig, make_step_map
 from .rates import seeded_rng
 
 MODE_CENTERS = (-4.0, 0.0, 4.0)
@@ -342,6 +344,9 @@ def gan_value_and_grads(game: MogGanGame, u, v):
 
 MOG_ALGORITHMS = ("gda", "eg", "co", "dg")
 
+# one worker beside the caller: a duality-gap evaluation has two halves
+DEFAULT_THREADS = min(2, os.cpu_count() or 1)
+
 LOG_COLUMNS = ("iter", "value", "grad_u_norm", "grad_v_norm", "dg_metric",
                "mode_frac_m4", "mode_frac_0", "mode_frac_4",
                "disc_real_median", "disc_fake_median")
@@ -402,6 +407,18 @@ def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
     return (game.joint_grad(plus) - game.joint_grad(minus)) / (2.0 * delta)
 
 
+def _co_step(game: MogGanGame, p: JointPoint, eta, gamma: float) -> JointPoint:
+    """Consensus optimization through the finite-difference Hessian
+    product: optimizers.co_step needs Hessian blocks the GAN lacks, and
+    its summation order moves MoG co outputs off the recorded references.
+    """
+    gu = game.grad_u(p.u, p.v)
+    gv = game.grad_v(p.u, p.v)
+    hvp = _fd_hessian_vector(game, p, np.concatenate([gu, gv]))
+    return JointPoint(p.u - eta * (gu + gamma * hvp[:game.dim_u]),
+                      p.v + eta * gv - eta * gamma * hvp[game.dim_u:])
+
+
 @functools.cache
 def _openblas_thread_calls():
     """(get, set) for the thread count of the OpenBLAS this process has
@@ -451,23 +468,22 @@ def _one_blas_thread():
 
 
 def train_mog(algorithm: str, seed: int, iterations: int = 20000,
-              lr_g: float = 2e-4, lr_d: float = 2e-4, co_gamma: float = 1.0,
+              lr: float = 2e-4, co_gamma: float = 1.0,
               dg_k: int = 10, log_interval: int = 100,
               dtype=np.float32, game: Optional[MogGanGame] = None,
-              n: int = 5000, threads: int = 1) -> MogTrainingLog:
-    """Full-batch training with one of gda / eg / co / dg.
+              n: int = 5000, threads: int = DEFAULT_THREADS) -> MogTrainingLog:
+    """Full-batch training with one of gda / eg / co / dg at step size lr.
 
-    The dg path estimates the duality gap with dg_k warm-started inner
-    steps (inner step size = the learning rate) and both players descend
-    its envelope gradient.  Logging happens every log_interval steps on
-    a fixed 1000-draw noise evaluation set.
+    gda, eg and dg are optimizers.make_step_map's step maps; dg descends
+    the envelope gradient of a dg_k-step duality-gap estimate (inner
+    step size lr).  Logging happens every log_interval steps on a fixed
+    1000-draw noise evaluation set.
 
-    Every duality-gap evaluation (the dg step and the logged dg metric)
-    runs with OpenBLAS held at one thread.  With threads >= 2 its
-    descent half runs on a worker thread while the caller runs the
-    ascent half; with threads = 1, or when the loaded OpenBLAS cannot be
-    found, the halves run in sequence.  The output is the same either
-    way.
+    The whole run holds OpenBLAS at one thread, so no output depends on
+    the host's BLAS thread count.  With threads >= 2 each duality-gap
+    evaluation runs its descent half on a worker thread beside the
+    ascent half; with threads = 1, or without a known OpenBLAS, the
+    halves run in sequence, with the same output.
     """
     if algorithm not in MOG_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
@@ -476,10 +492,6 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
         raise ValueError("threads must be >= 1")
     if game is None:
         game = MogGanGame(seed, n=n, dtype=dtype)
-    u, v = game.init_params()
-    lr_g = game.dtype.type(lr_g)
-    lr_d = game.dtype.type(lr_d)
-    dg_cfg = dgmod.DGConfig(k=dg_k, gamma=float(lr_g), grad_mode="envelope")
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
     pool = contextlib.nullcontext()
     if threads > 1 and _openblas_thread_calls() is not None:
@@ -487,64 +499,42 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dg-descent")
 
-    with pool as executor:
+    with _one_blas_thread(), pool as executor:
+        if algorithm == "co":
+            step = functools.partial(_co_step, game, eta=game.dtype.type(lr),
+                                     gamma=co_gamma)
+        else:
+            step = make_step_map(game, OptimizerConfig(
+                algorithm, eta=lr, dg=dgmod.DGConfig(k=dg_k)), executor)
 
-        def dg_halves(fn, *args):
-            with _one_blas_thread():
-                return fn(game, *args, executor=executor)
-
-        def log_row(it, u, v):
-            value, gu, gv = game.value_and_grads(u, v)
-            dg_val = dg_halves(dgmod.dg_metric, JointPoint(u, v), dg_k,
-                               float(lr_g))
-            samples = game.eval_samples(u)
+        def log_row(it, p):
+            value, gu, gv = game.value_and_grads(p.u, p.v)
+            dg_val = dgmod.dg_metric(game, p, dg_k, lr, executor=executor)
+            samples = game.eval_samples(p.u)
             fracs = mode_coverage(samples)
-            disc_real = float(np.median(game.disc_outputs(v, game.data)))
-            disc_fake = float(np.median(game.disc_outputs(v, samples)))
+            disc_real = float(np.median(game.disc_outputs(p.v, game.data)))
+            disc_fake = float(np.median(game.disc_outputs(p.v, samples)))
             log.rows.append((it, value, float(np.linalg.norm(gu)),
                              float(np.linalg.norm(gv)), dg_val,
                              fracs[0], fracs[1], fracs[2], disc_real,
                              disc_fake))
 
-        log_row(0, u, v)
+        p = JointPoint(*game.init_params())
+        log_row(0, p)
         try:
             for it in range(1, iterations + 1):
-                if algorithm == "gda":
-                    gu = game.grad_u(u, v)
-                    gv = game.grad_v(u, v)
-                    u = u - lr_g * gu
-                    v = v + lr_d * gv
-                elif algorithm == "eg":
-                    gu = game.grad_u(u, v)
-                    gv = game.grad_v(u, v)
-                    u_mid = u - lr_g * gu
-                    v_mid = v + lr_d * gv
-                    gu_m = game.grad_u(u_mid, v_mid)
-                    gv_m = game.grad_v(u_mid, v_mid)
-                    u = u - lr_g * gu_m
-                    v = v + lr_d * gv_m
-                elif algorithm == "co":
-                    gu = game.grad_u(u, v)
-                    gv = game.grad_v(u, v)
-                    joint = np.concatenate([gu, gv])
-                    hvp = _fd_hessian_vector(game, JointPoint(u, v), joint)
-                    u = u - lr_g * (gu + co_gamma * hvp[:game.dim_u])
-                    v = v + lr_d * gv - lr_d * co_gamma * hvp[game.dim_u:]
-                else:  # dg
-                    est = dg_halves(dgmod.dg_estimate, JointPoint(u, v), dg_cfg)
-                    u = u - lr_g * est.grad_u
-                    v = v - lr_d * est.grad_v
+                p = step(p)
                 if it % log_interval == 0 or it == iterations:
-                    log_row(it, u, v)
+                    log_row(it, p)
         except NonFiniteValueError:
             log.status = "diverged"
 
-    log.final_samples = game.eval_samples(u)
-    log.final_histogram, log.bin_edges = np.histogram(
-        log.final_samples, bins=HIST_BINS, range=HIST_RANGE)
-    log.final_u = u.copy()
-    log.final_v = v.copy()
-    union = np.concatenate([game.disc_outputs(v, game.data),
-                            game.disc_outputs(v, log.final_samples)])
-    log.final_disc_union_median = float(np.median(union))
+        log.final_samples = game.eval_samples(p.u)
+        log.final_histogram, log.bin_edges = np.histogram(
+            log.final_samples, bins=HIST_BINS, range=HIST_RANGE)
+        log.final_u = p.u.copy()
+        log.final_v = p.v.copy()
+        union = np.concatenate([game.disc_outputs(p.v, game.data),
+                                game.disc_outputs(p.v, log.final_samples)])
+        log.final_disc_union_median = float(np.median(union))
     return log

@@ -151,11 +151,12 @@ def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
     return JointPoint(p.u - eta_x * gu, p.v + eta_y * gv + eta_x * correction)
 
 
-def make_step_map(game: GameOracle, cfg: OptimizerConfig):
+def make_step_map(game: GameOracle, cfg: OptimizerConfig, executor=None):
     """Bind a config to a stateless callable p -> p'.
 
     ogda keeps its one-step gradient memory in a closure cell; fresh
-    maps start with the gda fallback.
+    maps start with the gda fallback.  dg passes the executor on to
+    dg.dg_estimate.
     """
     alg = cfg.algorithm
     if alg == "gda":
@@ -172,7 +173,8 @@ def make_step_map(game: GameOracle, cfg: OptimizerConfig):
         return lambda p: fr_step(game, p, cfg.eta, cfg.eta_y)
     if alg == "dg":
         dg_cfg = cfg.dg if cfg.dg is not None else dgmod.DGConfig()
-        return lambda p: dgmod.dg_descent_step(game, p, dg_cfg, cfg.eta)
+        return lambda p: dgmod.dg_descent_step(game, p, dg_cfg, cfg.eta,
+                                                 executor)
     if alg == "ogda":
         memory = {"prev": None}
 

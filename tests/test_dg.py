@@ -276,6 +276,17 @@ class TestDGDescent:
             dg_descent_step(B3, JointPoint.of(0.5, 0.5),
                             DGConfig(k=5, outer="adagrad"), state)
 
+    def test_outer_must_match_the_step(self):
+        box = Box.square(-1.0, 1.0)
+        state = AdaGradState.fresh(diameter=box.diameter, box=box)
+        p = JointPoint.of(0.5, 0.5)
+        with pytest.raises(ValueError, match="outer"):
+            dg_descent_step(B3, p, DGConfig(k=5, gamma=0.05), state)
+        with pytest.raises(ValueError, match="outer"):
+            dg_descent_step(B3, p, DGConfig(k=5, gamma=0.05, outer="adagrad"),
+                            0.05)
+        assert state.sum_sq == 0.0
+
 
 class TestConfigStrings:
     def test_round_trip(self):
@@ -294,6 +305,10 @@ class TestConfigStrings:
         import pytest as _pytest
         with _pytest.raises(ValueError, match="unknown dg config key"):
             DGConfig.parse("dg:steps=3")
+
+    def test_parse_rejects_unknown_outer(self):
+        with pytest.raises(ValueError, match="outer"):
+            DGConfig.parse("dg:k=3,outer=adam")
 
 
 class TestDGMetric:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from dgopt import mog
+from dgopt.dg import DGConfig
 from dgopt.games import JointPoint
 from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, _fd_hessian_vector,
                        gan_value_and_grads, mlp_backward, mlp_forward,
                        mode_coverage, sample_dataset, train_mog)
+from dgopt.optimizers import OptimizerConfig, make_step_map
 
 
 def _moved_params(game, seed):
@@ -112,7 +114,7 @@ class TestGanOracle:
         # zero-bias initialization geometry
         game = MogGanGame(seed=8, n=300, dtype=np.float64)
         log = train_mog("gda", seed=8, iterations=50, log_interval=50,
-                        dtype=np.float64, game=game, lr_g=1e-2, lr_d=1e-2)
+                        dtype=np.float64, game=game, lr=1e-2)
         u, v = log.final_u, log.final_v
         _, gu, gv = gan_value_and_grads(game, u, v)
         rng = np.random.default_rng(3)
@@ -280,6 +282,38 @@ class TestTrainingPlumbing:
         assert get() == before
         train_mog("dg", seed=1, iterations=1, n=100, dg_k=2, threads=2)
         assert get() == before
+
+    def test_co_output_independent_of_blas_threads(self):
+        calls = mog._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("no OpenBLAS found in this process")
+        get, put = calls
+        before = get()
+        runs = []
+        try:
+            for blas_threads in (1, 2):
+                put(blas_threads)
+                runs.append(train_mog("co", seed=0, iterations=2, n=1000))
+        finally:
+            put(before)
+        assert runs[0].rows == runs[1].rows
+        assert np.array_equal(runs[0].final_u, runs[1].final_u)
+        assert np.array_equal(runs[0].final_v, runs[1].final_v)
+
+    @pytest.mark.parametrize("algorithm", ["gda", "eg", "dg"])
+    def test_runs_the_shared_step_map(self, algorithm):
+        log = train_mog(algorithm, seed=2, iterations=3, log_interval=3,
+                        lr=1e-2, dg_k=3, n=200, threads=2)
+        game = MogGanGame(seed=2, n=200, dtype=np.float32)
+        step = make_step_map(game, OptimizerConfig(algorithm, eta=1e-2,
+                                                   dg=DGConfig(k=3)))
+        p = JointPoint(*game.init_params())
+        with mog._one_blas_thread():
+            for _ in range(3):
+                p = step(p)
+        assert log.status == "ok"
+        assert np.array_equal(log.final_u, p.u)
+        assert np.array_equal(log.final_v, p.v)
 
     def test_csv_outputs(self, tmp_path):
         log = train_mog("eg", seed=3, iterations=10, log_interval=5,
