@@ -17,7 +17,6 @@ The other subcommands accept the flag and run sequentially.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -104,7 +103,7 @@ def _plot_trajectory(game, traj, path):
     u_axis = np.linspace(-span, span, res)
     v_axis = np.linspace(-span, span, res)
     svgplot.heatmap(canvas, axes, u_axis, v_axis,
-                    dynamics.value_grid(game, u_axis, v_axis))
+                    dynamics.value_grid(game.value, u_axis, v_axis))
     axes.polyline(pts[:, 0], pts[:, 1], color="#000000")
     axes.marker(pts[0, 0], pts[0, 1], color="#2ca02c")
     axes.marker(pts[-1, 0], pts[-1, 1], color="#d62728")

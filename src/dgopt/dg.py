@@ -64,7 +64,7 @@ class DGConfig:
         return float(eta)
 
     def format(self) -> str:
-        gamma = "auto" if self.gamma is None else f"{self.gamma:g}"
+        gamma = "auto" if self.gamma is None else repr(float(self.gamma))
         outer = "const" if self.outer == "constant_eta" else "adagrad"
         return f"dg:k={self.k},gamma={gamma},mode={self.grad_mode},outer={outer}"
 
@@ -144,44 +144,43 @@ def _inner_setup(game: GameOracle, p: JointPoint, k: int, gamma: float):
     return gamma, (lo[:du], hi[:du]), (lo[du:], hi[du:])
 
 
-def _descent_chain(game, p, k, gamma, box):
-    """k warm-started descent steps on u -> M(u, p.v) from p.u."""
-    u, v = p
-    uw = u.copy()
+def _chain(x, grad, step, box, k, kind, p):
+    """k warm-started steps x <- x + step * grad(x) from a copy of x,
+    clamped to the box if there is one: step -gamma descends, +gamma
+    ascends (x - gamma g and x + (-gamma) g are the same float)."""
+    x = x.copy()
     for i in range(1, k + 1):
-        uw = uw - gamma * game.grad_u(uw, v)
+        x = x + step * grad(x)
         if box is not None:
-            uw = np.clip(uw, box[0], box[1])
-        if not np.all(np.isfinite(uw)):
+            x = np.clip(x, box[0], box[1])
+        if not np.all(np.isfinite(x)):
             raise NonFiniteValueError(
-                f"inner descent iterate became non-finite at inner step {i}",
+                f"inner {kind} iterate became non-finite at inner step {i}",
                 point=p)
-    return uw
+    return x
 
 
-def _ascent_chain(game, p, k, gamma, box):
-    """k warm-started ascent steps on v -> M(p.u, v) from p.v."""
-    u, v = p
-    vw = v.copy()
-    for i in range(1, k + 1):
-        vw = vw + gamma * game.grad_v(u, vw)
-        if box is not None:
-            vw = np.clip(vw, box[0], box[1])
-        if not np.all(np.isfinite(vw)):
-            raise NonFiniteValueError(
-                f"inner ascent iterate became non-finite at inner step {i}",
-                point=p)
-    return vw
+def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail,
+                  executor=None):
+    """(descent_tail(u_k), ascent_tail(v_k)) for the two inner chains.
 
-
-def _run_halves(descent, ascent, executor):
-    """Both halves' results, (descent(), ascent()).
-
-    The halves share no state.  Without an executor they run in
-    sequence, descent first; with one, descent runs on it while ascent
-    runs on the caller.  Either way a descent error is the one raised
-    when both halves fail.
+    u_k takes k descent steps on u -> M(u, p.v) from p.u, v_k k ascent
+    steps on v -> M(p.u, v) from p.v.  The halves share no state.
+    Without an executor they run in sequence, descent first; with one,
+    descent runs on it while ascent runs on the caller.  Either way a
+    descent error is the one raised when both halves fail.
     """
+    gamma, u_box, v_box = _inner_setup(game, p, k, gamma)
+    u, v = p
+
+    def descent():
+        return descent_tail(_chain(u, lambda x: game.grad_u(x, v), -gamma,
+                                   u_box, k, "descent", p))
+
+    def ascent():
+        return ascent_tail(_chain(v, lambda y: game.grad_v(u, y), gamma,
+                                  v_box, k, "ascent", p))
+
     if executor is None:
         return descent(), ascent()
     future = executor.submit(descent)
@@ -203,9 +202,7 @@ def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
     carries a box domain the inner iterates are clamped to it, which
     keeps the estimate below the exact box duality gap.
     """
-    gamma, u_box, v_box = _inner_setup(game, p, k, gamma)
-    return (_descent_chain(game, p, k, gamma, u_box),
-            _ascent_chain(game, p, k, gamma, v_box))
+    return _inner_halves(game, p, k, gamma, lambda uw: uw, lambda vw: vw)
 
 
 def _unrolled_grads(game, p, k, gamma):
@@ -274,18 +271,10 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
         uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, gamma)
         value = game.value(u, vw) - game.value(uw, v)
     else:
-        gamma, u_box, v_box = _inner_setup(game, p, cfg.k, gamma)
-
-        def descent():
-            uw = _descent_chain(game, p, cfg.k, gamma, u_box)
-            return (uw, *game.value_and_grad_v(uw, v))
-
-        def ascent():
-            vw = _ascent_chain(game, p, cfg.k, gamma, v_box)
-            return (vw, *game.value_and_grad_u(u, vw))
-
-        (uw, low, gv), (vw, high, grad_u) = _run_halves(descent, ascent,
-                                                        executor)
+        (uw, low, gv), (vw, high, grad_u) = _inner_halves(
+            game, p, cfg.k, gamma,
+            lambda uw: (uw, *game.value_and_grad_v(uw, v)),
+            lambda vw: (vw, *game.value_and_grad_u(u, vw)), executor)
         value = high - low
         grad_v = -gv
 
@@ -301,32 +290,29 @@ def dg_metric(game: GameOracle, p: JointPoint, k: int, gamma: float,
 
     Runs in the same two halves as dg_estimate, on the executor if one
     is given."""
-    gamma, u_box, v_box = _inner_setup(game, p, k, gamma)
-    low, high = _run_halves(
-        lambda: game.value(_descent_chain(game, p, k, gamma, u_box), p.v),
-        lambda: game.value(p.u, _ascent_chain(game, p, k, gamma, v_box)),
-        executor)
+    low, high = _inner_halves(game, p, k, gamma,
+                              lambda uw: game.value(uw, p.v),
+                              lambda vw: game.value(p.u, vw), executor)
     value = high - low
     if not math.isfinite(value):
         raise NonFiniteValueError("duality-gap metric is non-finite", point=p)
     return float(value)
 
 
-def adagrad_step(state: AdaGradState, x: Array, g: Array):
+def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:
     """One simplified-AdaGrad update on the joint vector.
 
-    S' = S + ||g||^2, then x' = clamp(x - (D / sqrt(S')) * g) onto the
-    box.  An all-zero gradient before any accumulation leaves the state
+    S += ||g||^2 advances state.sum_sq in place, then the new point is
+    x' = clamp(x - (D / sqrt(S)) * g) onto the box.  An all-zero
+    gradient before any accumulation returns x and leaves the state
     untouched (the step size would be undefined).
     """
     gsq = float(np.dot(g, g))
     if state.sum_sq == 0.0 and gsq == 0.0:
-        return x, state
-    new_sum = state.sum_sq + gsq
-    eta_t = state.diameter / math.sqrt(new_sum)
-    x_new = state.box.clamp(x - eta_t * g)
-    return x_new, AdaGradState(sum_sq=new_sum, diameter=state.diameter,
-                               box=state.box)
+        return x
+    state.sum_sq += gsq
+    eta_t = state.diameter / math.sqrt(state.sum_sq)
+    return state.box.clamp(x - eta_t * g)
 
 
 def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
@@ -348,9 +334,8 @@ def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
                              "gamma to; set DGConfig.gamma explicitly")
         est = dg_estimate(game, p, cfg, executor=executor)
         g = np.concatenate([est.grad_u, est.grad_v])
-        x_new, new_state = adagrad_step(step, p.concat(), g)
-        step.sum_sq = new_state.sum_sq
-        return JointPoint.split(x_new, game.dim_u)
+        return JointPoint.split(adagrad_step(step, p.concat(), g),
+                                game.dim_u)
     eta = float(step)
     est = dg_estimate(game, p, cfg, eta=eta, executor=executor)
     return JointPoint(p.u - eta * est.grad_u, p.v - eta * est.grad_v)

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dg as dgmod
-from .games import Array, Box, GameOracle, JointPoint, NonFiniteValueError
+from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
+                    central_jacobian)
 
 MARGINAL_TOL = 1e-9
 
@@ -85,7 +86,6 @@ def linearize(step_map: Callable[[JointPoint], JointPoint],
     """
     dim_u = len(fixed_point.u)
     x0 = fixed_point.concat()
-    n = x0.size
 
     def apply(x: Array) -> Array:
         p = JointPoint.split(x, dim_u)
@@ -97,16 +97,12 @@ def linearize(step_map: Callable[[JointPoint], JointPoint],
             f"point is not fixed under the map: residual {residual:.3e} "
             f"exceeds {fixed_tol:.1e}", residual=residual)
 
-    jac = np.zeros((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        jac[:, j] = (apply(x0 + e) - apply(x0 - e)) / (2.0 * h)
+    jac = central_jacobian(apply, x0, np.full(x0.size, h))
     if not np.all(np.isfinite(jac)):
         raise NonFiniteValueError("non-finite Jacobian entry",
                                   point=fixed_point)
 
-    if n == 2:
+    if x0.size == 2:
         eigs = eigenvalues_2x2(jac)
     else:
         eigs = [complex(ev) for ev in np.linalg.eigvals(jac)]
@@ -162,13 +158,15 @@ def _box_axes(box: Box, resolution: int):
     return u_axis, v_axis
 
 
-def value_grid(game: GameOracle, u_axis, v_axis) -> Array:
-    """M(u_axis[i], v_axis[j]) at every node of a 1-D/1-D game's grid."""
+def value_grid(fn: Callable[[Array, Array], float], u_axis, v_axis) -> Array:
+    """fn(u, v) at every node (u_axis[i], v_axis[j]) of a 1-D/1-D grid,
+    with u and v passed as one-element vectors (fn = game.value gives
+    the game's value grid)."""
     values = np.empty((len(u_axis), len(v_axis)))
     for i, ui in enumerate(u_axis):
         uu = np.array([ui])
         for j, vj in enumerate(v_axis):
-            values[i, j] = game.value(uu, np.array([vj]))
+            values[i, j] = fn(uu, np.array([vj]))
     return values
 
 
@@ -186,7 +184,7 @@ def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
         raise ValueError("resolution must be >= 3")
     u_axis, v_axis = _box_axes(box, resolution)
 
-    value_matrix = value_grid(game, u_axis, v_axis)
+    value_matrix = value_grid(game.value, u_axis, v_axis)
     row_max = value_matrix.max(axis=1)    # max over v' for each u
     col_min = value_matrix.min(axis=0)    # min over u' for each v
     grid_values = row_max[:, None] - col_min[None, :]
@@ -225,16 +223,14 @@ def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
 
     u_axis, v_axis = _box_axes(box, resolution)
     if measure == "minimax_value":
-        values = value_grid(game, u_axis, v_axis)
+        values = value_grid(game.value, u_axis, v_axis)
     else:
         if dg_cfg is None:
             raise ValueError("dg_approx needs a DGConfig")
         gamma = dg_cfg.resolved_gamma(eta)
-        values = np.empty((resolution, resolution))
-        for i, ui in enumerate(u_axis):
-            for j, vj in enumerate(v_axis):
-                p = JointPoint.of(ui, vj)
-                values[i, j] = dgmod.dg_metric(game, p, dg_cfg.k, gamma)
+        values = value_grid(
+            lambda u, v: dgmod.dg_metric(game, JointPoint(u, v), dg_cfg.k,
+                                         gamma), u_axis, v_axis)
     return LandscapeGrid(box=box, resolution=resolution, measure=measure,
                          u_axis=u_axis, v_axis=v_axis, values=values)
 

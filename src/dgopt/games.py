@@ -136,39 +136,39 @@ class GameOracle:
         return self.value(u, v), self.grad_v(u, v)
 
 
-def _fd_steps(x: Array, h: float) -> Array:
-    # step scaled by coordinate magnitude, floored at h
-    return h * np.maximum(1.0, np.abs(x))
+def central_jacobian(fn: Callable[[Array], Array], x: Array,
+                     steps: Array) -> Array:
+    """Jacobian of the vector map fn at x by central differences.
+
+    Column j is (fn(x + s_j e_j) - fn(x - s_j e_j)) / (2 s_j) with
+    s_j = steps[j].
+    """
+    n = x.size
+    cols = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = steps[j]
+        cols.append((fn(x + e) - fn(x - e)) / (2 * steps[j]))
+    return np.stack(cols, axis=1)
 
 
 def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> HessianBlocks:
     """Central-difference Hessian blocks from the analytic gradients.
 
-    Diagonal blocks are symmetrized by averaging with their transpose;
-    the cross blocks are averaged so that H_vu == H_uv^T exactly.
+    The Jacobian of the joint gradient (grad_u, grad_v) over the joint
+    vector, with steps h * max(1, |x_j|).  Diagonal blocks are
+    symmetrized by averaging with their transpose; the cross blocks are
+    averaged so that H_vu == H_uv^T exactly.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    u, v = p.u.astype(float), p.v.astype(float)
-    du, dv = game.dim_u, game.dim_v
-    hu, hv = _fd_steps(u, h), _fd_steps(v, h)
-
-    H_uu = np.zeros((du, du))
-    H_vu = np.zeros((dv, du))
-    for j in range(du):
-        e = np.zeros(du)
-        e[j] = hu[j]
-        H_uu[:, j] = (game.grad_u(u + e, v) - game.grad_u(u - e, v)) / (2 * hu[j])
-        H_vu[:, j] = (game.grad_v(u + e, v) - game.grad_v(u - e, v)) / (2 * hu[j])
-
-    H_vv = np.zeros((dv, dv))
-    H_uv = np.zeros((du, dv))
-    for j in range(dv):
-        e = np.zeros(dv)
-        e[j] = hv[j]
-        H_vv[:, j] = (game.grad_v(u, v + e) - game.grad_v(u, v - e)) / (2 * hv[j])
-        H_uv[:, j] = (game.grad_u(u, v + e) - game.grad_u(u, v - e)) / (2 * hv[j])
-
+    x = p.concat().astype(float)
+    du = game.dim_u
+    jac = central_jacobian(
+        lambda y: game.joint_grad(JointPoint.split(y, du)), x,
+        h * np.maximum(1.0, np.abs(x)))
+    H_uu, H_uv = jac[:du, :du], jac[:du, du:]
+    H_vu, H_vv = jac[du:, :du], jac[du:, du:]
     H_uu = 0.5 * (H_uu + H_uu.T)
     H_vv = 0.5 * (H_vv + H_vv.T)
     cross = 0.5 * (H_uv + H_vu.T)

@@ -206,11 +206,6 @@ class MogGanGame:
 
     # -- generator / discriminator passes ---------------------------------
 
-    def generate(self, u, noise=None):
-        z = self.noise if noise is None else noise
-        out, _ = mlp_forward(G_LAYOUT, u, z)
-        return out
-
     def _fake(self, u, for_backward=False):
         """G(u) on the training noise, and its activations.
 
@@ -389,7 +384,7 @@ class MogTrainingLog:
             for left, right, count in zip(self.bin_edges[:-1],
                                           self.bin_edges[1:],
                                           self.final_histogram):
-                fh.write(f"{left!r},{right!r},{int(count)}\n")
+                fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
 
 
 def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
@@ -490,6 +485,10 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
                          f"known: {MOG_ALGORITHMS}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    if log_interval < 1:
+        raise ValueError("log_interval must be >= 1")
+    cfg = OptimizerConfig(algorithm, eta=lr, co_gamma=co_gamma,
+                          dg=dgmod.DGConfig(k=dg_k))
     if game is None:
         game = MogGanGame(seed, n=n, dtype=dtype)
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
@@ -501,11 +500,11 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
 
     with _one_blas_thread(), pool as executor:
         if algorithm == "co":
-            step = functools.partial(_co_step, game, eta=game.dtype.type(lr),
-                                     gamma=co_gamma)
+            step = functools.partial(_co_step, game,
+                                     eta=game.dtype.type(cfg.eta),
+                                     gamma=cfg.co_gamma)
         else:
-            step = make_step_map(game, OptimizerConfig(
-                algorithm, eta=lr, dg=dgmod.DGConfig(k=dg_k)), executor)
+            step = make_step_map(game, cfg, executor)
 
         def log_row(it, p):
             value, gu, gv = game.value_and_grads(p.u, p.v)

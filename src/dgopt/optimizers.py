@@ -61,7 +61,12 @@ def ogda_step(game: GameOracle, p: JointPoint, prev_grads, eta: float) -> JointP
     prev_grads is the (grad_u, grad_v) pair from the previous iterate;
     when absent (step 0) this falls back to a plain gda step.
     """
-    gu, gv = _checked_grads(game, p)
+    return _ogda_update(p, _checked_grads(game, p), prev_grads, eta)
+
+
+def _ogda_update(p: JointPoint, grads, prev_grads, eta: float) -> JointPoint:
+    """ogda_step from the gradients at p, already evaluated."""
+    gu, gv = grads
     if prev_grads is None:
         return JointPoint(p.u - eta * gu, p.v + eta * gv)
     pu, pv = prev_grads
@@ -180,7 +185,7 @@ def make_step_map(game: GameOracle, cfg: OptimizerConfig, executor=None):
 
         def step(p):
             grads = _checked_grads(game, p)
-            out = ogda_step(game, p, memory["prev"], cfg.eta)
+            out = _ogda_update(p, grads, memory["prev"], cfg.eta)
             memory["prev"] = grads
             return out
 

@@ -134,6 +134,8 @@ def _fit_loglog_slope(ts, errs) -> float:
 
 def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
               repeats: int, step_rule: str, start: str = "random") -> RateResult:
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     t_list = sorted({int(t) for t in t_list})
     if any(t < 1 for t in t_list):
         raise ValueError("logged step counts must be >= 1")
@@ -154,7 +156,7 @@ def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
             running_sum += x
             g = problem.sample_grad(x, int(z_draws[t - 1]))
             if step_rule == "adagrad":
-                x, state = adagrad_step(state, x, g)
+                x = adagrad_step(state, x, g)
             else:
                 eta_t = problem.diameter / math.sqrt(t)
                 x = problem.box.clamp(x - eta_t * g)

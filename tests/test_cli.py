@@ -104,6 +104,13 @@ class TestRate:
         assert (tmp_path / "rate_sgd.json").exists()
         assert (tmp_path / "rate.svg").exists()
 
+    def test_zero_repeats_is_usage_error(self, tmp_path, capsys):
+        code = run(["rate", "--dim", "3", "--family", "4", "--Tmax", "200",
+                    "--repeats", "0", "--out", str(tmp_path / "rate")])
+        assert code == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not (tmp_path / "rate.json").exists()
+
 
 class TestMog:
     def test_tiny_mog_run(self, tmp_path):
@@ -114,6 +121,36 @@ class TestMog:
         lines = (tmp_path / "mog.csv").read_text().splitlines()
         assert lines[0].startswith("iter,value")
         assert (tmp_path / "mog_samples.csv").exists()
+
+    def test_histogram_csv_replots_with_float_edges(self, tmp_path):
+        out = tmp_path / "mog"
+        assert run(["mog", "--alg", "gda", "--iters", "2", "--seed", "1",
+                    "--log-interval", "1", "--out", str(out),
+                    "--no-plot"]) == 0
+        lines = (tmp_path / "mog_hist.csv").read_text().splitlines()
+        assert lines[0] == "bin_left,bin_right,count"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 121
+        lefts = [float(r[0]) for r in rows]
+        assert lefts[0] == -6.0 and float(rows[-1][1]) == 6.0
+        assert all(float(r[0]) < float(r[1]) for r in rows)
+        assert sum(int(r[2]) for r in rows) <= 1000
+        code = run(["plot", "--csv", str(tmp_path / "mog_hist.csv"),
+                    "--out", str(tmp_path / "hist")])
+        assert code == 0
+        ET.parse(tmp_path / "hist.svg")
+
+    @pytest.mark.parametrize("flags", [
+        ("--alg", "gda", "--log-interval", "0"),
+        ("--alg", "co", "--lr", "-1"),
+    ])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys,
+                                                 flags):
+        code = run(["mog", *flags, "--iters", "2", "--out",
+                    str(tmp_path / "mog"), "--no-plot"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "mog.csv").exists()
 
 
 class TestDeterminism:

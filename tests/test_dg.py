@@ -293,6 +293,10 @@ class TestConfigStrings:
         cfg = DGConfig(k=25, gamma=0.05, grad_mode="unrolled", outer="adagrad")
         assert DGConfig.parse(cfg.format()) == cfg
 
+    def test_round_trip_keeps_every_digit_of_gamma(self):
+        cfg = DGConfig(k=3, gamma=1 / 3)
+        assert DGConfig.parse(cfg.format()) == cfg
+
     def test_parse_documented_form(self):
         cfg = DGConfig.parse("dg:k=10,gamma=0.05,mode=envelope,outer=const")
         assert cfg == DGConfig(k=10, gamma=0.05, grad_mode="envelope",
@@ -356,30 +360,30 @@ class TestAdaGrad:
         state = AdaGradState.fresh(1.0, self.BOX)
         x = np.array([0.5, 0.5])
         g = np.array([2.0, 0.0])
-        x2, s2 = adagrad_step(state, x, g)
+        x2 = adagrad_step(state, x, g)
         # eta_1 = D / ||g|| = 1/2
         assert x2[0] == pytest.approx(0.5 - 0.5 * 2.0)
-        assert s2.sum_sq == 4.0
+        assert state.sum_sq == 4.0
 
     def test_all_zero_first_gradient_skipped(self):
         state = AdaGradState.fresh(1.0, self.BOX)
         x = np.array([0.3, 0.3])
-        x2, s2 = adagrad_step(state, x, np.zeros(2))
+        x2 = adagrad_step(state, x, np.zeros(2))
         assert np.array_equal(x2, x)
-        assert s2.sum_sq == 0.0
+        assert state.sum_sq == 0.0
 
     def test_zero_gradient_after_warmup_keeps_point(self):
         state = AdaGradState(sum_sq=5.0, diameter=1.0, box=self.BOX)
         x = np.array([0.3, -0.1])
-        x2, s2 = adagrad_step(state, x, np.zeros(2))
+        x2 = adagrad_step(state, x, np.zeros(2))
         assert np.array_equal(x2, x)
-        assert s2.sum_sq == 5.0
+        assert state.sum_sq == 5.0
 
     def test_boundary_projection(self):
         state = AdaGradState(sum_sq=1.0, diameter=1.0, box=self.BOX)
         x = np.array([2.0, 0.0])        # on the boundary
         g = np.array([-3.0, 0.0])       # pushes outward
-        x2, _ = adagrad_step(state, x, g)
+        x2 = adagrad_step(state, x, g)
         assert x2[0] == 2.0
 
     def test_effective_step_non_increasing(self):
@@ -389,7 +393,7 @@ class TestAdaGrad:
         last_eta = np.inf
         for _ in range(100):
             g = rng.standard_normal(2)
-            x, state = adagrad_step(state, x, g)
+            x = adagrad_step(state, x, g)
             eta = state.diameter / np.sqrt(state.sum_sq)
             assert eta <= last_eta + 1e-15
             last_eta = eta

@@ -6,6 +6,7 @@ relevant scalar potentials) before being frozen here.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ class TestOgda:
         p1 = JointPoint.of(1.0, 0.3)
         prev = (B3.grad_u(P10.u, P10.v), B3.grad_v(P10.u, P10.v))
         assert_point(ogda_step(B3, p1, prev, 0.1), 0.82, 0.6)
+
+    def test_step_map_evaluates_each_gradient_once_per_step(self):
+        calls = {"u": 0, "v": 0}
+
+        def counted(name, grad):
+            def wrapped(u, v):
+                calls[name] += 1
+                return grad(u, v)
+            return wrapped
+
+        game = replace(B3, grad_u=counted("u", B3.grad_u),
+                       grad_v=counted("v", B3.grad_v))
+        step = make_step_map(game, OptimizerConfig("ogda", eta=0.1))
+        p = P10
+        for _ in range(5):
+            p = step(p)
+        assert calls == {"u": 5, "v": 5}
+        # the same iterates as stepping ogda_step by hand
+        q, prev = P10, None
+        for _ in range(5):
+            q, prev = (ogda_step(B3, q, prev, 0.1),
+                       (B3.grad_u(q.u, q.v), B3.grad_v(q.u, q.v)))
+        assert np.array_equal(p.concat(), q.concat())
 
 
 class TestEg:

@@ -57,7 +57,7 @@ class TestRateHarness:
         last_eta = np.inf
         for t in range(500):
             g = prob.sample_grad(x, int(rng.integers(0, prob.family_size)))
-            x, state = adagrad_step(state, x, g)
+            x = adagrad_step(state, x, g)
             assert prob.box.contains(x)
             if state.sum_sq > 0:
                 eta = state.diameter / np.sqrt(state.sum_sq)
