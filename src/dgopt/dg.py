@@ -289,14 +289,21 @@ def dg_metric(game: GameOracle, p: JointPoint, k: int, gamma: float,
     """Monitoring metric: the k-step DG value only, no gradients.
 
     Runs in the same two halves as dg_estimate, on the executor if one
-    is given."""
+    is given.  For a batched point of a game that takes one (see
+    GameOracle), the chains step every point at once and the metric is
+    an array over the batch; it raises if any entry is non-finite."""
     low, high = _inner_halves(game, p, k, gamma,
                               lambda uw: game.value(uw, p.v),
                               lambda vw: game.value(p.u, vw), executor)
     value = high - low
-    if not math.isfinite(value):
+    if np.ndim(value):
+        finite = np.all(np.isfinite(value))
+    else:
+        finite = math.isfinite(value)
+        value = float(value)
+    if not finite:
         raise NonFiniteValueError("duality-gap metric is non-finite", point=p)
-    return float(value)
+    return value
 
 
 def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:

@@ -158,16 +158,14 @@ def _box_axes(box: Box, resolution: int):
     return u_axis, v_axis
 
 
-def value_grid(fn: Callable[[Array, Array], float], u_axis, v_axis) -> Array:
-    """fn(u, v) at every node (u_axis[i], v_axis[j]) of a 1-D/1-D grid,
-    with u and v passed as one-element vectors (fn = game.value gives
-    the game's value grid)."""
-    values = np.empty((len(u_axis), len(v_axis)))
-    for i, ui in enumerate(u_axis):
-        uu = np.array([ui])
-        for j, vj in enumerate(v_axis):
-            values[i, j] = fn(uu, np.array([vj]))
-    return values
+def value_grid(fn: Callable[[Array, Array], Array], u_axis, v_axis) -> Array:
+    """fn(u, v) at every node (u_axis[i], v_axis[j]) of a 1-D/1-D grid.
+
+    One call on the whole mesh: u and v are the (len(u_axis),
+    len(v_axis), 1) batch of nodes, so fn must take a batched point
+    (fn = game.value gives a catalog game's value grid)."""
+    mesh_u, mesh_v = np.meshgrid(u_axis, v_axis, indexing="ij")
+    return fn(mesh_u[..., None], mesh_v[..., None])
 
 
 def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
@@ -190,10 +188,8 @@ def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
     grid_values = row_max[:, None] - col_min[None, :]
 
     def dg_fn(u: float, v: float) -> float:
-        uu = np.array([float(u)])
-        vv = np.array([float(v)])
-        best_max = max(game.value(uu, np.array([vj])) for vj in v_axis)
-        best_min = min(game.value(np.array([ui]), vv) for ui in u_axis)
+        best_max = value_grid(game.value, [float(u)], v_axis).max()
+        best_min = value_grid(game.value, u_axis, [float(v)]).min()
         return float(best_max - best_min)
 
     grid = LandscapeGrid(box=box, resolution=resolution, measure="dg_exact",
@@ -213,7 +209,9 @@ def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
     """Evaluate a scalar measure at every grid node.
 
     dg_approx warm-starts the inner loop at each node, mirroring how the
-    estimate is used inside training loops.
+    estimate is used inside training loops.  Every measure evaluates
+    the whole grid in one batched call, so the game must take a batched
+    point (the catalog's 1-D/1-D games do).
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")

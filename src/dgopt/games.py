@@ -108,7 +108,11 @@ class GameOracle:
 
     value/grad_u/grad_v are pure functions; repeated evaluation at the
     same point is bit-identical, so oracles are safe to share across
-    threads.
+    threads.  A point is a pair of 1-D vectors: value returns a float,
+    the gradients vectors.  The scalar catalog games also take a leading
+    batch axis: u, v of one shape (..., 1) stand for a batch of points,
+    value returns a (...) array and the gradients (..., 1) arrays, each
+    entry bit-identical to the per-point call.
     """
 
     name: str
@@ -141,8 +145,10 @@ def central_jacobian(fn: Callable[[Array], Array], x: Array,
     """Jacobian of the vector map fn at x by central differences.
 
     Column j is (fn(x + s_j e_j) - fn(x - s_j e_j)) / (2 s_j) with
-    s_j = steps[j].
+    s_j = steps[j]; every step must be positive.
     """
+    if not np.all(np.asarray(steps) > 0):
+        raise ValueError("finite-difference step must be positive")
     n = x.size
     cols = []
     for j in range(n):
@@ -160,8 +166,6 @@ def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> Hessian
     symmetrized by averaging with their transpose; the cross blocks are
     averaged so that H_vu == H_uv^T exactly.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
     x = p.concat().astype(float)
     du = game.dim_u
     jac = central_jacobian(
@@ -180,16 +184,40 @@ def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> Hessian
 # ---------------------------------------------------------------------------
 
 
+def _over_batch(fn, u, v) -> Array:
+    """fn(x, y) at each point of a (..., 1) batch pair, as a (...) array.
+
+    The scalar callable runs on each point's Python floats, so every
+    entry is bit-identical to the per-point call."""
+    if u.shape != v.shape:
+        raise ValueError(f"batched u and v must share one shape, got "
+                         f"{u.shape} and {v.shape}")
+    xs = np.ravel(u[..., 0]).tolist()
+    ys = np.ravel(v[..., 0]).tolist()
+    out = [fn(x, y) for x, y in zip(xs, ys)]
+    return np.array(out, dtype=float).reshape(u.shape[:-1])
+
+
 def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
-    """Wrap scalar callables f(x, y) into a 1-D/1-D oracle."""
+    """Wrap scalar callables f(x, y) into a 1-D/1-D oracle.
+
+    u, v of shape (1,) are one point; u, v of one shape (..., 1) are a
+    batch of points, with value shaped (...) and gradients (..., 1).
+    """
 
     def _value(u, v):
+        if u.ndim > 1 or v.ndim > 1:
+            return _over_batch(value, u, v)
         return float(value(float(u[0]), float(v[0])))
 
     def _grad_u(u, v):
+        if u.ndim > 1 or v.ndim > 1:
+            return _over_batch(gx, u, v)[..., None]
         return np.array([gx(float(u[0]), float(v[0]))], dtype=float)
 
     def _grad_v(u, v):
+        if u.ndim > 1 or v.ndim > 1:
+            return _over_batch(gy, u, v)[..., None]
         return np.array([gy(float(u[0]), float(v[0]))], dtype=float)
 
     second_order = None

@@ -139,7 +139,11 @@ def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
     t_list = sorted({int(t) for t in t_list})
     if any(t < 1 for t in t_list):
         raise ValueError("logged step counts must be >= 1")
+    if len(t_list) < 2:
+        raise ValueError("a log-log slope needs at least two logged step "
+                         "counts")
     t_max = t_list[-1]
+    diameter = problem.diameter
     per_repeat = np.zeros((repeats, len(t_list)))
 
     for r in range(repeats):
@@ -150,7 +154,7 @@ def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
             x = rng.uniform(problem.box.lo, problem.box.hi)
         z_draws = rng.integers(0, problem.family_size, size=t_max)
         running_sum = np.zeros(problem.dimension)
-        state = AdaGradState.fresh(problem.diameter, problem.box)
+        state = AdaGradState.fresh(diameter, problem.box)
         log_idx = 0
         for t in range(1, t_max + 1):
             running_sum += x
@@ -158,7 +162,7 @@ def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
             if step_rule == "adagrad":
                 x = adagrad_step(state, x, g)
             else:
-                eta_t = problem.diameter / math.sqrt(t)
+                eta_t = diameter / math.sqrt(t)
                 x = problem.box.clamp(x - eta_t * g)
             if t == t_list[log_idx]:
                 avg = running_sum / t
@@ -170,13 +174,12 @@ def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
     err_mean = per_repeat.mean(axis=0)
     err_std = per_repeat.std(axis=0)
     l_const = problem.smoothness
-    d_const = problem.diameter
-    bounds = [4.0 * l_const * d_const * d_const / t for t in t_list]
+    bounds = [4.0 * l_const * diameter * diameter / t for t in t_list]
     passes = bool(np.all(err_mean <= np.asarray(bounds)))
     return RateResult(t_values=list(t_list), error_mean=err_mean.tolist(),
                       error_std=err_std.tolist(), bound_values=bounds,
                       slope=_fit_loglog_slope(t_list, err_mean),
-                      smoothness=l_const, diameter=d_const,
+                      smoothness=l_const, diameter=diameter,
                       passes_bound=passes)
 
 

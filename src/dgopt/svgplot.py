@@ -151,18 +151,20 @@ def heatmap(canvas: SvgCanvas, axes: Axes, u_axis, v_axis, values,
     n_u, n_v = vals.shape
     du = (u_axis[1] - u_axis[0]) if n_u > 1 else 1.0
     dv = (v_axis[1] - v_axis[0]) if n_v > 1 else 1.0
-    for i in range(n_u):
-        for j in range(n_v):
-            val = vals[i, j]
-            t = 0.5 if not np.isfinite(val) else 0.5 + 0.5 * val / vmax
-            x_left = axes.px(u_axis[i] - du / 2)
-            x_right = axes.px(u_axis[i] + du / 2)
-            y_top = axes.py(v_axis[j] + dv / 2)
-            y_bot = axes.py(v_axis[j] - dv / 2)
-            canvas.add(f'<rect x="{_fmt(x_left)}" y="{_fmt(y_top)}" '
-                       f'width="{_fmt(x_right - x_left)}" '
-                       f'height="{_fmt(y_bot - y_top)}" '
-                       f'fill="{diverging_color(t)}"/>')
+    # a column's x/width and a row's y/height are the same for every cell
+    cols = []
+    for u in u_axis:
+        x_left, x_right = axes.px(u - du / 2), axes.px(u + du / 2)
+        cols.append((_fmt(x_left), _fmt(x_right - x_left)))
+    rows = []
+    for v in v_axis:
+        y_top, y_bot = axes.py(v + dv / 2), axes.py(v - dv / 2)
+        rows.append((_fmt(y_top), _fmt(y_bot - y_top)))
+    for (x, width), col_vals in zip(cols, vals.tolist()):
+        for (y, height), val in zip(rows, col_vals):
+            t = 0.5 if not math.isfinite(val) else 0.5 + 0.5 * val / vmax
+            canvas.add(f'<rect x="{x}" y="{y}" width="{width}" '
+                       f'height="{height}" fill="{diverging_color(t)}"/>')
     if mark_argmin:
         idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
         axes.marker(u_axis[idx[0]], v_axis[idx[1]], color="#000000")

@@ -77,6 +77,16 @@ class TestStability:
                     "--eta", "0.05", "--point", "1,1", "--out", "/tmp/x"])
         assert code == 1
 
+    @pytest.mark.parametrize("step", ["0", "-1e-6"])
+    def test_non_positive_fd_step_is_usage_error(self, tmp_path, capsys,
+                                                 step):
+        code = run(["stability", "--game", "f1", "--alg", "gda",
+                    "--point", "0,0", f"--fd-step={step}",
+                    "--out", str(tmp_path / "stab")])
+        assert code == 2
+        assert "step must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "stab.json").exists()
+
 
 class TestLandscape:
     def test_exact_dg_argmin_at_center(self, tmp_path, capsys):
@@ -91,6 +101,18 @@ class TestLandscape:
         assert meta["measure"] == "dg_exact"
         tree = ET.parse(tmp_path / "land.svg")
         assert tree.getroot().tag.endswith("svg")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_dg_approx_is_operation_error(self, tmp_path, capsys):
+        # f1's descent chain grows by ~6 * gamma per step, so gamma 1e200
+        # leaves the floats within two steps at every node but the origin,
+        # and the batched chain raises NonFiniteValueError
+        code = run(["landscape", "--game", "f1", "--box=-1,1", "--res", "5",
+                    "--measure", "dg_approx", "--eta", "1e200",
+                    "--out", str(tmp_path / "land")])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "land.csv").exists()
 
 
 class TestRate:
@@ -109,6 +131,14 @@ class TestRate:
                     "--repeats", "0", "--out", str(tmp_path / "rate")])
         assert code == 2
         assert "repeats" in capsys.readouterr().err
+        assert not (tmp_path / "rate.json").exists()
+
+    def test_single_logged_step_count_is_usage_error(self, tmp_path, capsys):
+        # --Tmax 50 logs T = 50 only, and a slope needs two points
+        code = run(["rate", "--dim", "3", "--family", "4", "--Tmax", "50",
+                    "--repeats", "1", "--out", str(tmp_path / "rate")])
+        assert code == 2
+        assert "two logged step counts" in capsys.readouterr().err
         assert not (tmp_path / "rate.json").exists()
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dgopt.dg import DGConfig
-from dgopt.dynamics import (NotAFixedPointError,
+from dgopt.dg import DGConfig, dg_metric
+from dgopt.dynamics import (MEASURES, NotAFixedPointError,
                             bilinear_exact_dg, classify_critical_point,
                             dg_exact_grid, dg_update_matrix_f1,
                             dg_update_matrix_f2, eigenvalues_2x2, landscape,
@@ -199,6 +199,58 @@ class TestLandscape:
         import json
         meta = json.loads((tmp_path / "grid.meta.json").read_text())
         assert meta["resolution"] == 11 and meta["measure"] == "minimax_value"
+
+
+def per_node(fn, u_axis, v_axis):
+    """fn at each grid node through (1,) vectors, one call per node."""
+    values = np.empty((len(u_axis), len(v_axis)))
+    for i, ui in enumerate(u_axis):
+        for j, vj in enumerate(v_axis):
+            values[i, j] = fn(np.array([ui]), np.array([vj]))
+    return values
+
+
+class TestBatchedGrids:
+    """The one-call grids equal a per-node loop bit for bit."""
+
+    CASES = [("bilinear:c=3", 1.0), ("f1", 1.0), ("f3", 3.0),
+             ("motivation", 10.0), ("ncnc:c=3,sep=1", 3.0)]
+    RES = 21
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("spec,half_width", CASES)
+    def test_landscape_equals_per_node_reference(self, spec, half_width,
+                                                 measure):
+        game = make_game(spec)
+        box = Box.square(-half_width, half_width)
+        cfg = DGConfig(k=10, gamma=0.05)
+        grid = landscape(game, box, self.RES, measure, dg_cfg=cfg)
+        axis = np.linspace(-half_width, half_width, self.RES)
+        if measure == "dg_approx":
+            expected = per_node(
+                lambda u, v: dg_metric(game, JointPoint(u, v), 10, 0.05),
+                axis, axis)
+        else:
+            table = per_node(game.value, axis, axis)
+            expected = (table if measure == "minimax_value" else
+                        table.max(axis=1)[:, None] - table.min(axis=0)[None, :])
+        assert grid.values.shape == (self.RES, self.RES)
+        assert np.array_equal(grid.values, expected)
+
+    @pytest.mark.parametrize("spec,half_width", CASES)
+    def test_exact_dg_spot_query_equals_per_node_reference(self, spec,
+                                                           half_width):
+        game = make_game(spec)
+        axis = np.linspace(-half_width, half_width, self.RES)
+        dg_fn, _ = dg_exact_grid(game, Box.square(-half_width, half_width),
+                                 self.RES)
+        for u, v in ((0.0, 0.0), (0.3 * half_width, -0.7 * half_width),
+                     (half_width, half_width)):
+            best_max = max(game.value(np.array([u]), np.array([vj]))
+                           for vj in axis)
+            best_min = min(game.value(np.array([ui]), np.array([v]))
+                           for ui in axis)
+            assert dg_fn(u, v) == best_max - best_min
 
 
 class TestCriticalPoints:

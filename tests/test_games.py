@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dgopt.games import (GameSpec, JointPoint, catalog_names, make_bilinear,
+from dgopt.games import (GameSpec, JointPoint, catalog_names,
+                         central_jacobian, make_bilinear,
                          make_game, make_motivation, make_ncnc, make_poly_f3,
                          make_quadratic_f1, make_quadratic_f2, parse_game_spec,
                          piecewise_f, piecewise_f_grad, second_order_fd)
@@ -179,6 +180,12 @@ class TestSecondOrder:
     def test_fd_step_must_be_positive(self):
         with pytest.raises(ValueError):
             second_order_fd(make_quadratic_f1(), JointPoint.of(0, 0), h=0.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-6, float("nan")])
+    def test_central_jacobian_rejects_non_positive_steps(self, step):
+        with pytest.raises(ValueError, match="must be positive"):
+            central_jacobian(lambda x: 2.0 * x, np.zeros(2),
+                             np.array([1e-6, step]))
 
 
 class TestSpecs:
