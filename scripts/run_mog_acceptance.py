@@ -7,6 +7,10 @@ deterministic per seed, so re-running reproduces the artifacts bit for
 bit; tests/test_acceptance.py asserts the criterion thresholds against
 these files.
 
+An existing <alg>_seed<N>.json is reused instead of re-run, but only
+if it was made with the requested iteration count; any other refuses
+the whole invocation (exit 2) before anything runs.
+
 Usage: python scripts/run_mog_acceptance.py [--iters N] [--seeds a,b,...]
 """
 
@@ -63,25 +67,38 @@ def main():
     ap.add_argument("--iters", type=int, default=20000)
     ap.add_argument("--seeds", type=str, default="1,2,3,4,5")
     ap.add_argument("--algs", type=str, default="gda,dg",
-                    help="subset to run; the verdict includes whatever "
-                         "artifacts exist afterwards")
+                    help="subset of gda,dg to run; the verdict lists only "
+                         "these algorithms' runs for the requested seeds")
     ap.add_argument("--out", type=str, default=DEFAULT_OUT)
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
+    algs = args.algs.split(",")
+    unknown = sorted(set(algs) - {"gda", "dg"})
+    if unknown:
+        ap.error(f"--algs takes gda and dg, not {','.join(unknown)}")
     os.makedirs(args.out, exist_ok=True)
+
+    runs = [(alg, seed) for alg in ("gda", "dg") if alg in algs
+            for seed in seeds]
+    existing = {}
+    for alg, seed in runs:
+        marker = os.path.join(args.out, f"{alg}_seed{seed}.json")
+        if os.path.exists(marker):
+            with open(marker) as fh:
+                row = json.load(fh)
+            if row.get("iterations") != args.iters:
+                ap.exit(2, f"{marker} was made with {row.get('iterations')} "
+                           f"iterations, not the requested {args.iters}; "
+                           f"move it away or use another --out\n")
+            existing[alg, seed] = row
 
     t0 = time.time()
     rows = []
-    for alg in ("gda", "dg"):
-        if alg not in args.algs.split(","):
-            continue
-        for seed in seeds:
-            marker = os.path.join(args.out, f"{alg}_seed{seed}.json")
-            if os.path.exists(marker):
-                with open(marker) as fh:
-                    rows.append(json.load(fh))
-                print(f"{alg} seed {seed}: reusing existing artifact", flush=True)
-                continue
+    for alg, seed in runs:
+        if (alg, seed) in existing:
+            rows.append(existing[alg, seed])
+            print(f"{alg} seed {seed}: reusing existing artifact", flush=True)
+        else:
             rows.append(run_one(alg, seed, args.iters, args.out))
     verdict = {
         "iterations": args.iters,

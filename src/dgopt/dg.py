@@ -262,11 +262,15 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
     u-chain, then M and grad_v at (u_k, v)) and ascent (the v-chain,
     then M and grad_u at (u, v_k)).  Given an executor, the descent
     half runs on it while the ascent half runs here; the result is the
-    same either way.
+    same either way.  The envelope mode also takes a batched point (see
+    GameOracle): the value is then an array over the batch.
     """
     gamma = cfg.resolved_gamma(eta)
     u, v = p
 
+    if cfg.grad_mode == "unrolled" and np.ndim(u) > 1:
+        raise ValueError("the unrolled DG gradient takes one point, not a "
+                         "batch; use the envelope mode")
     if cfg.grad_mode == "unrolled" and cfg.k > 0:
         uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, gamma)
         value = game.value(u, vw) - game.value(uw, v)
@@ -278,10 +282,21 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
         value = high - low
         grad_v = -gv
 
-    if not math.isfinite(value):
-        raise NonFiniteValueError("duality-gap value is non-finite", point=p)
-    return DGEstimate(value=float(value), u_worst=uw, v_worst=vw,
-                      grad_u=grad_u, grad_v=grad_v)
+    return DGEstimate(value=_finite(value, "duality-gap value", p),
+                      u_worst=uw, v_worst=vw, grad_u=grad_u, grad_v=grad_v)
+
+
+def _finite(value, what, p):
+    """value as a float, or as an array over a batched point; raises if
+    any entry is non-finite."""
+    if np.ndim(value):
+        finite = np.all(np.isfinite(value))
+    else:
+        finite = math.isfinite(value)
+        value = float(value)
+    if not finite:
+        raise NonFiniteValueError(f"{what} is non-finite", point=p)
+    return value
 
 
 def dg_metric(game: GameOracle, p: JointPoint, k: int, gamma: float,
@@ -295,15 +310,7 @@ def dg_metric(game: GameOracle, p: JointPoint, k: int, gamma: float,
     low, high = _inner_halves(game, p, k, gamma,
                               lambda uw: game.value(uw, p.v),
                               lambda vw: game.value(p.u, vw), executor)
-    value = high - low
-    if np.ndim(value):
-        finite = np.all(np.isfinite(value))
-    else:
-        finite = math.isfinite(value)
-        value = float(value)
-    if not finite:
-        raise NonFiniteValueError("duality-gap metric is non-finite", point=p)
-    return value
+    return _finite(high - low, "duality-gap metric", p)
 
 
 def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:

@@ -58,12 +58,10 @@ def mode_coverage(samples, centers=MODE_CENTERS, window: float = 0.5):
 
 
 def stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    """1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) below, so
+    exp never overflows; -|t| is -t or t exactly."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +105,22 @@ G_LAYOUT = MLPLayout((NOISE_DIM, HIDDEN, HIDDEN, 1))
 D_LAYOUT = MLPLayout((1, HIDDEN, HIDDEN, 1))
 
 
-def mlp_forward(layout: MLPLayout, params, x):
+def mlp_forward(layout: MLPLayout, params, x, hidden=None):
     """Forward pass with tanh hiddens and a linear head.
 
-    Returns the (n,) output and the activation stack for backprop.
-    In-place bias add and tanh keep temporary traffic down; the batch
-    matmuls dominate the remaining cost.  A width-1 input layer is an
-    outer product, so it broadcasts instead of calling BLAS.
+    Returns the (n,) output and the activation stack for backprop.  The
+    hidden activations are written into ``hidden`` (one (n, width)
+    buffer per hidden layer) when given, else into fresh arrays; the
+    output is always fresh.  A width-1 input layer is an outer product,
+    so it broadcasts instead of calling BLAS.
     """
     layers = layout.unpack(params)
     acts = [x]
     h = x
-    for w, b in layers[:-1]:
-        t = h * w if w.shape[0] == 1 else h @ w
+    for i, (w, b) in enumerate(layers[:-1]):
+        t = None if hidden is None else hidden[i]
+        t = (np.multiply(h, w, out=t) if w.shape[0] == 1
+             else np.matmul(h, w, out=t))
         t += b
         np.tanh(t, out=t)
         acts.append(t)
@@ -138,19 +139,22 @@ def _through_weights(g, w, out=None):
 
 
 def mlp_backward(layout: MLPLayout, params, acts, dout, dtype,
-                 param_grads=True, input_grad=True):
+                 param_grads=True, input_grad=True, scratch=None):
     """Gradients of sum(dout * output) w.r.t. params and the input.
 
     Returns (param gradient, input gradient), each None when not asked
-    for.  The pass consumes ``acts``: it overwrites the hidden
-    activations (never ``acts[0]``, the input) with the backpropagated
-    signal, so they must come from a forward pass nobody reuses.
+    for; both are fresh arrays.  The pass consumes ``acts``: it
+    overwrites the hidden activations (never ``acts[0]``, the input)
+    with the backpropagated signal, so they must come from a forward
+    pass nobody reuses.  The signal through each weight matrix goes
+    into ``scratch`` (an (n, width) buffer) when given, else into one
+    fresh array.
     """
     layers = layout.unpack(params)
     grad = np.zeros(layout.dim, dtype=dtype) if param_grads else None
     glayers = layout.unpack(grad) if param_grads else None
     g = dout.astype(dtype, copy=False)[:, None]
-    spare = None
+    spare = scratch
     for idx in range(len(layers) - 1, -1, -1):
         w = layers[idx][0]
         if param_grads:
@@ -196,8 +200,8 @@ class MogGanGame:
         self.noise = rng.standard_normal((n, NOISE_DIM)).astype(self.dtype)
         eval_rng = seeded_rng(seed, "mog-eval-noise")
         self.eval_noise = eval_rng.standard_normal((1000, NOISE_DIM)).astype(self.dtype)
-        # each thread's last generator pass (see _fake)
-        self._last_fake = threading.local()
+        # each thread's pass buffers and last generator pass (see _fake)
+        self._ws = threading.local()
 
     def init_params(self):
         u = G_LAYOUT.init(seeded_rng(self.seed, "mog-init-g"), self.dtype)
@@ -205,6 +209,29 @@ class MogGanGame:
         return u, v
 
     # -- generator / discriminator passes ---------------------------------
+
+    def _buffers(self, name, rows, dtype):
+        """(rows, HIDDEN) views of this thread's buffers, reused from call
+        to call so that a warm call maps no new memory; None (fresh
+        arrays) for a pass outside the game's dtype.
+
+        "g" is G's two hidden layers on the training noise; "d" is the
+        two hidden layers of every other pass plus the backprop scratch,
+        sized for the largest batch seen (at least the 2n real+fake rows).
+        """
+        if dtype != self.dtype:
+            return None
+        bufs = getattr(self._ws, name, None)
+        if bufs is None or len(bufs[0]) < rows:
+            size = self.n if name == "g" else max(rows, 2 * self.n)
+            bufs = [np.empty((size, HIDDEN), dtype)
+                    for _ in range(2 if name == "g" else 3)]
+            setattr(self._ws, name, bufs)
+        return [b[:rows] for b in bufs]
+
+    def _scratch(self, acts):
+        bufs = self._buffers("d", len(acts[-1]), acts[-1].dtype)
+        return None if bufs is None else bufs[2]
 
     def _fake(self, u, for_backward=False):
         """G(u) on the training noise, and its activations.
@@ -215,18 +242,23 @@ class MogGanGame:
         them out for a backward pass leaves only the output cached.
         """
         key = u.tobytes()
-        last = getattr(self._last_fake, "entry", None)
+        last = getattr(self._ws, "fake", None)
         if (last is not None and last[0] == key
                 and (last[2] is not None or not for_backward)):
             out, acts = last[1], last[2]
         else:
-            out, acts = mlp_forward(G_LAYOUT, u, self.noise)
-        self._last_fake.entry = (key, out, None if for_backward else acts)
+            out, acts = mlp_forward(G_LAYOUT, u, self.noise, self._buffers(
+                "g", self.n, np.result_type(u, self.noise)))
+        self._ws.fake = (key, out, None if for_backward else acts)
         return out, acts
 
+    def _forward(self, layout, params, x):
+        """A pass on the thread's "d" buffers: D's, or G's on eval noise."""
+        return mlp_forward(layout, params, x, self._buffers(
+            "d", len(x), np.result_type(x, params)))
+
     def discriminate(self, v, x):
-        logits, acts = mlp_forward(D_LAYOUT, v, x[:, None])
-        return logits, acts
+        return self._forward(D_LAYOUT, v, x[:, None])
 
     @staticmethod
     def _clamped_probs(logits):
@@ -259,18 +291,19 @@ class MogGanGame:
         dlogit[self.n:] = -p[self.n:] / self.n
         dlogit[~inside] = 0.0
         return mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, True,
-                            input_grad)
+                            input_grad, self._scratch(dacts))
 
     def _backward_u(self, u, v, p, inside, dacts, gacts):
         """G's parameter gradient from D's pass over the fake rows only."""
         dlogit = -p / self.n
         dlogit[~inside] = 0.0
-        _, dx = mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, False, True)
+        _, dx = mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, False,
+                             True, self._scratch(dacts))
         return self._backward_g(u, gacts, dx)
 
     def _backward_g(self, u, gacts, dx):
         grad, _ = mlp_backward(G_LAYOUT, u, gacts, dx[:, 0], self.dtype, True,
-                               False)
+                               False, self._scratch(gacts))
         return grad
 
     # -- oracle surface ----------------------------------------------------
@@ -320,7 +353,7 @@ class MogGanGame:
     # -- diagnostics -------------------------------------------------------
 
     def eval_samples(self, u) -> np.ndarray:
-        out, _ = mlp_forward(G_LAYOUT, u, self.eval_noise)
+        out, _ = self._forward(G_LAYOUT, u, self.eval_noise)
         return out
 
     def disc_outputs(self, v, x) -> np.ndarray:

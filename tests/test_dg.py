@@ -102,6 +102,37 @@ class TestDGEstimate:
         with pytest.raises(ValueError, match="box domain"):
             dg_estimate(make_game("motivation"), JointPoint.of(1.0, 1.0), cfg)
 
+    @pytest.mark.parametrize("spec", ["bilinear:c=3", "f1", "f3",
+                                      "motivation", "ncnc:c=3,sep=1"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batched_envelope_equals_per_point_calls(self, spec, dtype):
+        game = make_game(spec)
+        rng = np.random.default_rng(11)
+        u, v = rng.uniform(-1.5, 1.5, (2, 4, 3, 1)).astype(dtype)
+        for k in (0, 2):
+            cfg = DGConfig(k=k, gamma=0.05)
+            est = dg_estimate(game, JointPoint(u, v), cfg)
+            assert est.value.shape == (4, 3)
+            assert est.grad_u.shape == est.grad_v.shape == u.shape
+            for idx in np.ndindex(4, 3):
+                one = dg_estimate(game, JointPoint(u[idx], v[idx]), cfg)
+                assert np.array_equal(est.value[idx], one.value)
+                for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
+                    assert np.array_equal(getattr(est, field)[idx],
+                                          getattr(one, field))
+
+    def test_batched_nonfinite_value_raises(self):
+        u = np.array([[0.5], [1e200]])
+        with pytest.raises(NonFiniteValueError, match="duality-gap value"):
+            dg_estimate(F1, JointPoint(u, u.copy()), DGConfig(k=0, gamma=0.05))
+
+    def test_unrolled_rejects_a_batch(self):
+        p = JointPoint(np.zeros((3, 1)), np.ones((3, 1)))
+        for k in (0, 2):
+            cfg = DGConfig(k=k, gamma=0.05, grad_mode="unrolled")
+            with pytest.raises(ValueError, match="batch"):
+                dg_estimate(F1, p, cfg)
+
     def test_envelope_and_unrolled_agree_at_k0(self):
         p = JointPoint.of(0.8, -0.5)
         env = dg_estimate(F2, p, DGConfig(k=0, gamma=0.05))

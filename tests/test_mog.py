@@ -1,7 +1,11 @@
 """GAN game oracle: dataset statistics, backprop checks, training plumbing."""
 
+import json
+import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,19 +151,26 @@ class TestGanOracle:
         # one game shared by more threads than cores, switching often,
         # with two generators against many discriminators: a generator
         # pass cached by one thread (whose activations a backward pass
-        # consumes) must never serve another thread
+        # consumes) must never serve another thread, and no returned
+        # array may share a thread's reused pass buffers
         game = MogGanGame(seed=7, n=200, dtype=np.float64)
         points = [_moved_params(game, s) for s in range(6)]
         calls = [(name, i % 2, j) for name in ("grad_v", "grad_u",
                                                "value_and_grad_u",
-                                               "value_and_grads")
+                                               "value_and_grads",
+                                               "eval_samples",
+                                               "disc_outputs")
                  for i in range(2) for j in range(len(points))]
 
         def call(name, i, j):
-            out = getattr(game, name)(points[i][0], points[j][1])
-            return np.hstack(out)
+            u, v = points[i][0], points[j][1]
+            if name == "eval_samples":
+                return (game.eval_samples(u),)
+            if name == "disc_outputs":
+                return (game.disc_outputs(v, game.eval_samples(u)),)
+            return getattr(game, name)(u, v)
 
-        want = [call(*c) for c in calls]
+        want = [np.hstack(call(*c)) for c in calls]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -168,8 +179,10 @@ class TestGanOracle:
                 got = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
+        # compared only once every call is done: an array that aliased a
+        # thread's buffers would have been overwritten by later calls
         for g, w in zip(got, want * 3):
-            assert np.array_equal(g, w)
+            assert np.array_equal(np.hstack(g), w)
 
     def test_loss_finite_under_extreme_discriminator(self):
         # saturate the discriminator head; clamping keeps logs finite
@@ -200,6 +213,67 @@ class TestGanOracle:
             fd = ((mlp_forward(G_LAYOUT, params, xp)[0] * dout).sum()
                   - (mlp_forward(G_LAYOUT, params, xm)[0] * dout).sum()) / (2 * h)
             assert dx[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+ORACLE_CALLS = ("value", "grad_u", "grad_v", "value_and_grad_u",
+                "value_and_grad_v", "value_and_grads")
+
+
+def _every_output(game, u, v):
+    """Each oracle entry point at (u, v), then the diagnostics: eval
+    samples (a G pass on 1000 rows) and D on the data (n rows) and on
+    those samples (1000 rows, after the 2n-row calls)."""
+    out = [(name, getattr(game, name)(u, v)) for name in ORACLE_CALLS]
+    samples = game.eval_samples(u)
+    out += [("eval_samples", samples),
+            ("disc_outputs", game.disc_outputs(v, game.data)),
+            ("disc_outputs", game.disc_outputs(v, samples))]
+    return [(name, part) for name, res in out
+            for part in (res if isinstance(res, tuple) else (res,))]
+
+
+class TestPassBuffers:
+    """Each thread reuses its pass buffers across calls; the outputs
+    must be those of fresh arrays, and no caller may see them move."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bit_identical_to_unbuffered_passes(self, seed):
+        dtype = np.float32 if seed % 2 == 0 else np.float64
+        # 2n = 1200 rows: the 1000-row calls use part of the buffers
+        game = MogGanGame(seed=seed, n=600, dtype=dtype)
+        ref = MogGanGame(seed=seed, n=600, dtype=dtype)
+        ref._buffers = lambda name, rows, dtype: None  # fresh arrays
+        for u, v in (game.init_params(), _moved_params(game, seed)):
+            got, want = _every_output(game, u, v), _every_output(ref, u, v)
+            assert [name for name, _ in got] == [name for name, _ in want]
+            for (name, g), (_, w) in zip(got, want):
+                assert np.asarray(g).dtype == np.asarray(w).dtype, name
+                assert np.array_equal(g, w), name
+
+    def test_returned_arrays_survive_later_calls(self):
+        game = MogGanGame(seed=3, n=500, dtype=np.float32)
+        first = _every_output(game, *game.init_params())
+        kept = [np.copy(part) for _, part in first]
+        for s in range(3):
+            _every_output(game, *_moved_params(game, s))
+        for (name, part), copy in zip(first, kept):
+            assert np.array_equal(part, copy), name
+
+    def test_warm_calls_allocate_no_pass_sized_arrays(self):
+        # protocol size: a fresh n x 64 float32 pass array is 1.28 MB,
+        # and the 2n-row ones 2.56 MB
+        game = MogGanGame(seed=1, n=5000, dtype=np.float32)
+        u, v = game.init_params()
+        game.value_and_grads(u, v)
+        for s, name in enumerate(ORACLE_CALLS):
+            u2, v2 = _moved_params(game, s)
+            tracemalloc.start()
+            try:
+                getattr(game, name)(u2, v2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (name, peak)
 
 
 class TestCoHessianVector:
@@ -327,3 +401,46 @@ class TestTrainingPlumbing:
                           "disc_real_median,disc_fake_median")
         assert len((tmp_path / "samples.csv").read_text().splitlines()) == 1001
         assert len((tmp_path / "hist.csv").read_text().splitlines()) == 122
+
+
+class TestAcceptanceScript:
+    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
+        "run_mog_acceptance.py"
+
+    def run(self, out_dir, iters, algs="gda"):
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--iters", str(iters),
+             "--seeds", "1", "--algs", algs, "--out", str(out_dir)],
+            capture_output=True, text=True, timeout=120)
+
+    @staticmethod
+    def write_artifact(out_dir, alg, iters):
+        row = {"algorithm": alg, "seed": 1, "iterations": iters,
+               "wall_seconds": 1.5}
+        (out_dir / f"{alg}_seed1.json").write_text(json.dumps(row))
+        return row
+
+    def test_artifact_from_another_iteration_count_is_refused(self, tmp_path):
+        self.write_artifact(tmp_path, "gda", 100)
+        proc = self.run(tmp_path, 200)
+        assert proc.returncode == 2
+        assert "gda_seed1.json" in proc.stderr
+        assert "100 iterations" in proc.stderr
+        assert not (tmp_path / "verdict.json").exists()
+
+    def test_matching_artifact_is_reused_and_only_requested_runs_listed(
+            self, tmp_path):
+        row = self.write_artifact(tmp_path, "gda", 200)
+        self.write_artifact(tmp_path, "dg", 200)
+        proc = self.run(tmp_path, 200)
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["runs"] == [row]
+        assert verdict["iterations"] == 200
+
+    def test_unknown_algorithm_is_refused(self, tmp_path):
+        # a typo must not overwrite the verdict with an empty run list
+        proc = self.run(tmp_path, 200, algs="gda,DG")
+        assert proc.returncode == 2
+        assert "DG" in proc.stderr
+        assert not (tmp_path / "verdict.json").exists()
