@@ -7,11 +7,16 @@ deterministic per seed, so re-running reproduces the artifacts bit for
 bit; tests/test_acceptance.py asserts the criterion thresholds against
 these files.
 
+The eg and co baselines run on the same protocol with --algs eg,co.
+Write them to a separate --out: the criterion's runtime check sums the
+wall time of every run in its verdict.json.
+
 An existing <alg>_seed<N>.json is reused instead of re-run, but only
 if it was made with the requested iteration count; any other refuses
 the whole invocation (exit 2) before anything runs.
 
 Usage: python scripts/run_mog_acceptance.py [--iters N] [--seeds a,b,...]
+           [--algs gda,dg,eg,co] [--out DIR]
 """
 
 import argparse
@@ -28,6 +33,7 @@ from dgopt.mog import train_mog  # noqa: E402
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "artifacts",
                            "mog_acceptance")
+ALGORITHMS = ("gda", "dg", "eg", "co")
 
 
 def run_one(alg, seed, iters, out_dir):
@@ -67,18 +73,21 @@ def main():
     ap.add_argument("--iters", type=int, default=20000)
     ap.add_argument("--seeds", type=str, default="1,2,3,4,5")
     ap.add_argument("--algs", type=str, default="gda,dg",
-                    help="subset of gda,dg to run; the verdict lists only "
-                         "these algorithms' runs for the requested seeds")
+                    help="subset of gda,dg,eg,co to run; the verdict lists "
+                         "only these algorithms' runs for the requested "
+                         "seeds, so write eg and co runs to a separate "
+                         "--out")
     ap.add_argument("--out", type=str, default=DEFAULT_OUT)
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     algs = args.algs.split(",")
-    unknown = sorted(set(algs) - {"gda", "dg"})
+    unknown = sorted(set(algs) - set(ALGORITHMS))
     if unknown:
-        ap.error(f"--algs takes gda and dg, not {','.join(unknown)}")
+        ap.error(f"--algs takes {','.join(ALGORITHMS)}, not "
+                 f"{','.join(unknown)}")
     os.makedirs(args.out, exist_ok=True)
 
-    runs = [(alg, seed) for alg in ("gda", "dg") if alg in algs
+    runs = [(alg, seed) for alg in ALGORITHMS if alg in algs
             for seed in seeds]
     existing = {}
     for alg, seed in runs:

@@ -89,7 +89,7 @@ class Box:
         return Box(np.full(dim, float(lo)), np.full(dim, float(hi)))
 
     def clamp(self, x: Array) -> Array:
-        return np.clip(x, self.lo, self.hi)
+        return x.clip(self.lo, self.hi)
 
     def contains(self, x: Array, tol: float = 0.0) -> bool:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))

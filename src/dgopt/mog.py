@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dg as dgmod
 from .games import JointPoint, NonFiniteValueError
-from .optimizers import OptimizerConfig, make_step_map
+from .optimizers import OptimizerConfig, _checked_grads, make_step_map
 from .rates import seeded_rng
 
 MODE_CENTERS = (-4.0, 0.0, 4.0)
@@ -343,9 +343,6 @@ class MogGanGame:
         grad_v, dx = self._backward_v(v, p, inside, dacts, input_grad=True)
         return value, self._backward_g(u, gacts, dx[self.n:]), grad_v
 
-    def joint_grad(self, p: JointPoint) -> np.ndarray:
-        return np.concatenate([self.grad_u(p.u, p.v), self.grad_v(p.u, p.v)])
-
     def hessian_blocks(self, p, h=1e-5):
         raise NotImplementedError("the GAN game exposes first-order "
                                   "information only")
@@ -423,7 +420,8 @@ class MogTrainingLog:
 def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
                        base_step: float = 1e-4):
     """Central-difference product of the full objective Hessian with a
-    direction, via the joint raw gradient."""
+    direction, via the joint raw gradient; a non-finite gradient raises
+    NonFiniteValueError."""
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         return np.zeros_like(direction)
@@ -432,7 +430,8 @@ def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
     d_v = direction[game.dim_u:]
     plus = JointPoint(p.u + delta * d_u, p.v + delta * d_v)
     minus = JointPoint(p.u - delta * d_u, p.v - delta * d_v)
-    return (game.joint_grad(plus) - game.joint_grad(minus)) / (2.0 * delta)
+    return ((np.concatenate(_checked_grads(game, plus))
+             - np.concatenate(_checked_grads(game, minus))) / (2.0 * delta))
 
 
 def _co_step(game: MogGanGame, p: JointPoint, eta, gamma: float) -> JointPoint:
@@ -440,8 +439,7 @@ def _co_step(game: MogGanGame, p: JointPoint, eta, gamma: float) -> JointPoint:
     product: optimizers.co_step needs Hessian blocks the GAN lacks, and
     its summation order moves MoG co outputs off the recorded references.
     """
-    gu = game.grad_u(p.u, p.v)
-    gv = game.grad_v(p.u, p.v)
+    gu, gv = _checked_grads(game, p)
     hvp = _fd_hessian_vector(game, p, np.concatenate([gu, gv]))
     return JointPoint(p.u - eta * (gu + gamma * hvp[:game.dim_u]),
                       p.v + eta * gv - eta * gamma * hvp[game.dim_u:])
@@ -520,6 +518,8 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
         raise ValueError("threads must be >= 1")
     if log_interval < 1:
         raise ValueError("log_interval must be >= 1")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     cfg = OptimizerConfig(algorithm, eta=lr, co_gamma=co_gamma,
                           dg=dgmod.DGConfig(k=dg_k))
     if game is None:

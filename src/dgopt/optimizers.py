@@ -44,7 +44,7 @@ class OptimizerConfig:
 def _checked_grads(game: GameOracle, p: JointPoint):
     gu = game.grad_u(p.u, p.v)
     gv = game.grad_v(p.u, p.v)
-    if not (np.all(np.isfinite(gu)) and np.all(np.isfinite(gv))):
+    if not (np.isfinite(gu).all() and np.isfinite(gv).all()):
         raise NonFiniteValueError("non-finite gradient", point=p)
     return gu, gv
 

@@ -156,9 +156,9 @@ def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
         running_sum = np.zeros(problem.dimension)
         state = AdaGradState.fresh(diameter, problem.box)
         log_idx = 0
-        for t in range(1, t_max + 1):
+        for t, z in enumerate(z_draws.tolist(), start=1):
             running_sum += x
-            g = problem.sample_grad(x, int(z_draws[t - 1]))
+            g = problem.sample_grad(x, z)
             if step_rule == "adagrad":
                 x = adagrad_step(state, x, g)
             else:

@@ -173,10 +173,11 @@ class TestMog:
     @pytest.mark.parametrize("flags", [
         ("--alg", "gda", "--log-interval", "0"),
         ("--alg", "co", "--lr", "-1"),
+        ("--alg", "gda", "--iters", "-3"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys,
                                                  flags):
-        code = run(["mog", *flags, "--iters", "2", "--out",
+        code = run(["mog", "--iters", "2", *flags, "--out",
                     str(tmp_path / "mog"), "--no-plot"])
         assert code == 2
         assert "error:" in capsys.readouterr().err

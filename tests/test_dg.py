@@ -1,8 +1,10 @@
 """Duality-gap estimation: inner responses, both gradient modes, AdaGrad."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +242,139 @@ class TestHalves:
         assert got.value == want.value
         for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def _counting(game):
+    """game with grad_u/grad_v wrapped to count calls, and the counts."""
+    counts = {"grad_u": 0, "grad_v": 0}
+
+    def counted(name, fn):
+        def g(u, v):
+            counts[name] += 1
+            return fn(u, v)
+        return g
+
+    return replace(game, grad_u=counted("grad_u", game.grad_u),
+                   grad_v=counted("grad_v", game.grad_v)), counts
+
+
+class TestSharedChains:
+    """A DG value and the descent step at the same point share one pair
+    of inner chains; each result equals a fresh evaluation's."""
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_logged_dg_trajectory_runs_each_chain_once(self, steps):
+        k = 3
+        game, counts = _counting(F2)
+        cfg = OptimizerConfig(algorithm="dg", eta=0.05, dg=DGConfig(k=k))
+        traj = run_trajectory(game, cfg, JointPoint.of(0.4, -0.3),
+                              steps=steps, dg_metric_cfg=cfg.dg)
+        assert len(traj.records) == steps + 1
+        # per step: both tails, the record's own gradient and the next
+        # value's k-step chain; run twice, the chains would add k more
+        want = steps * (k + 2) + k + 1
+        assert counts == {"grad_u": want, "grad_v": want}
+
+    def test_shared_trajectory_equals_unshared(self):
+        cfg = OptimizerConfig(algorithm="dg", eta=0.05, dg=DGConfig(k=4))
+        init = JointPoint.of(0.4, -0.3)
+        logged = run_trajectory(F2, cfg, init, steps=30, dg_metric_cfg=cfg.dg)
+        plain = run_trajectory(F2, cfg, init, steps=30)
+        for a, b in zip(logged.records, plain.records):
+            assert a.u.tobytes() == b.u.tobytes()
+            assert a.v.tobytes() == b.v.tobytes()
+        for rec in logged.records:
+            p = JointPoint(rec.u, rec.v)
+            assert rec.dg == dg_metric(replace(F2), p, 4, 0.05)
+
+    def test_mutating_a_result_leaves_later_results(self):
+        p = JointPoint.of(0.7, -0.4)
+        cfg = DGConfig(k=3, gamma=0.05)
+        want = dg_estimate(replace(F1), p, cfg)
+        uw, vw = worst_case_responses(F1, p, 3, 0.05)
+        uw[:] = 99.0
+        vw[:] = -99.0
+        est = dg_estimate(F1, p, cfg)
+        assert est.value == want.value
+        for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
+            assert np.array_equal(getattr(est, field), getattr(want, field))
+        est.u_worst[:] = 99.0
+        est.v_worst[:] = -99.0
+        uw, vw = worst_case_responses(F1, p, 3, 0.05)
+        assert np.array_equal(uw, want.u_worst)
+        assert np.array_equal(vw, want.v_worst)
+
+    def test_distinct_games_at_one_point_do_not_share(self):
+        p = JointPoint.of(0.6, 0.2)
+        cfg = DGConfig(k=3, gamma=0.05)
+        want = dg_estimate(make_bilinear(10.0), p, cfg)
+        b10, counts = _counting(make_bilinear(10.0))
+        assert dg_metric(B3, p, 3, 0.05) != want.value
+        got = dg_estimate(b10, p, cfg)
+        assert counts == {"grad_u": 4, "grad_v": 4}
+        assert got.value == want.value
+        assert np.array_equal(got.u_worst, want.u_worst)
+
+    @pytest.mark.parametrize("changed", ["k", "gamma", "dtype", "point"])
+    def test_another_setting_runs_the_chains(self, changed):
+        game, counts = _counting(F2)
+        p = JointPoint.of(0.6, 0.2)
+        dg_metric(game, p, 3, 0.05)
+        k, gamma = 3, 0.05
+        if changed == "k":
+            k = 2
+        elif changed == "gamma":
+            gamma = 0.06
+        elif changed == "dtype":
+            p = JointPoint(p.u.astype(np.float32), p.v.astype(np.float32))
+        else:
+            p = JointPoint.of(0.6, np.nextafter(0.2, 1.0))
+        counts.update(grad_u=0, grad_v=0)
+        dg_estimate(game, p, DGConfig(k=k, gamma=gamma))
+        assert counts == {"grad_u": k + 1, "grad_v": k + 1}
+
+    def test_nonfinite_chain_raises_every_time(self):
+        p = JointPoint.of(1.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                with pytest.raises(NonFiniteValueError, match="inner"):
+                    dg_metric(F1, p, k=500, gamma=1e100)
+                with pytest.raises(NonFiniteValueError, match="inner"):
+                    dg_estimate(F1, p, DGConfig(k=500, gamma=1e100))
+
+    def test_threads_keep_their_own_chains(self):
+        games = [make_game(spec) for spec in ("f3", "motivation")]
+        rng = np.random.default_rng(5)
+        points = [JointPoint.of(*rng.uniform(-2.0, 2.0, 2)) for _ in range(4)]
+        cfg = DGConfig(k=3, gamma=0.05)
+
+        def evaluate(game, p):
+            metric = dg_metric(game, p, 3, 0.05)
+            est = dg_estimate(game, p, cfg)
+            return metric, est.value, est.u_worst.tobytes(), est.grad_v.tobytes()
+
+        want = [[evaluate(replace(g), p) for g in games] for p in points]
+        got = [[] for _ in points]
+
+        def worker(i):
+            for _ in range(200):
+                got[i].append([evaluate(g, points[i]) for g in games])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, runs in enumerate(got):
+            assert len(runs) == 200
+            assert all(run == want[i] for run in runs)
 
 
 class TestDGDescent:

@@ -1,13 +1,16 @@
 """Property tests for the warm-started duality-gap estimate."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dgopt.dg import DGConfig, dg_estimate  # noqa: E402
-from dgopt.games import JointPoint, make_game  # noqa: E402
+from dgopt.dg import DGConfig, dg_estimate, dg_metric  # noqa: E402
+from dgopt.games import JointPoint, catalog_names, make_game  # noqa: E402
 
 # largest Hessian eigenvalue of the constant-curvature games
 SMOOTHNESS = {"f1": 4 + 20 ** 0.5, "f2": 4 + 20 ** 0.5,
@@ -24,3 +27,34 @@ def test_warm_start_estimate_is_nonnegative(spec, k, fraction, x, y):
     # player, so neither half can move the gap below zero
     cfg = DGConfig(k=k, gamma=fraction / SMOOTHNESS[spec])
     assert dg_estimate(GAMES[spec], JointPoint.of(x, y), cfg).value >= -1e-9
+
+
+CATALOG = {spec: make_game(spec) for spec in
+           ("bilinear:c=3", "f1", "f2", "f3", "motivation", "ncnc:c=3",
+            "ncnc:c=3,sep=1")}
+assert {spec.partition(":")[0] for spec in CATALOG} == set(catalog_names())
+wide = st.floats(-12.0, 12.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(sorted(CATALOG)), k=st.sampled_from([0, 1, 3]),
+       gamma=st.floats(1e-3, 0.3),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       batch=st.sampled_from([None, (3,), (2, 2)]), data=st.data())
+def test_logged_metric_is_the_step_estimate_value(spec, k, gamma, dtype,
+                                                  batch, data):
+    # a logged DG value and the next step's estimate share one pair of
+    # chains; both must equal what a fresh evaluation gives, bit for bit
+    # (the box game's coordinates reach past its [-10, 10] box)
+    shape = (1,) if batch is None else (*batch, 1)
+    size = int(np.prod(shape))
+    u, v = (np.array(data.draw(st.lists(wide, min_size=size, max_size=size)),
+                     dtype=dtype).reshape(shape) for _ in range(2))
+    game, p, cfg = CATALOG[spec], JointPoint(u, v), DGConfig(k=k, gamma=gamma)
+    fresh = dg_estimate(replace(game), p, cfg)
+    metric = dg_metric(game, p, k, gamma)
+    est = dg_estimate(game, p, cfg)
+    assert np.asarray(metric).tobytes() == np.asarray(est.value).tobytes()
+    assert np.asarray(est.value).tobytes() == np.asarray(fresh.value).tobytes()
+    for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
+        assert getattr(est, field).tobytes() == getattr(fresh, field).tobytes()

@@ -1,17 +1,20 @@
 """GAN game oracle: dataset statistics, backprop checks, training plumbing."""
 
+import gc
 import json
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dgopt import dg as dgmod
 from dgopt import mog
-from dgopt.dg import DGConfig
+from dgopt.dg import DGConfig, dg_estimate, dg_metric
 from dgopt.games import JointPoint
 from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, _fd_hessian_vector,
                        gan_value_and_grads, mlp_backward, mlp_forward,
@@ -403,6 +406,74 @@ class TestTrainingPlumbing:
         assert len((tmp_path / "hist.csv").read_text().splitlines()) == 122
 
 
+class _NanGradU(MogGanGame):
+    """A MoG game whose grad_u returns NaN on its nan_call-th call."""
+
+    def __init__(self, nan_call, **kwargs):
+        super().__init__(**kwargs)
+        self.nan_call = nan_call
+        self.calls = 0
+
+    def grad_u(self, u, v):
+        self.calls += 1
+        g = super().grad_u(u, v)
+        return g * np.nan if self.calls == self.nan_call else g
+
+
+class TestSharedChains:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_logged_metric_is_the_step_estimate_value(self, seed, concurrent):
+        game = MogGanGame(seed, n=200, dtype=np.float32)
+        p = JointPoint(*_moved_params(game, seed))
+        cfg = DGConfig(k=3)
+        fresh = dg_estimate(MogGanGame(seed, n=200, dtype=np.float32), p,
+                            cfg, eta=1e-2)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            executor = pool if concurrent else None
+            metric = dg_metric(game, p, 3, 1e-2, executor=executor)
+            est = dg_estimate(game, p, cfg, eta=1e-2, executor=executor)
+        assert metric == est.value == fresh.value
+        for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
+            assert getattr(est, field).tobytes() == \
+                getattr(fresh, field).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_dropped_game_is_freed(self, threads):
+        game = MogGanGame(3, n=200, dtype=np.float32)
+        log = train_mog("dg", seed=3, iterations=2, log_interval=1, dg_k=2,
+                        n=200, game=game, threads=threads)
+        assert log.status == "ok"
+        ref = weakref.ref(game)
+        del game
+        gc.collect()
+        assert ref() is None
+        # and the chain endpoints kept for it go too
+        assert not hasattr(dgmod._last_chains, "entry")
+
+
+class TestCoDivergence:
+    # dg_k=1: the first log row's metric makes grad_u call 1; the first
+    # co step makes call 2 at p, 3 and 4 in the Hessian-vector product
+    @pytest.mark.parametrize("nan_call", [2, 3, 4])
+    def test_nonfinite_gradient_stops_the_run(self, nan_call):
+        game = _NanGradU(nan_call, seed=1, n=200, dtype=np.float32)
+        log = train_mog("co", seed=1, iterations=3, log_interval=1, dg_k=1,
+                        n=200, game=game, threads=1)
+        assert game.calls >= nan_call
+        assert log.status == "diverged"
+        assert [int(row[0]) for row in log.rows] == [0]
+        assert all(np.isfinite(x) for x in log.rows[0][1:])
+        u0, v0 = MogGanGame(1, n=200, dtype=np.float32).init_params()
+        assert np.array_equal(log.final_u, u0)
+        assert np.array_equal(log.final_v, v0)
+        assert np.all(np.isfinite(log.final_samples))
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValueError, match="iterations"):
+            train_mog("gda", seed=0, iterations=-3)
+
+
 class TestAcceptanceScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
         "run_mog_acceptance.py"
@@ -437,6 +508,14 @@ class TestAcceptanceScript:
         verdict = json.loads((tmp_path / "verdict.json").read_text())
         assert verdict["runs"] == [row]
         assert verdict["iterations"] == 200
+
+    def test_baseline_artifact_is_reused_and_listed(self, tmp_path):
+        row = self.write_artifact(tmp_path, "eg", 200)
+        proc = self.run(tmp_path, 200, algs="eg")
+        assert proc.returncode == 0, proc.stderr
+        assert "eg seed 1: reusing existing artifact" in proc.stdout
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["runs"] == [row]
 
     def test_unknown_algorithm_is_refused(self, tmp_path):
         # a typo must not overwrite the verdict with an empty run list
