@@ -15,6 +15,19 @@ An existing <alg>_seed<N>.json is reused instead of re-run, but only
 if it was made with the requested iteration count; any other refuses
 the whole invocation (exit 2) before anything runs.
 
+One process trains its runs one after another.  To use more CPUs, start
+one process per CPU, pinned with taskset, then collect the verdict with
+one invocation over every seed, which reuses the finished artifacts:
+
+    taskset -c 0 python scripts/run_mog_acceptance.py --seeds 1,2,3 &
+    taskset -c 1 python scripts/run_mog_acceptance.py --seeds 4,5 &
+    wait
+    python scripts/run_mog_acceptance.py
+
+A process pinned to one CPU runs the two halves of each duality-gap
+evaluation in sequence; one that may use two or more runs them on two
+threads.
+
 Usage: python scripts/run_mog_acceptance.py [--iters N] [--seeds a,b,...]
            [--algs gda,dg,eg,co] [--out DIR]
 """

@@ -5,13 +5,10 @@ Every subcommand writes CSV/JSON data files (and SVG figures unless
 through named streams, so fixed arguments reproduce byte-identical
 outputs.
 
---threads matters to mog only.  A mog run holds OpenBLAS at one thread
-throughout, so its outputs do not depend on the host's BLAS thread
-count; with --threads 2 or more (the default, min(2, cores)) each
-duality-gap evaluation runs its descent half on a worker thread beside
-its ascent half, and the outputs do not depend on --threads either.
-Where the loaded OpenBLAS cannot be found the halves run in sequence.
-The other subcommands accept the flag and run sequentially.
+--threads is accepted and changes nothing.  A mog run decides its own
+threads (see mog.train_mog): it runs the two halves of each duality-gap
+evaluation concurrently when the process may use two or more CPUs, e.g.
+under taskset, with the same outputs either way.
 """
 
 from __future__ import annotations
@@ -89,6 +86,9 @@ def cmd_traj(args) -> int:
         _plot_trajectory(game, traj, f"{prefix}.svg")
     print(f"{traj.classification} after {traj.records[-1].t} steps "
           f"-> {prefix}.csv")
+    if traj.error is not None:
+        print(f"stopped at step {traj.records[-1].t + 1}: {traj.error}",
+              file=sys.stderr)
     return 0
 
 
@@ -179,8 +179,7 @@ def cmd_rate(args) -> int:
 def cmd_mog(args) -> int:
     log = mog.train_mog(args.alg, seed=args.seed, iterations=args.iters,
                         lr=args.lr, co_gamma=args.co_gamma,
-                        dg_k=args.k, log_interval=args.log_interval,
-                        threads=args.threads)
+                        dg_k=args.k, log_interval=args.log_interval)
     prefix = _out_prefix(args)
     log.write_csv(f"{prefix}.csv")
     log.write_samples_csv(f"{prefix}_samples.csv")
@@ -243,12 +242,8 @@ def _add_common(sub, with_game=True):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, default="out")
     sub.add_argument("--threads", type=int, default=1,
-                     help="mog: 2 or more runs the two halves of each "
-                          "duality-gap evaluation concurrently (default "
-                          "min(2, cores)); the whole run holds OpenBLAS at "
-                          "one thread, and falls back to sequential halves "
-                          "when OpenBLAS cannot be found; the other "
-                          "commands run sequentially")
+                     help="accepted and ignored: mog picks its threads "
+                          "from the CPUs the process may use")
     sub.add_argument("--no-plot", action="store_true")
     if with_game:
         sub.add_argument("--game", type=str, required=True,
@@ -331,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     mg.add_argument("--co-gamma", dest="co_gamma", type=float, default=1.0)
     mg.add_argument("--log-interval", dest="log_interval", type=int,
                     default=100)
-    mg.set_defaults(func=cmd_mog, threads=mog.DEFAULT_THREADS)
+    mg.set_defaults(func=cmd_mog)
 
     plot = subs.add_parser("plot", help="re-render an existing CSV as SVG")
     plot.add_argument("--csv", type=str, required=True)

@@ -21,6 +21,7 @@ step can only increase (decrease) the frozen-opponent objective.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 import weakref
@@ -63,6 +64,8 @@ class DGConfig:
             return self.gamma
         if eta is None:
             raise ValueError("gamma is unset and no outer eta was supplied")
+        if eta <= 0:
+            raise ValueError("inner step size gamma must be positive")
         return float(eta)
 
     def format(self) -> str:
@@ -180,15 +183,31 @@ def _point_key(x):
     return x.tobytes(), x.shape, x.dtype.str
 
 
-def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail,
-                  executor=None):
+# Per thread, the worker of the innermost open concurrent_halves() scope
+_halves = threading.local()
+
+
+@contextlib.contextmanager
+def concurrent_halves():
+    """Within the block, DG evaluations on this thread run their descent
+    half on one worker thread beside the ascent half, with the same
+    results; only this starts the worker (and imports concurrent.futures)."""
+    from concurrent.futures import ThreadPoolExecutor
+    before = getattr(_halves, "pool", None)
+    try:
+        with ThreadPoolExecutor(1, "dg-descent") as _halves.pool:
+            yield
+    finally:
+        _halves.pool = before
+
+
+def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     """(descent_tail(u_k), ascent_tail(v_k)) for the two inner chains.
 
     u_k takes k descent steps on u -> M(u, p.v) from p.u, v_k k ascent
-    steps on v -> M(p.u, v) from p.v.  The halves share no state.
-    Without an executor they run in sequence, descent first; with one,
-    descent runs on it while ascent runs on the caller.  Either way a
-    descent error is the one raised when both halves fail.
+    steps on v -> M(p.u, v) from p.v.  The halves share no state: they
+    run in sequence, descent first, or in a concurrent_halves() scope
+    with descent on its worker; when both fail, the descent error wins.
 
     When the previous call on this thread had the same game, point bits,
     k and gamma, the halves reuse its (u_k, v_k) and run only the tails.
@@ -218,10 +237,10 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail,
                        "ascent", p)
         return y, ascent_tail(y)
 
-    if executor is None:
+    if getattr(_halves, "pool", None) is None:
         (u_k, lowered), (v_k, raised) = descent(), ascent()
     else:
-        future = executor.submit(descent)
+        future = _halves.pool.submit(descent)
         try:
             v_k, raised = ascent()
         except Exception:
@@ -292,7 +311,7 @@ def _unrolled_grads(game, p, k, gamma):
 
 
 def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
-                eta: Optional[float] = None, executor=None) -> DGEstimate:
+                eta: Optional[float] = None) -> DGEstimate:
     """DG value and gradient at p under the configured inner loop.
 
     At k = 0 the estimate is identically zero, so the total derivative
@@ -300,12 +319,11 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
     gradients (grad_u M(u,v), -grad_v M(u,v)), which is what makes
     k = 0 DG-descent coincide with plain gradient descent-ascent.
 
-    The envelope estimate has two independent halves: descent (the
-    u-chain, then M and grad_v at (u_k, v)) and ascent (the v-chain,
-    then M and grad_u at (u, v_k)).  Given an executor, the descent
-    half runs on it while the ascent half runs here; the result is the
-    same either way.  The envelope mode also takes a batched point (see
-    GameOracle): the value is then an array over the batch.
+    The envelope estimate runs two independent halves (_inner_halves):
+    descent (the u-chain, then M and grad_v at (u_k, v)) and ascent (the
+    v-chain, then M and grad_u at (u, v_k)).  The envelope mode also
+    takes a batched point (see GameOracle): the value is then an array
+    over the batch.
     """
     gamma = cfg.resolved_gamma(eta)
     u, v = p
@@ -320,7 +338,7 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
         (uw, low, gv), (vw, high, grad_u) = _inner_halves(
             game, p, cfg.k, gamma,
             lambda uw: (uw, *game.value_and_grad_v(uw, v)),
-            lambda vw: (vw, *game.value_and_grad_u(u, vw)), executor)
+            lambda vw: (vw, *game.value_and_grad_u(u, vw)))
         value = high - low
         grad_v = -gv
 
@@ -341,17 +359,17 @@ def _finite(value, what, p):
     return value
 
 
-def dg_metric(game: GameOracle, p: JointPoint, k: int, gamma: float,
-              executor=None) -> float:
+def dg_metric(game: GameOracle, p: JointPoint, k: int,
+              gamma: float) -> float:
     """Monitoring metric: the k-step DG value only, no gradients.
 
-    Runs in the same two halves as dg_estimate, on the executor if one
-    is given.  For a batched point of a game that takes one (see
-    GameOracle), the chains step every point at once and the metric is
-    an array over the batch; it raises if any entry is non-finite."""
+    Runs in the same two halves as dg_estimate.  For a batched point of
+    a game that takes one (see GameOracle), the chains step every point
+    at once and the metric is an array over the batch; it raises if any
+    entry is non-finite."""
     low, high = _inner_halves(game, p, k, gamma,
                               lambda uw: game.value(uw, p.v),
-                              lambda vw: game.value(p.u, vw), executor)
+                              lambda vw: game.value(p.u, vw))
     return _finite(high - low, "duality-gap metric", p)
 
 
@@ -372,13 +390,13 @@ def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:
 
 
 def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
-                    step: Union[float, AdaGradState], executor=None):
+                    step: Union[float, AdaGradState]):
     """One outer step: both players descend the DG gradient.
 
     With a float step (outer "constant_eta") this is plain gradient
     descent on the estimate; with an AdaGradState (outer "adagrad") the
     joint vector takes a projected adaptive step and the state is
-    advanced in place.  The executor goes on to dg_estimate.
+    advanced in place.
     """
     adaptive = isinstance(step, AdaGradState)
     if cfg.outer != ("adagrad" if adaptive else "constant_eta"):
@@ -388,10 +406,10 @@ def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
         if cfg.gamma is None:
             raise ValueError("the adagrad outer has no constant step to tie "
                              "gamma to; set DGConfig.gamma explicitly")
-        est = dg_estimate(game, p, cfg, executor=executor)
+        est = dg_estimate(game, p, cfg)
         g = np.concatenate([est.grad_u, est.grad_v])
         return JointPoint.split(adagrad_step(step, p.concat(), g),
                                 game.dim_u)
     eta = float(step)
-    est = dg_estimate(game, p, cfg, eta=eta, executor=executor)
+    est = dg_estimate(game, p, cfg, eta=eta)
     return JointPoint(p.u - eta * est.grad_u, p.v - eta * est.grad_v)

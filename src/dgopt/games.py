@@ -383,13 +383,15 @@ class GameSpec:
         return f"{self.name}:{params}"
 
 
+# name -> (constructor, required parameters, optional parameters as
+# spec key -> constructor keyword)
 _CATALOG = {
-    "bilinear": (make_bilinear, ("c",)),
-    "f1": (make_quadratic_f1, ()),
-    "f2": (make_quadratic_f2, ()),
-    "f3": (make_poly_f3, ()),
-    "motivation": (make_motivation, ()),
-    "ncnc": (make_ncnc, ("c",)),
+    "bilinear": (make_bilinear, ("c",), {}),
+    "f1": (make_quadratic_f1, (), {}),
+    "f2": (make_quadratic_f2, (), {}),
+    "f3": (make_poly_f3, (), {}),
+    "motivation": (make_motivation, (), {}),
+    "ncnc": (make_ncnc, ("c",), {"sep": "include_separable"}),
 }
 
 
@@ -412,18 +414,15 @@ def make_game(spec) -> GameOracle:
     """Construct a catalog game from a GameSpec or a spec string."""
     if isinstance(spec, str):
         spec = parse_game_spec(spec)
-    ctor, required = _CATALOG[spec.name]
-    params = dict(spec.parameters)
+    ctor, required, optional = _CATALOG[spec.name]
+    params = spec.parameters
     missing = [k for k in required if k not in params]
     if missing:
         raise ValueError(f"game {spec.name!r} needs parameters {missing}")
-    if spec.name == "ncnc":
-        include = bool(params.pop("sep", 0.0))
-        return ctor(params.pop("c"), include_separable=include)
-    extra = set(params) - set(required)
+    extra = set(params) - set(required) - set(optional)
     if extra:
         raise ValueError(f"game {spec.name!r} got unknown parameters {sorted(extra)}")
-    return ctor(**{k: params[k] for k in required})
+    return ctor(**{optional.get(k, k): v for k, v in params.items()})
 
 
 def catalog_names() -> list:

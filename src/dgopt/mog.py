@@ -25,8 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import dg as dgmod
+from . import optimizers
 from .games import JointPoint, NonFiniteValueError
-from .optimizers import OptimizerConfig, _checked_grads, make_step_map
+from .optimizers import OptimizerConfig, _checked_grads
 from .rates import seeded_rng
 
 MODE_CENTERS = (-4.0, 0.0, 4.0)
@@ -369,9 +370,6 @@ def gan_value_and_grads(game: MogGanGame, u, v):
 
 MOG_ALGORITHMS = ("gda", "eg", "co", "dg")
 
-# one worker beside the caller: a duality-gap evaluation has two halves
-DEFAULT_THREADS = min(2, os.cpu_count() or 1)
-
 LOG_COLUMNS = ("iter", "value", "grad_u_norm", "grad_v_norm", "dg_metric",
                "mode_frac_m4", "mode_frac_0", "mode_frac_4",
                "disc_real_median", "disc_fake_median")
@@ -477,18 +475,18 @@ def _one_blas_thread():
     """Hold OpenBLAS at one thread inside the block, then restore it.
 
     BLAS threads would compete with the two DG halves for the cores,
-    and the thread count changes how BLAS splits some reductions.
-    Without a known OpenBLAS this changes nothing.
+    and the thread count changes how BLAS splits some reductions.  The
+    block gets False, and nothing changes, without a known OpenBLAS.
     """
     calls = _openblas_thread_calls()
     if calls is None:
-        yield
+        yield False
         return
     get, put = calls
     before = get()
     put(1)
     try:
-        yield
+        yield True
     finally:
         put(before)
 
@@ -497,7 +495,7 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
               lr: float = 2e-4, co_gamma: float = 1.0,
               dg_k: int = 10, log_interval: int = 100,
               dtype=np.float32, game: Optional[MogGanGame] = None,
-              n: int = 5000, threads: int = DEFAULT_THREADS) -> MogTrainingLog:
+              n: int = 5000) -> MogTrainingLog:
     """Full-batch training with one of gda / eg / co / dg at step size lr.
 
     gda, eg and dg are optimizers.make_step_map's step maps; dg descends
@@ -506,16 +504,13 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
     1000-draw noise evaluation set.
 
     The whole run holds OpenBLAS at one thread, so no output depends on
-    the host's BLAS thread count.  With threads >= 2 each duality-gap
-    evaluation runs its descent half on a worker thread beside the
-    ascent half; with threads = 1, or without a known OpenBLAS, the
-    halves run in sequence, with the same output.
+    the host's BLAS thread count.  If it can, and the process may use two
+    or more CPUs (its affinity mask, else the machine's CPU count), the
+    run is a dg.concurrent_halves() scope; the output is the same.
     """
     if algorithm not in MOG_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"known: {MOG_ALGORITHMS}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if log_interval < 1:
         raise ValueError("log_interval must be >= 1")
     if iterations < 0:
@@ -525,23 +520,21 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
     if game is None:
         game = MogGanGame(seed, n=n, dtype=dtype)
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
-    pool = contextlib.nullcontext()
-    if threads > 1 and _openblas_thread_calls() is not None:
-        # imported here so that commands without MoG do not load it
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dg-descent")
-
-    with _one_blas_thread(), pool as executor:
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))
+    with _one_blas_thread() as pinned, (
+            dgmod.concurrent_halves() if pinned and len(cpus) >= 2
+            else contextlib.nullcontext()):
         if algorithm == "co":
             step = functools.partial(_co_step, game,
                                      eta=game.dtype.type(cfg.eta),
                                      gamma=cfg.co_gamma)
         else:
-            step = make_step_map(game, cfg, executor)
+            step = optimizers.make_step_map(game, cfg)
 
         def log_row(it, p):
             value, gu, gv = game.value_and_grads(p.u, p.v)
-            dg_val = dgmod.dg_metric(game, p, dg_k, lr, executor=executor)
+            dg_val = dgmod.dg_metric(game, p, dg_k, lr)
             samples = game.eval_samples(p.u)
             fracs = mode_coverage(samples)
             disc_real = float(np.median(game.disc_outputs(p.v, game.data)))

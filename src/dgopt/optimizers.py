@@ -37,6 +37,10 @@ class OptimizerConfig:
                              f"known: {ALGORITHMS}")
         if self.eta <= 0:
             raise ValueError("step size eta must be positive")
+        if self.eta_y is not None and self.eta_y <= 0:
+            raise ValueError("follower step size eta_y must be positive")
+        if self.co_gamma < 0:
+            raise ValueError("consensus weight co_gamma must be >= 0")
         if self.unroll_k < 1:
             raise ValueError("unroll_k must be >= 1")
 
@@ -156,12 +160,11 @@ def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
     return JointPoint(p.u - eta_x * gu, p.v + eta_y * gv + eta_x * correction)
 
 
-def make_step_map(game: GameOracle, cfg: OptimizerConfig, executor=None):
+def make_step_map(game: GameOracle, cfg: OptimizerConfig):
     """Bind a config to a stateless callable p -> p'.
 
     ogda keeps its one-step gradient memory in a closure cell; fresh
-    maps start with the gda fallback.  dg passes the executor on to
-    dg.dg_estimate.
+    maps start with the gda fallback.
     """
     alg = cfg.algorithm
     if alg == "gda":
@@ -178,8 +181,7 @@ def make_step_map(game: GameOracle, cfg: OptimizerConfig, executor=None):
         return lambda p: fr_step(game, p, cfg.eta, cfg.eta_y)
     if alg == "dg":
         dg_cfg = cfg.dg if cfg.dg is not None else dgmod.DGConfig()
-        return lambda p: dgmod.dg_descent_step(game, p, dg_cfg, cfg.eta,
-                                                 executor)
+        return lambda p: dgmod.dg_descent_step(game, p, dg_cfg, cfg.eta)
     if alg == "ogda":
         memory = {"prev": None}
 
@@ -270,8 +272,9 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
 
     Divergence (norm above diverge_norm) truncates the run at the
     offending record; step errors keep the partial trajectory and set
-    the error field.  Convergence means the final iterate lies within
-    tol of one of the targets.
+    the error field.  A logged DG metric that is non-finite leaves that
+    record's dg empty and the run goes on.  Convergence means the final
+    iterate lies within tol of one of the targets.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -283,8 +286,11 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
         gv = game.grad_v(p.u, p.v)
         dg_val = None
         if dg_metric_cfg is not None:
-            dg_val = dgmod.dg_metric(game, p, dg_metric_cfg.k,
-                                     dg_metric_cfg.resolved_gamma(cfg.eta))
+            try:
+                dg_val = dgmod.dg_metric(game, p, dg_metric_cfg.k,
+                                         dg_metric_cfg.resolved_gamma(cfg.eta))
+            except NonFiniteValueError:
+                pass
         traj.records.append(TrajectoryRecord(
             t=t, u=p.u.copy(), v=p.v.copy(),
             value=float(game.value(p.u, p.v)),

@@ -51,6 +51,57 @@ class TestTraj:
         code = run(["traj", "--game", "f1", "--alg", "newton", "--init", "0,0"])
         assert code == 2
 
+    def test_unknown_game_parameter_is_usage_error(self, tmp_path, capsys):
+        code = run(["traj", "--game", "ncnc:c=3,foo=2", "--alg", "gda",
+                    "--init", "0.1,0.1", "--steps", "3", "--no-plot",
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "unknown parameters ['foo']" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--alg", "co", "--co-gamma", "-5"),
+        ("--alg", "fr", "--eta-y", "-1"),
+    ])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys,
+                                                 flags):
+        code = run(["traj", "--game", "f1", *flags, "--init", "0.5,0.5",
+                    "--steps", "3", "--no-plot",
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_step_error_is_reported(self, tmp_path, capsys):
+        code = run(["traj", "--game", "bilinear:c=1", "--alg", "fr",
+                    "--init", "0.5,0.5", "--no-plot",
+                    "--out", str(tmp_path / "run")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "non_convergent after 0 steps" in captured.out
+        assert captured.err == ("stopped at step 1: H_vv is singular at "
+                                "u=[0.5], v=[0.5]\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_logged_dg_leaves_the_cell_empty(self, tmp_path,
+                                                        capsys):
+        runs = {}
+        for log_dg in ((), ("--log-dg",)):
+            out = tmp_path / f"run{len(log_dg)}"
+            code = run(["traj", "--game", "f1", "--alg", "gda", *log_dg,
+                        "--init", "1e200,1e200", "--steps", "5", "--no-plot",
+                        "--out", str(out)])
+            assert code == 0
+            assert "diverged after 1 steps" in capsys.readouterr().out
+            rows = [line.split(",") for line in
+                    Path(f"{out}.csv").read_text().splitlines()]
+            summary = json.loads(Path(f"{out}.json").read_text())
+            runs[log_dg] = rows, summary
+        (plain, plain_summary), (logged, logged_summary) = runs.values()
+        assert logged_summary == plain_summary
+        assert [r[:-1] for r in logged] == [r[:-1] for r in plain]
+        assert [r[-1] for r in logged[1:]] == ["", ""]
+
     def test_unrolled_dg_on_boxed_game_is_usage_error(self, tmp_path, capsys):
         code = run(["traj", "--game", "motivation", "--alg", "dg", "--mode",
                     "unrolled", "--init", "1,1", "--steps", "5", "--no-plot",
@@ -101,6 +152,16 @@ class TestLandscape:
         assert meta["measure"] == "dg_exact"
         tree = ET.parse(tmp_path / "land.svg")
         assert tree.getroot().tag.endswith("svg")
+
+    @pytest.mark.parametrize("eta", ["-1", "0"])
+    def test_non_positive_dg_approx_step_is_usage_error(self, tmp_path,
+                                                        capsys, eta):
+        code = run(["landscape", "--game", "bilinear:c=3", "--box=-1,1",
+                    "--res", "5", "--measure", "dg_approx", f"--eta={eta}",
+                    "--out", str(tmp_path / "land")])
+        assert code == 2
+        assert "gamma must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "land.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_dg_approx_is_operation_error(self, tmp_path, capsys):
@@ -174,6 +235,7 @@ class TestMog:
         ("--alg", "gda", "--log-interval", "0"),
         ("--alg", "co", "--lr", "-1"),
         ("--alg", "gda", "--iters", "-3"),
+        ("--alg", "co", "--co-gamma", "-1"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys,
                                                  flags):
@@ -214,6 +276,24 @@ class TestDeterminism:
                                            "_hist.csv", ".svg")})
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("alg", ["gda", "eg", "co", "dg"])
+    def test_mog_byte_identical_under_one_cpu_mask(self, tmp_path,
+                                                   monkeypatch, alg):
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            out = tmp_path / str(cpus) / "mog"
+            code = run(["mog", "--alg", alg, "--k", "3", "--iters", "3",
+                        "--log-interval", "2", "--seed", "4",
+                        "--out", str(out)])
+            assert code == 0
+            outputs.append({suffix: Path(f"{out}{suffix}").read_bytes()
+                            for suffix in (".csv", "_samples.csv",
+                                           "_hist.csv", ".svg")})
+        assert outputs[0] == outputs[1]
+
     def test_catalog_dg_starts_no_thread_and_loads_no_blas_hooks(self, tmp_path):
         script = (
             "import threading, sys\n"
@@ -227,6 +307,7 @@ class TestDeterminism:
             "              '--res', '5', '--measure', 'dg_approx']):\n"
             "    assert cli.main(args + ['--no-plot', '--out', sys.argv[1]]) == 0\n"
             "assert not started\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
             "assert mog._openblas_thread_calls.cache_info().currsize == 0\n")
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}"

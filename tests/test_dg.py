@@ -1,16 +1,18 @@
 """Duality-gap estimation: inner responses, both gradient modes, AdaGrad."""
 
+import contextlib
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, dg_descent_step,
-                      dg_estimate, dg_metric, worst_case_responses)
+from dgopt import dg as dgmod
+from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, concurrent_halves,
+                      dg_descent_step, dg_estimate, dg_metric,
+                      worst_case_responses)
 from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
                          make_bilinear, make_game, make_poly_f3,
                          make_quadratic_f1, make_quadratic_f2)
@@ -211,14 +213,14 @@ class TestHalves:
         # the slow descent chain fails after the ascent chain has: the
         # descent error still wins, as it does in sequence
         evaluations = (
-            lambda game, ex: dg_estimate(game, P_HALVES,
-                                         DGConfig(k=4, gamma=0.1), executor=ex),
-            lambda game, ex: dg_metric(game, P_HALVES, 4, 0.1, executor=ex))
+            lambda game: dg_estimate(game, P_HALVES, DGConfig(k=4, gamma=0.1)),
+            lambda game: dg_metric(game, P_HALVES, 4, 0.1))
         for evaluate in evaluations:
             game = _failing_game(*fails, descent_delay=0.01)
-            with ThreadPoolExecutor(max_workers=1) as pool:
+            with (concurrent_halves() if concurrent
+                  else contextlib.nullcontext()):
                 with pytest.raises(NonFiniteValueError) as err:
-                    evaluate(game, pool if concurrent else None)
+                    evaluate(game)
             assert str(err.value) == message
 
     def test_descent_half_runs_on_the_executor(self):
@@ -234,14 +236,46 @@ class TestHalves:
                           record("u", F1.grad_u), record("v", F1.grad_v))
         cfg = DGConfig(k=5, gamma=0.05)
         want = dg_estimate(F1, P_HALVES, cfg)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            got = dg_estimate(game, P_HALVES, cfg, executor=pool)
+        with concurrent_halves():
+            got = dg_estimate(game, P_HALVES, cfg)
         assert threads["ascent"] == {threading.get_ident()}
         assert len(threads["descent"]) == 1
         assert threading.get_ident() not in threads["descent"]
         assert got.value == want.value
         for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_scope_is_per_thread_and_restored_on_exit(self):
+        seen = []
+
+        def record(u, v):
+            seen.append(threading.current_thread().name)
+            return F1.grad_u(u, v)
+
+        game = GameOracle("f1-recorded", 1, 1, F1.value, record, F1.grad_v)
+
+        def evaluate(k):
+            dg_metric(game, P_HALVES, k, 0.05)
+            return seen.pop()
+
+        main = threading.current_thread().name
+        assert evaluate(1) == main
+        with concurrent_halves():
+            outer = dgmod._halves.pool
+            assert evaluate(2).startswith("dg-descent")
+            with concurrent_halves():
+                assert dgmod._halves.pool is not outer
+            assert dgmod._halves.pool is outer
+            # another thread has no scope open: its halves run on it
+            names = []
+            other = threading.Thread(target=lambda: names.append(evaluate(3)),
+                                     name="other")
+            other.start()
+            other.join(timeout=30)
+            assert not other.is_alive()
+            assert names == ["other"]
+        assert evaluate(4) == main
+        assert getattr(dgmod._halves, "pool", None) is None
 
 
 def _counting(game):
@@ -470,6 +504,11 @@ class TestConfigStrings:
 
     def test_parse_auto_gamma(self):
         assert DGConfig.parse("dg:k=5,gamma=auto").gamma is None
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0])
+    def test_auto_gamma_rejects_a_non_positive_step(self, eta):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            DGConfig(k=3).resolved_gamma(eta)
 
     def test_parse_rejects_unknown_keys(self):
         import pytest as _pytest

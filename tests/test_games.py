@@ -208,6 +208,18 @@ class TestSpecs:
         with pytest.raises(ValueError, match="needs parameters"):
             make_game("bilinear")
 
+    @pytest.mark.parametrize("spec", ["ncnc:c=3,foo=2", "bilinear:c=3,sep=1",
+                                      "f1:c=1"])
+    def test_unknown_parameter_rejected(self, spec):
+        with pytest.raises(ValueError, match="unknown parameters"):
+            make_game(spec)
+
+    @pytest.mark.parametrize("spec,name", [("ncnc:c=3", "ncnc:c=3"),
+                                           ("ncnc:c=3,sep=0", "ncnc:c=3"),
+                                           ("ncnc:c=3,sep=1", "ncnc:c=3,sep=1")])
+    def test_optional_parameter(self, spec, name):
+        assert make_game(spec).name == name
+
     def test_malformed_parameter_rejected(self):
         with pytest.raises(ValueError):
             parse_game_spec("bilinear:c")

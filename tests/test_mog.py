@@ -1,9 +1,12 @@
 """GAN game oracle: dataset statistics, backprop checks, training plumbing."""
 
+import contextlib
 import gc
 import json
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -13,13 +16,25 @@ import numpy as np
 import pytest
 
 from dgopt import dg as dgmod
-from dgopt import mog
+from dgopt import mog, optimizers
 from dgopt.dg import DGConfig, dg_estimate, dg_metric
 from dgopt.games import JointPoint
 from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, _fd_hessian_vector,
                        gan_value_and_grads, mlp_backward, mlp_forward,
                        mode_coverage, sample_dataset, train_mog)
 from dgopt.optimizers import OptimizerConfig, make_step_map
+
+
+def _allow_cpus(monkeypatch, count, mask=True):
+    """Let the process use count CPUs as train_mog sees them: through its
+    affinity mask or, with mask=False, an OS without one whose CPU count
+    is count."""
+    if mask:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def _moved_params(game, seed):
@@ -344,11 +359,7 @@ class TestTrainingPlumbing:
         with pytest.raises(ValueError, match="unknown algorithm"):
             train_mog("adam", seed=0, iterations=1)
 
-    def test_threads_must_be_positive(self):
-        with pytest.raises(ValueError, match="threads"):
-            train_mog("dg", seed=0, iterations=1, threads=0)
-
-    def test_blas_thread_count_restored(self):
+    def test_blas_thread_count_restored(self, monkeypatch):
         calls = mog._openblas_thread_calls()
         if calls is None:
             pytest.skip("no OpenBLAS found in this process")
@@ -357,7 +368,8 @@ class TestTrainingPlumbing:
         with mog._one_blas_thread():
             assert get() == 1
         assert get() == before
-        train_mog("dg", seed=1, iterations=1, n=100, dg_k=2, threads=2)
+        _allow_cpus(monkeypatch, 2)
+        train_mog("dg", seed=1, iterations=1, n=100, dg_k=2)
         assert get() == before
 
     def test_co_output_independent_of_blas_threads(self):
@@ -378,9 +390,16 @@ class TestTrainingPlumbing:
         assert np.array_equal(runs[0].final_v, runs[1].final_v)
 
     @pytest.mark.parametrize("algorithm", ["gda", "eg", "dg"])
-    def test_runs_the_shared_step_map(self, algorithm):
+    def test_runs_the_shared_step_map(self, monkeypatch, algorithm):
+        _allow_cpus(monkeypatch, 2)
+        # looked up on the module, where a tracer can wrap it
+        made = []
+        monkeypatch.setattr(optimizers, "make_step_map",
+                            lambda game, cfg: made.append(cfg) or
+                            make_step_map(game, cfg))
         log = train_mog(algorithm, seed=2, iterations=3, log_interval=3,
-                        lr=1e-2, dg_k=3, n=200, threads=2)
+                        lr=1e-2, dg_k=3, n=200)
+        assert [cfg.algorithm for cfg in made] == [algorithm]
         game = MogGanGame(seed=2, n=200, dtype=np.float32)
         step = make_step_map(game, OptimizerConfig(algorithm, eta=1e-2,
                                                    dg=DGConfig(k=3)))
@@ -420,6 +439,48 @@ class _NanGradU(MogGanGame):
         return g * np.nan if self.calls == self.nan_call else g
 
 
+class _ThreadNames(MogGanGame):
+    """A MoG game that records the names of the threads calling grad_u
+    (only the descent chain does) and grad_v (only the ascent chain)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.names = {"grad_u": set(), "grad_v": set()}
+
+    def grad_u(self, u, v):
+        self.names["grad_u"].add(threading.current_thread().name)
+        return super().grad_u(u, v)
+
+    def grad_v(self, u, v):
+        self.names["grad_v"].add(threading.current_thread().name)
+        return super().grad_v(u, v)
+
+
+class TestHalvesFollowTheAffinityMask:
+    # cpu_count() is None where the OS cannot tell: one CPU then
+    @pytest.mark.parametrize("cpus,mask", [(1, True), (2, True),
+                                           (None, False), (2, False)])
+    def test_descent_half_thread(self, monkeypatch, cpus, mask):
+        if cpus == 2 and mog._openblas_thread_calls() is None:
+            pytest.skip("no OpenBLAS found: the halves run in sequence")
+        _allow_cpus(monkeypatch, cpus, mask)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: (started.append(t.name), start(t)))
+        game = _ThreadNames(seed=1, n=200, dtype=np.float32)
+        log = train_mog("dg", seed=1, iterations=2, log_interval=1, dg_k=2,
+                        n=200, game=game)
+        assert log.status == "ok"
+        main = threading.current_thread().name
+        assert game.names["grad_v"] == {main}
+        if cpus != 2:
+            assert started == []
+            assert game.names["grad_u"] == {main}
+        else:
+            assert started == ["dg-descent_0"]
+            assert game.names["grad_u"] == {"dg-descent_0"}
+
+
 class TestSharedChains:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("concurrent", [False, True])
@@ -429,20 +490,21 @@ class TestSharedChains:
         cfg = DGConfig(k=3)
         fresh = dg_estimate(MogGanGame(seed, n=200, dtype=np.float32), p,
                             cfg, eta=1e-2)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            executor = pool if concurrent else None
-            metric = dg_metric(game, p, 3, 1e-2, executor=executor)
-            est = dg_estimate(game, p, cfg, eta=1e-2, executor=executor)
+        with (dgmod.concurrent_halves() if concurrent
+              else contextlib.nullcontext()):
+            metric = dg_metric(game, p, 3, 1e-2)
+            est = dg_estimate(game, p, cfg, eta=1e-2)
         assert metric == est.value == fresh.value
         for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
             assert getattr(est, field).tobytes() == \
                 getattr(fresh, field).tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_dropped_game_is_freed(self, threads):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_dropped_game_is_freed(self, monkeypatch, cpus):
+        _allow_cpus(monkeypatch, cpus)
         game = MogGanGame(3, n=200, dtype=np.float32)
         log = train_mog("dg", seed=3, iterations=2, log_interval=1, dg_k=2,
-                        n=200, game=game, threads=threads)
+                        n=200, game=game)
         assert log.status == "ok"
         ref = weakref.ref(game)
         del game
@@ -456,10 +518,11 @@ class TestCoDivergence:
     # dg_k=1: the first log row's metric makes grad_u call 1; the first
     # co step makes call 2 at p, 3 and 4 in the Hessian-vector product
     @pytest.mark.parametrize("nan_call", [2, 3, 4])
-    def test_nonfinite_gradient_stops_the_run(self, nan_call):
+    def test_nonfinite_gradient_stops_the_run(self, monkeypatch, nan_call):
+        _allow_cpus(monkeypatch, 1)
         game = _NanGradU(nan_call, seed=1, n=200, dtype=np.float32)
         log = train_mog("co", seed=1, iterations=3, log_interval=1, dg_k=1,
-                        n=200, game=game, threads=1)
+                        n=200, game=game)
         assert game.calls >= nan_call
         assert log.status == "diverged"
         assert [int(row[0]) for row in log.rows] == [0]

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dgopt.dg import DGConfig
 from dgopt.games import JointPoint, make_bilinear, make_quadratic_f1, make_quadratic_f2
 from dgopt.optimizers import (OptimizerConfig, co_step, eg_step, fr_step,
                               gda_step, make_step_map, ogda_step,
@@ -25,6 +26,20 @@ P10 = JointPoint.of(1.0, 0.0)
 def assert_point(p, u, v, tol=1e-12):
     assert p.u[0] == pytest.approx(u, abs=tol)
     assert p.v[0] == pytest.approx(v, abs=tol)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"co_gamma": -5.0}, "co_gamma must be >= 0"),
+        ({"eta_y": -1.0}, "eta_y must be positive"),
+        ({"eta_y": 0.0}, "eta_y must be positive"),
+    ])
+    def test_out_of_range_setting_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(algorithm="fr", **kwargs)
+
+    def test_zero_consensus_weight_accepted(self):
+        assert OptimizerConfig(algorithm="co", co_gamma=0.0).co_gamma == 0.0
 
 
 class TestGda:
@@ -268,6 +283,23 @@ class TestTrajectories:
         for a, b in zip(t1.records, t2.records):
             assert a.u[0] == b.u[0] and a.v[0] == b.v[0]
             assert a.value == b.value
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("game,alg,init,error", [
+        (make_bilinear(1.0), "fr", 0.5, "H_vv is singular at u=[0.5], v=[0.5]"),
+        # the dg metric logged at t=0 is non-finite, and so is the estimate
+        # of the step that follows
+        (F1, "dg", 1e200, "duality-gap value is non-finite"),
+    ])
+    def test_step_error_keeps_the_partial_trajectory(self, game, alg, init,
+                                                     error):
+        dg = DGConfig(k=10) if alg == "dg" else None
+        cfg = OptimizerConfig(algorithm=alg, eta=0.05, dg=dg)
+        traj = run_trajectory(game, cfg, JointPoint.of(init, init), steps=10,
+                              dg_metric_cfg=dg)
+        assert [(r.t, r.dg) for r in traj.records] == [(0, None)]
+        assert traj.error == error
+        assert traj.classification == "non_convergent"
 
     def test_csv_and_summary_export(self, tmp_path):
         cfg = OptimizerConfig(algorithm="gda", eta=0.05)
