@@ -32,6 +32,8 @@ def _parse_point(text: str) -> JointPoint:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected 'u,v' with one coordinate each, got {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"point coordinates must be finite, got {text!r}")
     return JointPoint.of(parts[0], parts[1])
 
 

@@ -33,7 +33,6 @@ import numpy as np
 from .games import Array, Box, GameOracle, JointPoint, NonFiniteValueError
 
 GRAD_MODES = ("envelope", "unrolled")
-OUTER_MODES = ("constant_eta", "adagrad")
 
 
 @dataclass(frozen=True)
@@ -47,58 +46,23 @@ class DGConfig:
     k: int = 10
     gamma: Optional[float] = None
     grad_mode: str = "envelope"
-    outer: str = "constant_eta"
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("inner step count k must be >= 0")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ValueError("inner step size gamma must be positive")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
-        if self.outer not in OUTER_MODES:
-            raise ValueError(f"outer must be one of {OUTER_MODES}")
 
     def resolved_gamma(self, eta: Optional[float]) -> float:
         if self.gamma is not None:
             return self.gamma
         if eta is None:
             raise ValueError("gamma is unset and no outer eta was supplied")
-        if eta <= 0:
+        if not eta > 0:
             raise ValueError("inner step size gamma must be positive")
         return float(eta)
-
-    def format(self) -> str:
-        gamma = "auto" if self.gamma is None else repr(float(self.gamma))
-        outer = "const" if self.outer == "constant_eta" else "adagrad"
-        return f"dg:k={self.k},gamma={gamma},mode={self.grad_mode},outer={outer}"
-
-    @staticmethod
-    def parse(text: str) -> "DGConfig":
-        """Parse 'dg:k=10,gamma=0.05,mode=envelope,outer=const'."""
-        body = text.strip()
-        if body.startswith("dg:"):
-            body = body[3:]
-        elif body == "dg":
-            body = ""
-        kwargs = {}
-        for item in filter(None, body.split(",")):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise ValueError(f"malformed dg config item {item!r}")
-            key = key.strip()
-            val = val.strip()
-            if key == "k":
-                kwargs["k"] = int(val)
-            elif key == "gamma":
-                kwargs["gamma"] = None if val == "auto" else float(val)
-            elif key == "mode":
-                kwargs["grad_mode"] = val
-            elif key == "outer":
-                kwargs["outer"] = "constant_eta" if val == "const" else val
-            else:
-                raise ValueError(f"unknown dg config key {key!r}")
-        return DGConfig(**kwargs)
 
 
 @dataclass
@@ -126,9 +90,9 @@ class AdaGradState:
     box: Box
 
     def __post_init__(self):
-        if self.diameter <= 0:
+        if not self.diameter > 0:
             raise ValueError("diameter must be positive")
-        if self.sum_sq < 0:
+        if not self.sum_sq >= 0:
             raise ValueError("squared-gradient sum cannot be negative")
 
     @staticmethod
@@ -266,39 +230,51 @@ def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
     return _inner_halves(game, p, k, gamma, lambda uw: uw, lambda vw: vw)
 
 
+def _differentiated_chain(game, p, step, k, own_start=True):
+    """One player's k inner steps against the frozen opponent, with the
+    endpoint's derivatives accumulated forward through Hessian blocks.
+
+    Step +gamma ascends y <- y + gamma * grad_v M(p.u, y) from p.v, step
+    -gamma descends x <- x - gamma * grad_u M(x, p.v) from p.u.  With
+    H_own the player's own Hessian block and H_cross the derivative of
+    its gradient w.r.t. the opponent, each step takes
+    d_own <- d_own + step * H_own d_own and
+    d_opp <- d_opp + step * (H_cross + H_own d_opp) before moving x.
+    Returns (x_k, d_own = dx_k/d start, d_opp = dx_k/d opponent);
+    d_own is None unless own_start.
+    """
+    u, v = p
+    ascent = step > 0
+    x = (v if ascent else u).astype(float, copy=True)
+    d_own = np.eye(x.size) if own_start else None
+    d_opp = np.zeros((x.size, game.dim_u if ascent else game.dim_v))
+    for _ in range(k):
+        H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(
+            JointPoint(u, x) if ascent else JointPoint(x, v))
+        H_own, H_cross = (H_vv, H_vu) if ascent else (H_uu, H_uv)
+        if own_start:
+            d_own = d_own + step * (H_own @ d_own)
+        d_opp = d_opp + step * (H_cross + H_own @ d_opp)
+        x = x + step * (game.grad_v(u, x) if ascent else game.grad_u(x, v))
+    return x, d_own, d_opp
+
+
 def _unrolled_grads(game, p, k, gamma):
     """Total derivative of M(u, v_k) - M(u_k, v) through both inner chains.
 
-    Forward accumulation: for the ascent chain y_{i+1} = y_i + gamma *
-    grad_v M(u, y_i) track A = dy/du and B = dy/dv; for the descent
-    chain track C = dx/du and D = dx/dv.  Differentiating through a box
-    projection needs its (discontinuous) Jacobian, so a game with a box
-    domain is rejected rather than differentiated as if unbounded.
+    The ascent chain gives A = dv_k/du and B = dv_k/dv, the descent
+    chain C = du_k/du and D = du_k/dv (_differentiated_chain).
+    Differentiating through a box projection needs its (discontinuous)
+    Jacobian, so a game with a box domain is rejected rather than
+    differentiated as if unbounded.
     """
     if game.domain is not None:
         raise ValueError(f"the unrolled DG gradient cannot differentiate "
                          f"through the box domain of {game.name}; use the "
                          f"envelope mode")
     u, v = p
-    du, dv = game.dim_u, game.dim_v
-
-    y = v.copy()
-    A = np.zeros((dv, du))
-    B = np.eye(dv)
-    for _ in range(k):
-        _, _, H_vu, H_vv = game.hessian_blocks(JointPoint(u, y))
-        A = A + gamma * (H_vu + H_vv @ A)
-        B = B + gamma * (H_vv @ B)
-        y = y + gamma * game.grad_v(u, y)
-
-    x = u.copy()
-    C = np.eye(du)
-    D = np.zeros((du, dv))
-    for _ in range(k):
-        H_uu, H_uv, _, _ = game.hessian_blocks(JointPoint(x, v))
-        C = C - gamma * (H_uu @ C)
-        D = D - gamma * (H_uv + H_uu @ D)
-        x = x - gamma * game.grad_u(x, v)
+    y, B, A = _differentiated_chain(game, p, gamma, k)
+    x, C, D = _differentiated_chain(game, p, -gamma, k)
 
     gu_first = game.grad_u(u, y)
     gv_first = game.grad_v(u, y)
@@ -393,16 +369,12 @@ def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
                     step: Union[float, AdaGradState]):
     """One outer step: both players descend the DG gradient.
 
-    With a float step (outer "constant_eta") this is plain gradient
-    descent on the estimate; with an AdaGradState (outer "adagrad") the
-    joint vector takes a projected adaptive step and the state is
-    advanced in place.
+    The type of step picks the outer rule: a float is a constant step,
+    plain gradient descent on the estimate; an AdaGradState makes the
+    joint vector take a projected adaptive step and is advanced in
+    place.
     """
-    adaptive = isinstance(step, AdaGradState)
-    if cfg.outer != ("adagrad" if adaptive else "constant_eta"):
-        raise ValueError(f"DGConfig.outer is {cfg.outer!r} but the step is "
-                         f"a {type(step).__name__}")
-    if adaptive:
+    if isinstance(step, AdaGradState):
         if cfg.gamma is None:
             raise ValueError("the adagrad outer has no constant step to tie "
                              "gamma to; set DGConfig.gamma explicitly")

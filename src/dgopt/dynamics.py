@@ -215,6 +215,8 @@ def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     if measure == "dg_exact":
         _, grid = dg_exact_grid(game, box, resolution)
         return grid

@@ -81,7 +81,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
-        if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
+        if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
             raise ValueError("box bounds must satisfy lo <= hi elementwise")
 
     @staticmethod
@@ -294,14 +294,7 @@ def make_poly_f3() -> GameOracle:
         dpoly = -2 * w - 0.4 * y ** 3
         return env * (dpoly - 0.02 * y * poly)
 
-    game = _scalar_game("f3", value=value, gx=gx, gy=gy)
-
-    def second(u, v):
-        return second_order_fd(game, JointPoint(u, v))
-
-    return GameOracle(name=game.name, dim_u=1, dim_v=1, value=game.value,
-                      grad_u=game.grad_u, grad_v=game.grad_v,
-                      second_order=second, domain=None)
+    return _scalar_game("f3", value=value, gx=gx, gy=gy)
 
 
 def make_motivation() -> GameOracle:
@@ -375,12 +368,6 @@ class GameSpec:
 
     name: str
     parameters: dict = field(default_factory=dict)
-
-    def format(self) -> str:
-        if not self.parameters:
-            return self.name
-        params = ",".join(f"{k}={v:g}" for k, v in sorted(self.parameters.items()))
-        return f"{self.name}:{params}"
 
 
 # name -> (constructor, required parameters, optional parameters as

@@ -194,7 +194,6 @@ class MogGanGame:
         self.name = f"mog:seed={seed}"
         self.dim_u = G_LAYOUT.dim
         self.dim_v = D_LAYOUT.dim
-        self.second_order = None
         self.domain = None
         self.data = sample_dataset(seed, n).astype(self.dtype)
         rng = seeded_rng(seed, "mog-train-noise")

@@ -35,11 +35,11 @@ class OptimizerConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"known: {ALGORITHMS}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("step size eta must be positive")
-        if self.eta_y is not None and self.eta_y <= 0:
+        if self.eta_y is not None and not self.eta_y > 0:
             raise ValueError("follower step size eta_y must be positive")
-        if self.co_gamma < 0:
+        if not self.co_gamma >= 0:
             raise ValueError("consensus weight co_gamma must be >= 0")
         if self.unroll_k < 1:
             raise ValueError("unroll_k must be >= 1")
@@ -129,12 +129,7 @@ def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
         raise ValueError("unrolled step needs k >= 1")
     gu, gv = _checked_grads(game, p)
     u, v = p
-    y = v.astype(float, copy=True)
-    S = np.zeros((game.dim_v, game.dim_u))
-    for _ in range(k):
-        _, _, H_vu, H_vv = game.hessian_blocks(JointPoint(u, y))
-        S = S + eta * (H_vu + H_vv @ S)
-        y = y + eta * game.grad_v(u, y)
+    y, _, S = dgmod._differentiated_chain(game, p, eta, k, own_start=False)
     total = game.grad_u(u, y) + S.T @ game.grad_v(u, y)
     return JointPoint(u - eta * total, v + eta * gv)
 
@@ -278,6 +273,10 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not tol >= 0:
+        raise ValueError("convergence tolerance tol must be >= 0")
+    if not diverge_norm > 0:
+        raise ValueError("divergence norm must be positive")
     step_map = make_step_map(game, cfg)
     traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
 

@@ -62,6 +62,14 @@ class TestTraj:
     @pytest.mark.parametrize("flags", [
         ("--alg", "co", "--co-gamma", "-5"),
         ("--alg", "fr", "--eta-y", "-1"),
+        ("--alg", "gda", "--eta", "nan"),
+        ("--alg", "dg", "--gamma", "nan"),
+        ("--alg", "co", "--co-gamma", "nan"),
+        ("--alg", "gda", "--diverge-norm", "-1"),
+        ("--alg", "gda", "--diverge-norm", "0"),
+        ("--alg", "gda", "--tol", "-1"),
+        ("--alg", "gda", "--tol", "nan"),
+        ("--alg", "gda", "--target", "0,inf"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys,
                                                  flags):
@@ -70,6 +78,15 @@ class TestTraj:
                     "--out", str(tmp_path / "run")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("init", ["nan,0", "0,inf"])
+    def test_non_finite_init_is_usage_error(self, tmp_path, capsys, init):
+        code = run(["traj", "--game", "f1", "--alg", "gda", "--init", init,
+                    "--steps", "3", "--no-plot",
+                    "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
     def test_step_error_is_reported(self, tmp_path, capsys):
@@ -138,6 +155,13 @@ class TestStability:
         assert "step must be positive" in capsys.readouterr().err
         assert not (tmp_path / "stab.json").exists()
 
+    def test_non_finite_point_is_usage_error(self, tmp_path, capsys):
+        code = run(["stability", "--game", "f1", "--alg", "gda",
+                    "--point", "nan,0", "--out", str(tmp_path / "stab")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "stab.json").exists()
+
 
 class TestLandscape:
     def test_exact_dg_argmin_at_center(self, tmp_path, capsys):
@@ -161,6 +185,20 @@ class TestLandscape:
                     "--out", str(tmp_path / "land")])
         assert code == 2
         assert "gamma must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "land.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--box=nan,1", "--res", "5"),
+        ("--box=-1,nan", "--res", "5"),
+        ("--box=-1,1", "--res", "0"),
+        ("--box=-1,1", "--res", "-2"),
+    ])
+    @pytest.mark.parametrize("measure", ["minimax_value", "dg_approx"])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, flags, measure):
+        code = run(["landscape", "--game", "f1", *flags, "--measure", measure,
+                    "--out", str(tmp_path / "land")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "land.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -236,6 +274,8 @@ class TestMog:
         ("--alg", "co", "--lr", "-1"),
         ("--alg", "gda", "--iters", "-3"),
         ("--alg", "co", "--co-gamma", "-1"),
+        ("--alg", "gda", "--lr", "nan"),
+        ("--alg", "co", "--co-gamma", "nan"),
     ])
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys,
                                                  flags):

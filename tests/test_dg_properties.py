@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dgopt.dg import DGConfig, dg_estimate, dg_metric  # noqa: E402
 from dgopt.games import JointPoint, catalog_names, make_game  # noqa: E402
+from dgopt.optimizers import unrolled_step  # noqa: E402
 
 # largest Hessian eigenvalue of the constant-curvature games
 SMOOTHNESS = {"f1": 4 + 20 ** 0.5, "f2": 4 + 20 ** 0.5,
@@ -58,3 +59,66 @@ def test_logged_metric_is_the_step_estimate_value(spec, k, gamma, dtype,
     assert np.asarray(est.value).tobytes() == np.asarray(fresh.value).tobytes()
     for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
         assert getattr(est, field).tobytes() == getattr(fresh, field).tobytes()
+
+
+# The unrolled DG gradient and the unrolled-GAN step share one
+# differentiated chain; these are the three separate forward-accumulation
+# loops it replaced, kept as the bit-for-bit reference.
+def _reference_unrolled_dg(game, p, k, gamma):
+    u, v = p
+    du, dv = game.dim_u, game.dim_v
+    y = v.copy()
+    A = np.zeros((dv, du))
+    B = np.eye(dv)
+    for _ in range(k):
+        _, _, H_vu, H_vv = game.hessian_blocks(JointPoint(u, y))
+        A = A + gamma * (H_vu + H_vv @ A)
+        B = B + gamma * (H_vv @ B)
+        y = y + gamma * game.grad_v(u, y)
+    x = u.copy()
+    C = np.eye(du)
+    D = np.zeros((du, dv))
+    for _ in range(k):
+        H_uu, H_uv, _, _ = game.hessian_blocks(JointPoint(x, v))
+        C = C - gamma * (H_uu @ C)
+        D = D - gamma * (H_uv + H_uu @ D)
+        x = x - gamma * game.grad_u(x, v)
+    gu_first, gv_first = game.grad_u(u, y), game.grad_v(u, y)
+    gu_second, gv_second = game.grad_u(x, v), game.grad_v(x, v)
+    grad_u = gu_first + A.T @ gv_first - C.T @ gu_second
+    grad_v = B.T @ gv_first - gv_second - D.T @ gu_second
+    return x, y, grad_u, grad_v, game.value(u, y) - game.value(x, v)
+
+
+def _reference_unrolled_step(game, p, eta, k):
+    u, v = p
+    gv = game.grad_v(u, v)
+    y = v.astype(float, copy=True)
+    S = np.zeros((game.dim_v, game.dim_u))
+    for _ in range(k):
+        _, _, H_vu, H_vv = game.hessian_blocks(JointPoint(u, y))
+        S = S + eta * (H_vu + H_vv @ S)
+        y = y + eta * game.grad_v(u, y)
+    total = game.grad_u(u, y) + S.T @ game.grad_v(u, y)
+    return JointPoint(u - eta * total, v + eta * gv)
+
+
+UNBOXED = sorted(spec for spec, game in CATALOG.items() if game.domain is None)
+assert len(UNBOXED) == len(CATALOG) - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(UNBOXED), k=st.integers(1, 5),
+       gamma=st.floats(1e-3, 0.3), x=coord, y=coord)
+def test_unrolled_modes_match_the_separate_loops(spec, k, gamma, x, y):
+    game, p = CATALOG[spec], JointPoint.of(x, y)
+    est = dg_estimate(game, p, DGConfig(k=k, gamma=gamma,
+                                        grad_mode="unrolled"))
+    uw, vw, grad_u, grad_v, value = _reference_unrolled_dg(game, p, k, gamma)
+    assert est.value == value
+    for got, want in ((est.u_worst, uw), (est.v_worst, vw),
+                      (est.grad_u, grad_u), (est.grad_v, grad_v)):
+        assert np.array_equal(got, want)
+    got = unrolled_step(game, p, gamma, k)
+    want = _reference_unrolled_step(game, p, gamma, k)
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
