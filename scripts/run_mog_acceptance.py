@@ -15,9 +15,14 @@ An existing <alg>_seed<N>.json is reused instead of re-run, but only
 if it was made with the requested iteration count; any other refuses
 the whole invocation (exit 2) before anything runs.
 
+verdict.json is written only when every requested algorithm has all of
+the protocol's seeds 1-5 in the output directory, and then lists those
+runs.  Otherwise the invocation prints the missing <alg>_seed<N>.json
+names and leaves any earlier verdict as it was.
+
 One process trains its runs one after another.  To use more CPUs, start
-one process per CPU, pinned with taskset, then collect the verdict with
-one invocation over every seed, which reuses the finished artifacts:
+one process per CPU, pinned with taskset; neither writes a verdict, and
+a last invocation collects it from the finished artifacts:
 
     taskset -c 0 python scripts/run_mog_acceptance.py --seeds 1,2,3 &
     taskset -c 1 python scripts/run_mog_acceptance.py --seeds 4,5 &
@@ -47,6 +52,7 @@ from dgopt.mog import train_mog  # noqa: E402
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "artifacts",
                            "mog_acceptance")
 ALGORITHMS = ("gda", "dg", "eg", "co")
+PROTOCOL_SEEDS = (1, 2, 3, 4, 5)
 
 
 def run_one(alg, seed, iters, out_dir):
@@ -87,9 +93,8 @@ def main():
     ap.add_argument("--seeds", type=str, default="1,2,3,4,5")
     ap.add_argument("--algs", type=str, default="gda,dg",
                     help="subset of gda,dg,eg,co to run; the verdict lists "
-                         "only these algorithms' runs for the requested "
-                         "seeds, so write eg and co runs to a separate "
-                         "--out")
+                         "only these algorithms' runs for seeds 1-5, so "
+                         "write eg and co runs to a separate --out")
     ap.add_argument("--out", type=str, default=DEFAULT_OUT)
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -100,10 +105,11 @@ def main():
                  f"{','.join(unknown)}")
     os.makedirs(args.out, exist_ok=True)
 
-    runs = [(alg, seed) for alg in ALGORITHMS if alg in algs
-            for seed in seeds]
+    algs = [alg for alg in ALGORITHMS if alg in algs]
+    runs = [(alg, seed) for alg in algs for seed in seeds]
     existing = {}
-    for alg, seed in runs:
+    for alg, seed in dict.fromkeys((alg, seed) for alg in algs
+                                   for seed in (*seeds, *PROTOCOL_SEEDS)):
         marker = os.path.join(args.out, f"{alg}_seed{seed}.json")
         if os.path.exists(marker):
             with open(marker) as fh:
@@ -115,22 +121,29 @@ def main():
             existing[alg, seed] = row
 
     t0 = time.time()
-    rows = []
     for alg, seed in runs:
         if (alg, seed) in existing:
-            rows.append(existing[alg, seed])
             print(f"{alg} seed {seed}: reusing existing artifact", flush=True)
         else:
-            rows.append(run_one(alg, seed, args.iters, args.out))
+            existing[alg, seed] = run_one(alg, seed, args.iters, args.out)
+    protocol = [(alg, seed) for alg in algs for seed in PROTOCOL_SEEDS]
+    missing = [f"{alg}_seed{seed}.json" for alg, seed in protocol
+               if (alg, seed) not in existing]
+    if missing:
+        print(f"no verdict: missing {', '.join(missing)}")
+        return
+    rows = [existing[run] for run in protocol]
     verdict = {
         "iterations": args.iters,
-        "seeds": seeds,
+        "seeds": list(PROTOCOL_SEEDS),
         "total_wall_seconds": sum(r["wall_seconds"] for r in rows),
         "runs": rows,
     }
-    with open(os.path.join(args.out, "verdict.json"), "w") as fh:
+    path = os.path.join(args.out, "verdict.json")
+    with open(f"{path}.tmp", "w") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(f"{path}.tmp", path)
     print(f"total wall: {verdict['total_wall_seconds']:.0f}s "
           f"(this session: {time.time() - t0:.0f}s)")
 

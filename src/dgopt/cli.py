@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dg as dgmod
 from . import dynamics, mog, optimizers, rates, svgplot
-from .games import Box, JointPoint, make_game
+from .games import Box, JointPoint, checked, make_game
 
 USAGE_ERROR = 2
 OPERATION_ERROR = 1
@@ -32,9 +32,7 @@ def _parse_point(text: str) -> JointPoint:
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected 'u,v' with one coordinate each, got {text!r}")
-    if not all(map(math.isfinite, parts)):
-        raise ValueError(f"point coordinates must be finite, got {text!r}")
-    return JointPoint.of(parts[0], parts[1])
+    return JointPoint.of(*(checked("point coordinate", x) for x in parts))
 
 
 def _parse_box(text: str) -> Box:
@@ -50,8 +48,7 @@ def _optimizer_config(args) -> optimizers.OptimizerConfig:
     return optimizers.OptimizerConfig(
         algorithm=args.alg, eta=args.eta, eta_y=args.eta_y,
         sga_lambda=args.sga_lambda, co_gamma=args.co_gamma,
-        unroll_k=args.unroll_k,
-        dg=_dg_config(args) if args.alg == "dg" else None)
+        unroll_k=args.unroll_k, dg=_dg_config(args))
 
 
 def _out_prefix(args) -> Path:
@@ -74,9 +71,7 @@ def cmd_traj(args) -> int:
     # origin, which is therefore the default convergence target
     targets = ([_parse_point(t) for t in args.target]
                or [JointPoint.of(0.0, 0.0)])
-    dg_log = None
-    if args.log_dg or args.alg == "dg":
-        dg_log = _dg_config(args)
+    dg_log = cfg.dg if args.log_dg or args.alg == "dg" else None
     traj = optimizers.run_trajectory(game, cfg, init, steps=args.steps,
                                      targets=targets, tol=args.tol,
                                      diverge_norm=args.diverge_norm,
@@ -130,9 +125,8 @@ def cmd_stability(args) -> int:
 def cmd_landscape(args) -> int:
     game = make_game(args.game)
     box = _parse_box(args.box)
-    dg_cfg = _dg_config(args) if args.measure == "dg_approx" else None
     grid = dynamics.landscape(game, box, args.res, args.measure,
-                              dg_cfg=dg_cfg, eta=args.eta)
+                              dg_cfg=_dg_config(args), eta=args.eta)
     prefix = _out_prefix(args)
     grid.write_csv(f"{prefix}.csv")
     grid.write_sidecar(f"{prefix}.meta.json")
@@ -253,19 +247,23 @@ def _add_common(sub, with_game=True):
                               "ncnc:c=3")
 
 
-def _add_optimizer_flags(sub):
-    sub.add_argument("--alg", type=str, required=True,
-                     choices=optimizers.ALGORITHMS)
+def _add_dg_flags(sub):
     sub.add_argument("--eta", type=float, default=0.05)
-    sub.add_argument("--eta-y", dest="eta_y", type=float, default=None)
-    sub.add_argument("--sga-lambda", dest="sga_lambda", type=float, default=1.0)
-    sub.add_argument("--co-gamma", dest="co_gamma", type=float, default=0.1)
-    sub.add_argument("--unroll-k", dest="unroll_k", type=int, default=10)
     sub.add_argument("--k", type=int, default=10, help="dg inner steps")
     sub.add_argument("--gamma", type=float, default=None,
                      help="dg inner step size (default: eta)")
     sub.add_argument("--mode", type=str, default="envelope",
                      choices=dgmod.GRAD_MODES)
+
+
+def _add_optimizer_flags(sub):
+    sub.add_argument("--alg", type=str, required=True,
+                     choices=optimizers.ALGORITHMS)
+    _add_dg_flags(sub)
+    sub.add_argument("--eta-y", dest="eta_y", type=float, default=None)
+    sub.add_argument("--sga-lambda", dest="sga_lambda", type=float, default=1.0)
+    sub.add_argument("--co-gamma", dest="co_gamma", type=float, default=0.1)
+    sub.add_argument("--unroll-k", dest="unroll_k", type=int, default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,11 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     land.add_argument("--res", type=int, default=101)
     land.add_argument("--measure", type=str, default="dg_exact",
                       choices=dynamics.MEASURES)
-    land.add_argument("--k", type=int, default=10)
-    land.add_argument("--gamma", type=float, default=None)
-    land.add_argument("--mode", type=str, default="envelope",
-                      choices=dgmod.GRAD_MODES)
-    land.add_argument("--eta", type=float, default=0.05)
+    _add_dg_flags(land)
     land.set_defaults(func=cmd_landscape)
 
     rate = subs.add_parser("rate", help="stochastic convergence-rate harness")

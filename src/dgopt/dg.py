@@ -30,7 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .games import Array, Box, GameOracle, JointPoint, NonFiniteValueError
+from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
+                    checked)
 
 GRAD_MODES = ("envelope", "unrolled")
 
@@ -48,10 +49,9 @@ class DGConfig:
     grad_mode: str = "envelope"
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("inner step count k must be >= 0")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("inner step size gamma must be positive")
+        checked("inner step count k", self.k, at_least=0)
+        if self.gamma is not None:
+            checked("inner step size gamma", self.gamma, positive=True)
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
 
@@ -60,9 +60,7 @@ class DGConfig:
             return self.gamma
         if eta is None:
             raise ValueError("gamma is unset and no outer eta was supplied")
-        if not eta > 0:
-            raise ValueError("inner step size gamma must be positive")
-        return float(eta)
+        return float(checked("inner step size gamma", eta, positive=True))
 
 
 @dataclass
@@ -90,10 +88,8 @@ class AdaGradState:
     box: Box
 
     def __post_init__(self):
-        if not self.diameter > 0:
-            raise ValueError("diameter must be positive")
-        if not self.sum_sq >= 0:
-            raise ValueError("squared-gradient sum cannot be negative")
+        checked("AdaGrad diameter", self.diameter, positive=True)
+        checked("squared-gradient sum", self.sum_sq, at_least=0)
 
     @staticmethod
     def fresh(diameter: float, box: Box) -> "AdaGradState":
@@ -103,8 +99,7 @@ class AdaGradState:
 def _inner_setup(game: GameOracle, p: JointPoint, k: int, gamma: float):
     """Checked k, the inner step in the iterates' dtype, and each
     player's box (None when the game is unbounded)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    checked("inner step count k", k, at_least=0)
     if hasattr(p.u, "dtype"):
         gamma = p.u.dtype.type(gamma)
     if game.domain is None:

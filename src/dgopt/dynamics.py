@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dg as dgmod
 from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
-                    central_jacobian)
+                    central_jacobian, checked)
 
 MARGINAL_TOL = 1e-9
 
@@ -84,6 +84,8 @@ def linearize(step_map: Callable[[JointPoint], JointPoint],
     joint vector.  Eigenvalues use the closed 2x2 form when possible and
     the QR solver otherwise.
     """
+    checked("finite-difference step", h, positive=True)
+    checked("fixed-point tolerance fixed_tol", fixed_tol, at_least=0)
     dim_u = len(fixed_point.u)
     x0 = fixed_point.concat()
 
@@ -178,8 +180,7 @@ def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
     """
     if game.dim_u != 1 or game.dim_v != 1:
         raise ValueError("exact-DG grids are defined for 1-D/1-D games")
-    if resolution < 3:
-        raise ValueError("resolution must be >= 3")
+    checked("exact-DG grid resolution", resolution, at_least=3)
     u_axis, v_axis = _box_axes(box, resolution)
 
     value_matrix = value_grid(game.value, u_axis, v_axis)
@@ -215,8 +216,7 @@ def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    checked("grid resolution", resolution, at_least=1)
     if measure == "dg_exact":
         _, grid = dg_exact_grid(game, box, resolution)
         return grid
@@ -264,6 +264,8 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
     given): the numerical Hessian of the DG value map labels the point
     min / max / saddle / degenerate.
     """
+    checked("gradient tolerance grad_tol", grad_tol, positive=True)
+    checked("PSD tolerance psd_tol", psd_tol, at_least=0)
     gnorm = float(np.linalg.norm(game.joint_grad(p)))
     if gnorm >= grad_tol:
         raise ValueError(f"not a critical point: joint gradient norm "
@@ -325,9 +327,7 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
 def dg_update_matrix_f1(eta: float) -> Array:
     """One-step matrix of unrolled DG descent (k=1, gamma=eta) on
     -3x^2 - y^2 + 4xy."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    e = float(eta)
+    e = float(checked("step size eta", eta, positive=True))
     off = 64 * e * e * (2 * e + 1)
     return np.array([[1 - 8 * e * e * (23 * e + 13), off],
                      [off, 1 - 8 * e * e * (11 * e + 5)]])
@@ -335,9 +335,7 @@ def dg_update_matrix_f1(eta: float) -> Array:
 
 def dg_update_matrix_f2(eta: float) -> Array:
     """Same map for 3x^2 + y^2 + 4xy."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    e = float(eta)
+    e = float(checked("step size eta", eta, positive=True))
     off = 64 * e * e * (2 * e - 1)
     return np.array([[1 + 8 * e * e * (23 * e - 13), off],
                      [off, 1 + 8 * e * e * (11 * e - 5)]])

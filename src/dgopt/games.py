@@ -36,6 +36,21 @@ class SingularHessianError(RuntimeError):
         self.point = point
 
 
+def checked(name: str, value, at_least: float = -math.inf,
+            positive: bool = False, nonzero: bool = False):
+    """value if it is finite and at least at_least (above 0 when
+    positive, not 0 when nonzero); otherwise a ValueError that names the
+    setting, its range and the value.  Every numeric setting is checked
+    here, with comparisons only, so a per-step call stays cheap."""
+    if (math.isfinite(value) and value >= at_least
+            and (value > 0 or not positive) and (value != 0 or not nonzero)):
+        return value
+    rule = ("positive" if positive else "non-zero" if nonzero
+            else f">= {at_least:g}" if at_least > -math.inf else "")
+    raise ValueError(f"{name} must be {rule + ' and ' if rule else ''}"
+                     f"finite, got {value}")
+
+
 def as_vector(x) -> Array:
     """Coerce a scalar/sequence to a float64 1-D array."""
     a = np.atleast_1d(np.asarray(x, dtype=float))
@@ -81,8 +96,10 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
-        if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
-            raise ValueError("box bounds must satisfy lo <= hi elementwise")
+        if self.lo.shape != self.hi.shape:
+            raise ValueError("box bounds must have one shape")
+        for lo, hi in zip(self.lo.flat, self.hi.flat):
+            checked("box upper bound", hi, checked("box lower bound", lo))
 
     @staticmethod
     def square(lo: float, hi: float, dim: int = 2) -> "Box":
@@ -145,10 +162,10 @@ def central_jacobian(fn: Callable[[Array], Array], x: Array,
     """Jacobian of the vector map fn at x by central differences.
 
     Column j is (fn(x + s_j e_j) - fn(x - s_j e_j)) / (2 s_j) with
-    s_j = steps[j]; every step must be positive.
+    s_j = steps[j]; every step must be positive and finite.
     """
-    if not np.all(np.asarray(steps) > 0):
-        raise ValueError("finite-difference step must be positive")
+    for s in steps:
+        checked("finite-difference step", s, positive=True)
     n = x.size
     cols = []
     for j in range(n):
@@ -234,9 +251,7 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
 
 def make_bilinear(c: float) -> GameOracle:
     """The game c*x*y.  Pure rotation under simultaneous gradient play."""
-    if c == 0:
-        raise ValueError("bilinear game requires c != 0 (c = 0 is degenerate)")
-    c = float(c)
+    c = float(checked("bilinear coupling c", c, nonzero=True))
     return _scalar_game(
         f"bilinear:c={c:g}",
         value=lambda x, y: c * x * y,
@@ -343,9 +358,10 @@ def make_ncnc(c: float, include_separable: bool = False) -> GameOracle:
     The literal formula F(x) + cxy - F(x) cancels to cxy, which is the
     default here; ``include_separable=True`` keeps the +F(x) reading.
     """
-    if c == 0:
-        raise ValueError("ncnc game requires c != 0")
-    c = float(c)
+    c = float(checked("ncnc coupling c", c, nonzero=True))
+    if include_separable not in (0, 1):
+        raise ValueError(f"ncnc parameter sep must be 0 or 1, got "
+                         f"{include_separable}")
     sep = 1.0 if include_separable else 0.0
     name = f"ncnc:c={c:g}" + (",sep=1" if include_separable else "")
     return _scalar_game(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dg as dgmod
 from . import optimizers
-from .games import JointPoint, NonFiniteValueError
+from .games import JointPoint, NonFiniteValueError, checked
 from .optimizers import OptimizerConfig, _checked_grads
 from .rates import seeded_rng
 
@@ -49,8 +49,7 @@ def sample_dataset(seed: int, n: int = 5000) -> np.ndarray:
 
 def mode_coverage(samples, centers=MODE_CENTERS, window: float = 0.5):
     """Fraction of samples within +-window of each center."""
-    if window <= 0:
-        raise ValueError("window must be positive")
+    checked("coverage window", window, positive=True)
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empty sample set")
@@ -189,7 +188,7 @@ class MogGanGame:
 
     def __init__(self, seed: int, n: int = 5000, dtype=np.float64):
         self.seed = seed
-        self.n = n
+        self.n = checked("batch size n", n, at_least=1)
         self.dtype = np.dtype(dtype)
         self.name = f"mog:seed={seed}"
         self.dim_u = G_LAYOUT.dim
@@ -358,11 +357,6 @@ class MogGanGame:
         return stable_sigmoid(logits)
 
 
-def gan_value_and_grads(game: MogGanGame, u, v):
-    """Objective value and both parameter gradients at (u, v)."""
-    return game.value_and_grads(u, v)
-
-
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -510,10 +504,9 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
     if algorithm not in MOG_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
                          f"known: {MOG_ALGORITHMS}")
-    if log_interval < 1:
-        raise ValueError("log_interval must be >= 1")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    checked("log_interval", log_interval, at_least=1)
+    checked("iterations", iterations, at_least=0)
+    checked("learning rate lr", lr, positive=True)
     cfg = OptimizerConfig(algorithm, eta=lr, co_gamma=co_gamma,
                           dg=dgmod.DGConfig(k=dg_k))
     if game is None:

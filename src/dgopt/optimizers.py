@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dg as dgmod
 from .games import (Array, GameOracle, JointPoint, NonFiniteValueError,
-                    SingularHessianError)
+                    SingularHessianError, checked)
 
 ALGORITHMS = ("gda", "ogda", "eg", "sga", "co", "unrolled", "fr", "dg")
 
@@ -35,14 +35,12 @@ class OptimizerConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"known: {ALGORITHMS}")
-        if not self.eta > 0:
-            raise ValueError("step size eta must be positive")
-        if self.eta_y is not None and not self.eta_y > 0:
-            raise ValueError("follower step size eta_y must be positive")
-        if not self.co_gamma >= 0:
-            raise ValueError("consensus weight co_gamma must be >= 0")
-        if self.unroll_k < 1:
-            raise ValueError("unroll_k must be >= 1")
+        checked("step size eta", self.eta, positive=True)
+        if self.eta_y is not None:
+            checked("follower step size eta_y", self.eta_y, positive=True)
+        checked("symplectic weight sga_lambda", self.sga_lambda, at_least=0)
+        checked("consensus weight co_gamma", self.co_gamma, at_least=0)
+        checked("unrolled step count unroll_k", self.unroll_k, at_least=1)
 
 
 def _checked_grads(game: GameOracle, p: JointPoint):
@@ -125,8 +123,7 @@ def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
     the leader the total derivative of u -> M(u, y_k(u)).  The follower
     itself takes a plain ascent step at the original point.
     """
-    if k < 1:
-        raise ValueError("unrolled step needs k >= 1")
+    checked("unrolled step count k", k, at_least=1)
     gu, gv = _checked_grads(game, p)
     u, v = p
     y, _, S = dgmod._differentiated_chain(game, p, eta, k, own_start=False)
@@ -271,12 +268,9 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     record's dg empty and the run goes on.  Convergence means the final
     iterate lies within tol of one of the targets.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not tol >= 0:
-        raise ValueError("convergence tolerance tol must be >= 0")
-    if not diverge_norm > 0:
-        raise ValueError("divergence norm must be positive")
+    checked("step count steps", steps, at_least=1)
+    checked("convergence tolerance tol", tol, at_least=0)
+    checked("divergence norm diverge_norm", diverge_norm, positive=True)
     step_map = make_step_map(game, cfg)
     traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dg import AdaGradState, adagrad_step
-from .games import Array, Box
+from .games import Array, Box, checked
 
 
 def seeded_rng(seed: int, label: str) -> np.random.Generator:
@@ -78,11 +78,11 @@ def make_realizable_quadratic(n: int, family_size: int, seed: int,
     the 1/T versus 1/sqrt(T) contrast.  The box is [-1, 1]^n and x* is
     drawn from its inner half.
     """
-    if n < 1 or family_size < 1:
-        raise ValueError("dimension and family size must be >= 1")
+    checked("dimension n", n, at_least=1)
+    checked("family size", family_size, at_least=1)
     lo, hi = curvature_range
-    if not (0 < lo <= hi):
-        raise ValueError("curvature_range must satisfy 0 < lo <= hi")
+    checked("largest curvature", hi,
+            checked("smallest curvature", lo, positive=True))
     rng = seeded_rng(seed, "realizable-family")
     scales = np.sqrt(np.logspace(math.log10(lo), math.log10(hi), n))
     mats = []
@@ -134,11 +134,9 @@ def _fit_loglog_slope(ts, errs) -> float:
 
 def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
               repeats: int, step_rule: str, start: str = "random") -> RateResult:
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    t_list = sorted({int(t) for t in t_list})
-    if any(t < 1 for t in t_list):
-        raise ValueError("logged step counts must be >= 1")
+    checked("repeats", repeats, at_least=1)
+    t_list = sorted({int(checked("logged step count", t, at_least=1))
+                     for t in t_list})
     if len(t_list) < 2:
         raise ValueError("a log-log slope needs at least two logged step "
                          "counts")
@@ -236,10 +234,8 @@ def make_approx_realizable_family(epsilon: float, size: int, seed: int,
     shared point equals epsilon; the construction is then re-verified
     with the exact box DG and refuses to return a violating family.
     """
-    if size < 1:
-        raise ValueError("family size must be >= 1")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    checked("family size", size, at_least=1)
+    checked("epsilon", epsilon, at_least=0)
     rng = seeded_rng(seed, "approx-realizable")
     members = []
     for _ in range(size):
@@ -299,6 +295,9 @@ def check_approx_realizability(family: Sequence[QuadraticSaddle],
     full DG never exceeds the expected per-member DG (max of an average
     is at most the average of maxes).
     """
+    checked("epsilon", epsilon, at_least=0)
+    checked("slack", slack, at_least=0)
+    checked("grid resolution", resolution, at_least=1)
     axis = np.linspace(lo, hi, resolution)
     size = len(family)
 

@@ -29,7 +29,7 @@ from dgopt.dg import DGConfig, dg_descent_step, dg_estimate, dg_metric
 from dgopt.dynamics import (dg_update_matrix_f1, dg_update_matrix_f2,
                             linearize, verify_dg_update_matrix)
 from dgopt.games import JointPoint, make_bilinear, make_game
-from dgopt.mog import MogGanGame, gan_value_and_grads
+from dgopt.mog import MogGanGame
 from dgopt.optimizers import OptimizerConfig, gda_step, make_step_map, run_trajectory
 from dgopt.rates import (check_approx_realizability,
                          make_approx_realizable_family,
@@ -410,7 +410,7 @@ def test_criterion_11_gan_backprop():
     rng = seeded_rng(12, "gan-fdcheck")
     u = u + 0.05 * rng.standard_normal(u.size)
     v = v + 0.05 * rng.standard_normal(v.size)
-    _, gu, gv = gan_value_and_grads(game, u, v)
+    _, gu, gv = game.value_and_grads(u, v)
     worst = 0.0
     h = 1e-6
     for params, grad, is_u in ((u, gu, True), (v, gv, False)):

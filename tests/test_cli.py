@@ -286,6 +286,75 @@ class TestMog:
         assert not (tmp_path / "mog.csv").exists()
 
 
+# a base run per subcommand in which every float flag takes effect, and
+# the words of the setting each flag sets, as stderr names it
+FLOAT_FLAGS = {
+    ("traj", "--game", "f1", "--alg", "dg", "--init", "0.5,0.5",
+     "--steps", "3", "--no-plot"): {
+        "--eta": "step size eta", "--eta-y": "eta_y",
+        "--sga-lambda": "sga_lambda", "--co-gamma": "co_gamma",
+        "--gamma": "inner step size gamma", "--tol": "tolerance tol",
+        "--diverge-norm": "diverge_norm"},
+    ("stability", "--game", "f1", "--alg", "dg", "--point", "0,0"): {
+        "--eta": "step size eta", "--eta-y": "eta_y",
+        "--sga-lambda": "sga_lambda", "--co-gamma": "co_gamma",
+        "--gamma": "inner step size gamma",
+        "--fd-step": "finite-difference step"},
+    # landscape's --eta is only the default of --gamma, and is named so
+    ("landscape", "--game", "f1", "--box=-1,1", "--res", "3", "--measure",
+     "dg_approx", "--no-plot"): {
+        "--eta": "inner step size gamma", "--gamma": "inner step size gamma"},
+    ("mog", "--alg", "gda", "--iters", "1", "--no-plot"): {
+        "--lr": "learning rate lr", "--co-gamma": "co_gamma"},
+}
+
+
+class TestSettingsContract:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("base,flag,name", [
+        pytest.param(base, flag, name, id=f"{base[0]}{flag}")
+        for base, flags in FLOAT_FLAGS.items()
+        for flag, name in flags.items()])
+    def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys,
+                                                  base, flag, name, value):
+        code = run([*base, f"{flag}={value}", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags,name", [
+        (("traj", "--game", "f1", "--alg", "sga", "--sga-lambda", "-3"),
+         "sga_lambda"),
+        (("traj", "--game", "ncnc:c=inf", "--alg", "gda"), "ncnc coupling c"),
+        (("traj", "--game", "bilinear:c=nan", "--alg", "gda"),
+         "bilinear coupling c"),
+        (("traj", "--game", "ncnc:c=3,sep=0.5", "--alg", "gda"),
+         "ncnc parameter sep"),
+        (("traj", "--game", "f1", "--alg", "gda", "--gamma", "inf"),
+         "inner step size gamma"),
+        (("landscape", "--game", "f1", "--box=0,inf", "--measure",
+          "minimax_value"), "box upper bound"),
+        (("landscape", "--game", "f1", "--box=-inf,1"), "box lower bound"),
+        (("mog", "--alg", "co", "--co-gamma", "inf"), "co_gamma"),
+        # checked before the map runs, so a point it does not fix is no
+        # operation error here
+        (("stability", "--game", "f1", "--alg", "gda", "--point", "1,1",
+          "--fd-step", "inf"), "finite-difference step"),
+    ])
+    def test_out_of_range_setting_is_named(self, tmp_path, capsys, flags,
+                                           name):
+        sub = flags[0]
+        size = {"traj": ["--init", "0.5,0.5", "--steps", "3"],
+                "landscape": ["--res", "3"], "mog": ["--iters", "1"]}
+        code = run([*flags, *size.get(sub, []), "--no-plot",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestDeterminism:
     def test_byte_identical_across_threads_flag(self, tmp_path):
         outputs = []

@@ -20,7 +20,7 @@ GAMES = {spec: make_game(spec) for spec in SMOOTHNESS}
 coord = st.floats(-3.0, 3.0, allow_nan=False)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(spec=st.sampled_from(sorted(SMOOTHNESS)), k=st.integers(1, 25),
        fraction=st.floats(1e-3, 1.0), x=coord, y=coord)
 def test_warm_start_estimate_is_nonnegative(spec, k, fraction, x, y):
@@ -37,7 +37,7 @@ assert {spec.partition(":")[0] for spec in CATALOG} == set(catalog_names())
 wide = st.floats(-12.0, 12.0, allow_nan=False)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(spec=st.sampled_from(sorted(CATALOG)), k=st.sampled_from([0, 1, 3]),
        gamma=st.floats(1e-3, 0.3),
        dtype=st.sampled_from([np.float32, np.float64]),
@@ -107,7 +107,7 @@ UNBOXED = sorted(spec for spec, game in CATALOG.items() if game.domain is None)
 assert len(UNBOXED) == len(CATALOG) - 1
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(spec=st.sampled_from(UNBOXED), k=st.integers(1, 5),
        gamma=st.floats(1e-3, 0.3), x=coord, y=coord)
 def test_unrolled_modes_match_the_separate_loops(spec, k, gamma, x, y):

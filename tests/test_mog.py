@@ -20,8 +20,8 @@ from dgopt import mog, optimizers
 from dgopt.dg import DGConfig, dg_estimate, dg_metric
 from dgopt.games import JointPoint
 from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, _fd_hessian_vector,
-                       gan_value_and_grads, mlp_backward, mlp_forward,
-                       mode_coverage, sample_dataset, train_mog)
+                       mlp_backward, mlp_forward, mode_coverage,
+                       sample_dataset, train_mog)
 from dgopt.optimizers import OptimizerConfig, make_step_map
 
 
@@ -111,7 +111,7 @@ class TestGanOracle:
         rng = np.random.default_rng(5)
         u = u + 0.05 * rng.standard_normal(u.size)
         v = v + 0.05 * rng.standard_normal(v.size)
-        _, gu, gv = gan_value_and_grads(game, u, v)
+        _, gu, gv = game.value_and_grads(u, v)
         h = 1e-6
         for params, grad, which in ((u, gu, "u"), (v, gv, "v")):
             coords = rng.choice(params.size, size=20, replace=False)
@@ -138,7 +138,7 @@ class TestGanOracle:
         log = train_mog("gda", seed=8, iterations=50, log_interval=50,
                         dtype=np.float64, game=game, lr=1e-2)
         u, v = log.final_u, log.final_v
-        _, gu, gv = gan_value_and_grads(game, u, v)
+        _, gu, gv = game.value_and_grads(u, v)
         rng = np.random.default_rng(3)
         h = 1e-6
         for c in rng.choice(u.size, size=10, replace=False):
@@ -541,18 +541,22 @@ class TestAcceptanceScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
         "run_mog_acceptance.py"
 
-    def run(self, out_dir, iters, algs="gda"):
+    def run(self, out_dir, iters, algs="gda", seeds="1"):
         return subprocess.run(
             [sys.executable, str(self.SCRIPT), "--iters", str(iters),
-             "--seeds", "1", "--algs", algs, "--out", str(out_dir)],
+             "--seeds", seeds, "--algs", algs, "--out", str(out_dir)],
             capture_output=True, text=True, timeout=120)
 
     @staticmethod
-    def write_artifact(out_dir, alg, iters):
-        row = {"algorithm": alg, "seed": 1, "iterations": iters,
+    def write_artifact(out_dir, alg, iters, seed=1):
+        row = {"algorithm": alg, "seed": seed, "iterations": iters,
                "wall_seconds": 1.5}
-        (out_dir / f"{alg}_seed1.json").write_text(json.dumps(row))
+        (out_dir / f"{alg}_seed{seed}.json").write_text(json.dumps(row))
         return row
+
+    def write_protocol(self, out_dir, alg, iters, seeds=(1, 2, 3, 4, 5)):
+        return [self.write_artifact(out_dir, alg, iters, seed)
+                for seed in seeds]
 
     def test_artifact_from_another_iteration_count_is_refused(self, tmp_path):
         self.write_artifact(tmp_path, "gda", 100)
@@ -564,21 +568,46 @@ class TestAcceptanceScript:
 
     def test_matching_artifact_is_reused_and_only_requested_runs_listed(
             self, tmp_path):
-        row = self.write_artifact(tmp_path, "gda", 200)
-        self.write_artifact(tmp_path, "dg", 200)
+        rows = self.write_protocol(tmp_path, "gda", 200)
+        self.write_protocol(tmp_path, "dg", 200)
         proc = self.run(tmp_path, 200)
         assert proc.returncode == 0, proc.stderr
         verdict = json.loads((tmp_path / "verdict.json").read_text())
-        assert verdict["runs"] == [row]
+        assert verdict["runs"] == rows
         assert verdict["iterations"] == 200
+        assert verdict["seeds"] == [1, 2, 3, 4, 5]
 
     def test_baseline_artifact_is_reused_and_listed(self, tmp_path):
-        row = self.write_artifact(tmp_path, "eg", 200)
+        rows = self.write_protocol(tmp_path, "eg", 200)
         proc = self.run(tmp_path, 200, algs="eg")
         assert proc.returncode == 0, proc.stderr
         assert "eg seed 1: reusing existing artifact" in proc.stdout
         verdict = json.loads((tmp_path / "verdict.json").read_text())
-        assert verdict["runs"] == [row]
+        assert verdict["runs"] == rows
+
+    def test_partial_run_writes_no_verdict(self, tmp_path):
+        # one pinned process of a split run finishes with other seeds
+        # still missing: it names them and writes no verdict
+        self.write_protocol(tmp_path, "gda", 200, seeds=(1, 2, 3, 4))
+        self.write_protocol(tmp_path, "dg", 200, seeds=(1, 2))
+        proc = self.run(tmp_path, 200, algs="gda,dg", seeds="1,2")
+        assert proc.returncode == 0, proc.stderr
+        assert ("no verdict: missing gda_seed5.json, dg_seed3.json, "
+                "dg_seed4.json, dg_seed5.json") in proc.stdout
+        assert not (tmp_path / "verdict.json").exists()
+
+    def test_last_missing_seed_completes_the_verdict(self, tmp_path):
+        rows = self.write_protocol(tmp_path, "gda", 0, seeds=(1, 2, 3, 4))
+        proc = self.run(tmp_path, 0, seeds="5")
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["runs"][:4] == rows
+        assert verdict["runs"][4] == json.loads(
+            (tmp_path / "gda_seed5.json").read_text())
+        assert [r["seed"] for r in verdict["runs"]] == [1, 2, 3, 4, 5]
+        assert verdict["total_wall_seconds"] == pytest.approx(
+            6.0 + verdict["runs"][4]["wall_seconds"])
+        assert not (tmp_path / "verdict.json.tmp").exists()
 
     def test_unknown_algorithm_is_refused(self, tmp_path):
         # a typo must not overwrite the verdict with an empty run list

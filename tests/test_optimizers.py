@@ -79,6 +79,18 @@ class TestOgda:
         prev = (B3.grad_u(P10.u, P10.v), B3.grad_v(P10.u, P10.v))
         assert_point(ogda_step(B3, p1, prev, 0.1), 0.82, 0.6)
 
+    def test_hand_value_with_both_previous_gradients_non_zero(self):
+        # from (1, 0.5) the previous gradients are (1.5, 3): u' = 0.8 -
+        # 2(0.1)(1.8) + 0.1(1.5), v' = 0.6 + 2(0.1)(2.4) - 0.1(3)
+        p0 = JointPoint.of(1.0, 0.5)
+        prev = (B3.grad_u(p0.u, p0.v), B3.grad_v(p0.u, p0.v))
+        assert_point(ogda_step(B3, JointPoint.of(0.8, 0.6), prev, 0.1),
+                     0.59, 0.78)
+        # the step map: a gda step to (0.85, 0.8), then u' = 0.85 -
+        # 2(0.1)(2.4) + 0.1(1.5), v' = 0.8 + 2(0.1)(2.55) - 0.1(3)
+        step = make_step_map(B3, OptimizerConfig("ogda", eta=0.1))
+        assert_point(step(step(p0)), 0.52, 1.01)
+
     def test_step_map_evaluates_each_gradient_once_per_step(self):
         calls = {"u": 0, "v": 0}
 
