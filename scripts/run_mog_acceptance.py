@@ -48,6 +48,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from dgopt.mog import train_mog  # noqa: E402
+from dgopt.outputs import write_json  # noqa: E402
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "artifacts",
                            "mog_acceptance")
@@ -77,9 +78,7 @@ def run_one(alg, seed, iters, out_dir):
     }
     log.write_csv(os.path.join(out_dir, f"{alg}_seed{seed}.csv"))
     log.write_samples_csv(os.path.join(out_dir, f"{alg}_seed{seed}_samples.csv"))
-    with open(os.path.join(out_dir, f"{alg}_seed{seed}.json"), "w") as fh:
-        json.dump(row, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"{alg}_seed{seed}.json"), row)
     print(f"{alg} seed {seed}: {wall:.0f}s status={log.status} "
           f"fracs={row['final_mode_fracs']} dg {row['initial_dg_metric']:.5f}"
           f"->{row['final_dg_metric']:.5f} "
@@ -140,9 +139,7 @@ def main():
         "runs": rows,
     }
     path = os.path.join(args.out, "verdict.json")
-    with open(f"{path}.tmp", "w") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{path}.tmp", verdict)
     os.replace(f"{path}.tmp", path)
     print(f"total wall: {verdict['total_wall_seconds']:.0f}s "
           f"(this session: {time.time() - t0:.0f}s)")

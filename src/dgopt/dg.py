@@ -96,10 +96,9 @@ class AdaGradState:
         return AdaGradState(sum_sq=0.0, diameter=float(diameter), box=box)
 
 
-def _inner_setup(game: GameOracle, p: JointPoint, k: int, gamma: float):
-    """Checked k, the inner step in the iterates' dtype, and each
-    player's box (None when the game is unbounded)."""
-    checked("inner step count k", k, at_least=0)
+def _inner_setup(game: GameOracle, p: JointPoint, gamma: float):
+    """The inner step in the iterates' dtype and each player's box (None
+    when the game is unbounded)."""
     if hasattr(p.u, "dtype"):
         gamma = p.u.dtype.type(gamma)
     if game.domain is None:
@@ -174,7 +173,7 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     and only chains that finished are kept, so a non-finite chain raises
     every time.
     """
-    gamma, u_box, v_box = _inner_setup(game, p, k, gamma)
+    gamma, u_box, v_box = _inner_setup(game, p, gamma)
     u, v = p
     key = (_point_key(u), _point_key(v), k, gamma)
     last = getattr(_last_chains, "entry", None)
@@ -222,6 +221,7 @@ def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
     carries a box domain the inner iterates are clamped to it, which
     keeps the estimate below the exact box duality gap.
     """
+    checked("inner step count k", k, at_least=0)
     return _inner_halves(game, p, k, gamma, lambda uw: uw, lambda vw: vw)
 
 
@@ -338,6 +338,7 @@ def dg_metric(game: GameOracle, p: JointPoint, k: int,
     a game that takes one (see GameOracle), the chains step every point
     at once and the metric is an array over the batch; it raises if any
     entry is non-finite."""
+    checked("inner step count k", k, at_least=0)
     low, high = _inner_halves(game, p, k, gamma,
                               lambda uw: game.value(uw, p.v),
                               lambda vw: game.value(p.u, vw))

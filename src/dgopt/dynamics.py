@@ -9,14 +9,13 @@ closed forms below serve as test oracles against the numerical path.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import dg as dgmod
+from . import dg as dgmod, outputs
 from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
                     central_jacobian, checked)
 
@@ -50,9 +49,7 @@ class StabilityReport:
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        outputs.write_json(path, self.to_json_dict())
 
 
 def eigenvalues_2x2(m: Array) -> list:
@@ -138,20 +135,15 @@ class LandscapeGrid:
         return idx, (float(self.u_axis[idx[0]]), float(self.v_axis[idx[1]]))
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            for i in range(self.values.shape[0]):
-                fh.write(",".join(repr(float(x)) for x in self.values[i]) + "\n")
+        outputs.write_csv(path, None, self.values.tolist())
 
     def write_sidecar(self, path):
-        meta = {
+        outputs.write_json(path, {
             "box": {"lo": [float(x) for x in self.box.lo],
                     "hi": [float(x) for x in self.box.hi]},
             "resolution": self.resolution,
             "measure": self.measure,
-        }
-        with open(path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
 
 def _box_axes(box: Box, resolution: int):
@@ -264,6 +256,10 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
     given): the numerical Hessian of the DG value map labels the point
     min / max / saddle / degenerate.
     """
+    checked("finite-difference step h", h, positive=True)
+    if h * h == 0:      # the second differences divide by h * h
+        raise ValueError(f"finite-difference step h must be positive with "
+                         f"h*h > 0 and finite, got {h}")
     checked("gradient tolerance grad_tol", grad_tol, positive=True)
     checked("PSD tolerance psd_tol", psd_tol, at_least=0)
     gnorm = float(np.linalg.norm(game.joint_grad(p)))

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import dg as dgmod
-from . import optimizers
+from . import optimizers, outputs
 from .games import JointPoint, NonFiniteValueError, checked
 from .optimizers import OptimizerConfig, _checked_grads
 from .rates import seeded_rng
@@ -387,25 +387,15 @@ class MogTrainingLog:
         return np.array([row[idx] for row in self.rows])
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(LOG_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(f"{int(row[0])},"
-                         + ",".join(repr(float(x)) for x in row[1:]) + "\n")
+        outputs.write_csv(path, LOG_COLUMNS, self.rows)
 
     def write_samples_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("sample\n")
-            for x in self.final_samples:
-                fh.write(repr(float(x)) + "\n")
+        outputs.write_csv(path, ["sample"], self.final_samples[:, None])
 
     def write_histogram_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("bin_left,bin_right,count\n")
-            for left, right, count in zip(self.bin_edges[:-1],
-                                          self.bin_edges[1:],
-                                          self.final_histogram):
-                fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
+        outputs.write_csv(path, ["bin_left", "bin_right", "count"],
+                          zip(self.bin_edges[:-1], self.bin_edges[1:],
+                              self.final_histogram))
 
 
 def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,

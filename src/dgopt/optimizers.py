@@ -8,13 +8,12 @@ vanish, since the second-order corrections all carry a gradient factor.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dg as dgmod
+from . import dg as dgmod, outputs
 from .games import (Array, GameOracle, JointPoint, NonFiniteValueError,
                     SingularHessianError, checked)
 
@@ -173,6 +172,7 @@ def make_step_map(game: GameOracle, cfg: OptimizerConfig):
         return lambda p: fr_step(game, p, cfg.eta, cfg.eta_y)
     if alg == "dg":
         dg_cfg = cfg.dg if cfg.dg is not None else dgmod.DGConfig()
+        dg_cfg = replace(dg_cfg, gamma=dg_cfg.resolved_gamma(cfg.eta))
         return lambda p: dgmod.dg_descent_step(game, p, dg_cfg, cfg.eta)
     if alg == "ogda":
         memory = {"prev": None}
@@ -223,20 +223,13 @@ class Trajectory:
         return np.array([np.concatenate([r.u, r.v]) for r in self.records])
 
     def write_csv(self, path):
-        dim_u = len(self.records[0].u)
-        dim_v = len(self.records[0].v)
-        cols = (["t"] + [f"u{i}" for i in range(dim_u)]
-                + [f"v{i}" for i in range(dim_v)]
-                + ["value", "grad_u_norm", "grad_v_norm", "dg"])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.records:
-                dg_txt = "" if r.dg is None else repr(float(r.dg))
-                row = ([str(r.t)] + [repr(float(x)) for x in r.u]
-                       + [repr(float(x)) for x in r.v]
-                       + [repr(float(r.value)), repr(float(r.grad_u_norm)),
-                          repr(float(r.grad_v_norm)), dg_txt])
-                fh.write(",".join(row) + "\n")
+        r0 = self.records[0]
+        outputs.write_csv(
+            path, ["t", *(f"u{i}" for i in range(len(r0.u))),
+                   *(f"v{i}" for i in range(len(r0.v))),
+                   "value", "grad_u_norm", "grad_v_norm", "dg"],
+            ([r.t, *r.u, *r.v, r.value, r.grad_u_norm, r.grad_v_norm, r.dg]
+             for r in self.records))
 
     def summary(self) -> dict:
         final = self.records[-1]
@@ -251,9 +244,7 @@ class Trajectory:
         }
 
     def write_summary(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        outputs.write_json(path, self.summary())
 
 
 def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
@@ -273,6 +264,8 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     checked("divergence norm diverge_norm", diverge_norm, positive=True)
     step_map = make_step_map(game, cfg)
     traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
+    if dg_metric_cfg is not None:
+        dg_gamma = dg_metric_cfg.resolved_gamma(cfg.eta)
 
     def record(t, p):
         gu = game.grad_u(p.u, p.v)
@@ -280,8 +273,7 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
         dg_val = None
         if dg_metric_cfg is not None:
             try:
-                dg_val = dgmod.dg_metric(game, p, dg_metric_cfg.k,
-                                         dg_metric_cfg.resolved_gamma(cfg.eta))
+                dg_val = dgmod.dg_metric(game, p, dg_metric_cfg.k, dg_gamma)
             except NonFiniteValueError:
                 pass
         traj.records.append(TrajectoryRecord(

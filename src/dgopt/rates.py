@@ -9,13 +9,13 @@ the average iterate instead of the generic O(1/sqrt(T)).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import outputs
 from .dg import AdaGradState, adagrad_step
 from .games import Array, Box, checked
 
@@ -109,18 +109,15 @@ class RateResult:
     passes_bound: bool               # mean error <= 4 L D^2 / T everywhere
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("T,error_mean,error_std,bound_4LD2_over_T\n")
-            for t, em, es, b in zip(self.t_values, self.error_mean,
-                                    self.error_std, self.bound_values):
-                fh.write(f"{t},{em!r},{es!r},{b!r}\n")
+        outputs.write_csv(path, ["T", "error_mean", "error_std",
+                                 "bound_4LD2_over_T"],
+                          zip(self.t_values, self.error_mean, self.error_std,
+                              self.bound_values))
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump({"slope": self.slope, "L": self.smoothness,
-                       "D": self.diameter, "passes_bound": self.passes_bound},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        outputs.write_json(path, {"slope": self.slope, "L": self.smoothness,
+                                  "D": self.diameter,
+                                  "passes_bound": self.passes_bound})
 
 
 def _fit_loglog_slope(ts, errs) -> float:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dgopt.dg import DGConfig, dg_metric
-from dgopt.dynamics import (MEASURES, NotAFixedPointError,
-                            bilinear_exact_dg, classify_critical_point,
+from dgopt.dynamics import (MEASURES, LandscapeGrid, NotAFixedPointError,
+                            StabilityReport, bilinear_exact_dg,
+                            classify_critical_point,
                             dg_exact_grid, dg_update_matrix_f1,
                             dg_update_matrix_f2, eigenvalues_2x2, landscape,
                             linearize, verify_dg_update_matrix)
@@ -199,6 +200,63 @@ class TestLandscape:
         import json
         meta = json.loads((tmp_path / "grid.meta.json").read_text())
         assert meta["resolution"] == 11 and meta["measure"] == "minimax_value"
+
+        # the exact text of a headerless 2x2 grid with -0.0 and its sidecar
+        hand = LandscapeGrid(box=Box.square(-1.0, 1.0), resolution=2,
+                             measure="dg_exact", u_axis=np.array([-1.0, 1.0]),
+                             v_axis=np.array([-1.0, 1.0]),
+                             values=np.array([[-0.0, 0.1], [1e-300, 2.0]]))
+        hand.write_csv(tmp_path / "grid.csv")
+        hand.write_sidecar(tmp_path / "grid.meta.json")
+        assert (tmp_path / "grid.csv").read_text() == "-0.0,0.1\n1e-300,2.0\n"
+        assert (tmp_path / "grid.meta.json").read_text() == (
+            '{\n'
+            '  "box": {\n'
+            '    "hi": [\n'
+            '      1.0,\n'
+            '      1.0\n'
+            '    ],\n'
+            '    "lo": [\n'
+            '      -1.0,\n'
+            '      -1.0\n'
+            '    ]\n'
+            '  },\n'
+            '  "measure": "dg_exact",\n'
+            '  "resolution": 2\n'
+            '}\n')
+
+    def test_stability_report_json_text(self, tmp_path):
+        report = StabilityReport(
+            fixed_point=JointPoint.of(0.0, -0.0),
+            jacobian=np.array([[1.0, -0.5], [0.5, 1.0]]),
+            eigenvalues=[complex(1.0, 0.5), complex(1.0, -0.5)],
+            spectral_radius=1.118033988749895, classification="unstable")
+        report.write_json(tmp_path / "stab.json")
+        assert (tmp_path / "stab.json").read_text() == (
+            '{\n'
+            '  "classification": "unstable",\n'
+            '  "eigenvalues": [\n'
+            '    {\n'
+            '      "im": 0.5,\n'
+            '      "re": 1.0\n'
+            '    },\n'
+            '    {\n'
+            '      "im": -0.5,\n'
+            '      "re": 1.0\n'
+            '    }\n'
+            '  ],\n'
+            '  "fixed_point": [\n'
+            '    0.0,\n'
+            '    -0.0\n'
+            '  ],\n'
+            '  "jacobian": [\n'
+            '    1.0,\n'
+            '    -0.5,\n'
+            '    0.5,\n'
+            '    1.0\n'
+            '  ],\n'
+            '  "spectral_radius": 1.118033988749895\n'
+            '}\n')
 
 
 def per_node(fn, u_axis, v_axis):

@@ -19,9 +19,9 @@ from dgopt import dg as dgmod
 from dgopt import mog, optimizers
 from dgopt.dg import DGConfig, dg_estimate, dg_metric
 from dgopt.games import JointPoint
-from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, _fd_hessian_vector,
-                       mlp_backward, mlp_forward, mode_coverage,
-                       sample_dataset, train_mog)
+from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, MogTrainingLog,
+                       _fd_hessian_vector, mlp_backward, mlp_forward,
+                       mode_coverage, sample_dataset, train_mog)
 from dgopt.optimizers import OptimizerConfig, make_step_map
 
 
@@ -423,6 +423,30 @@ class TestTrainingPlumbing:
                           "disc_real_median,disc_fake_median")
         assert len((tmp_path / "samples.csv").read_text().splitlines()) == 1001
         assert len((tmp_path / "hist.csv").read_text().splitlines()) == 122
+
+        # the exact text: int iteration and np.int64 count cells, -0.0,
+        # and float32 cells at their float64 value
+        hand = MogTrainingLog(
+            algorithm="dg", seed=0, iterations=5,
+            rows=[(0, -1.5, 0.5, 0.25, 0.125, 0.0, 1.0, -0.0, 0.5, 0.75),
+                  (5, -1.25, 1e-300, 2.0, np.float32(0.1), 0.25, 0.5, 0.25,
+                   0.5, 0.5)],
+            final_samples=np.array([0.1, -0.0], dtype=np.float32),
+            final_histogram=np.array([2, 0], dtype=np.int64),
+            bin_edges=np.array([-0.5, 0.0, 0.1], dtype=np.float32))
+        hand.write_csv(tmp_path / "log.csv")
+        hand.write_samples_csv(tmp_path / "samples.csv")
+        hand.write_histogram_csv(tmp_path / "hist.csv")
+        assert (tmp_path / "log.csv").read_text() == (
+            header + "\n"
+            "0,-1.5,0.5,0.25,0.125,0.0,1.0,-0.0,0.5,0.75\n"
+            "5,-1.25,1e-300,2.0,0.10000000149011612,0.25,0.5,0.25,0.5,0.5\n")
+        assert (tmp_path / "samples.csv").read_text() == (
+            "sample\n0.10000000149011612\n-0.0\n")
+        assert (tmp_path / "hist.csv").read_text() == (
+            "bin_left,bin_right,count\n"
+            "-0.5,0.0,2\n"
+            "0.0,0.10000000149011612,0\n")
 
 
 class _NanGradU(MogGanGame):

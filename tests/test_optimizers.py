@@ -11,11 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dgopt import dg as dgmod
+from dgopt import optimizers
 from dgopt.dg import DGConfig
 from dgopt.games import JointPoint, make_bilinear, make_quadratic_f1, make_quadratic_f2
-from dgopt.optimizers import (OptimizerConfig, co_step, eg_step, fr_step,
-                              gda_step, make_step_map, ogda_step,
-                              run_trajectory, sga_step, unrolled_step)
+from dgopt.optimizers import (OptimizerConfig, Trajectory, TrajectoryRecord,
+                              co_step, eg_step, fr_step, gda_step,
+                              make_step_map, ogda_step, run_trajectory,
+                              sga_step, unrolled_step)
 
 B3 = make_bilinear(3.0)
 F1 = make_quadratic_f1()
@@ -329,3 +332,56 @@ class TestTrajectories:
                                 "classification", "final_point",
                                 "final_distance"}
         assert summary["game"] == "f2" and summary["algorithm"] == "gda"
+
+        # the exact text: an int step cell, an empty and a filled dg cell,
+        # -0.0, JSON null and a nested list
+        hand = Trajectory(game="f1", algorithm="dg", eta=0.05, records=[
+            TrajectoryRecord(t=0, u=np.array([-0.0]), v=np.array([0.1]),
+                             value=0.5, grad_u_norm=1.0, grad_v_norm=2.5),
+            TrajectoryRecord(t=1, u=np.array([0.25]), v=np.array([-1e-300]),
+                             value=-0.0, grad_u_norm=3.0, grad_v_norm=0.0,
+                             dg=0.125)])
+        hand.write_csv(csv_path)
+        hand.write_summary(json_path)
+        assert csv_path.read_text() == (
+            "t,u0,v0,value,grad_u_norm,grad_v_norm,dg\n"
+            "0,-0.0,0.1,0.5,1.0,2.5,\n"
+            "1,0.25,-1e-300,-0.0,3.0,0.0,0.125\n")
+        assert json_path.read_text() == (
+            '{\n'
+            '  "algorithm": "dg",\n'
+            '  "classification": "non_convergent",\n'
+            '  "eta": 0.05,\n'
+            '  "final_distance": null,\n'
+            '  "final_point": [\n'
+            '    0.25,\n'
+            '    -1e-300\n'
+            '  ],\n'
+            '  "game": "f1",\n'
+            '  "steps": 1\n'
+            '}\n')
+
+    @pytest.mark.parametrize("grad_mode", ["envelope", "unrolled"])
+    def test_logged_dg_settings_checked_once_per_step(self, monkeypatch,
+                                                      grad_mode):
+        """A logged dg run resolves gamma and checks k before its first
+        step; each step then makes one settings check, the logged
+        dg_metric's k."""
+        checked, calls = dgmod.checked, []
+
+        def counting(name, *args, **kwargs):
+            calls.append(name)
+            return checked(name, *args, **kwargs)
+
+        monkeypatch.setattr(dgmod, "checked", counting)
+        monkeypatch.setattr(optimizers, "checked", counting)
+
+        def checks(steps):
+            dg = DGConfig(k=3, grad_mode=grad_mode)
+            cfg = OptimizerConfig(algorithm="dg", eta=0.05, dg=dg)
+            calls.clear()
+            run_trajectory(B3, cfg, JointPoint.of(0.5, -0.5), steps=steps,
+                           dg_metric_cfg=dg)
+            return len(calls)
+
+        assert checks(7) - checks(1) == 6

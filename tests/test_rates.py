@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dgopt.dg import AdaGradState, adagrad_step
-from dgopt.rates import (QuadraticSaddle, check_approx_realizability,
+from dgopt.rates import (QuadraticSaddle, RateResult,
+                         check_approx_realizability,
                          make_approx_realizable_family,
                          make_realizable_quadratic, run_adagrad_rate,
                          run_sgd_baseline, seeded_rng)
@@ -99,6 +100,25 @@ class TestRateHarness:
         import json
         data = json.loads((tmp_path / "rate.json").read_text())
         assert set(data) == {"slope", "L", "D", "passes_bound"}
+
+        # the exact text: int T cells, -0.0, and a JSON true
+        hand = RateResult(t_values=[100, 316], error_mean=[0.5, -0.0],
+                          error_std=[0.0, 1e-300], bound_values=[0.04, 0.0125],
+                          slope=-1.0, smoothness=1.0, diameter=2.5,
+                          passes_bound=True)
+        hand.write_csv(tmp_path / "rate.csv")
+        hand.write_json(tmp_path / "rate.json")
+        assert (tmp_path / "rate.csv").read_text() == (
+            "T,error_mean,error_std,bound_4LD2_over_T\n"
+            "100,0.5,0.0,0.04\n"
+            "316,-0.0,1e-300,0.0125\n")
+        assert (tmp_path / "rate.json").read_text() == (
+            '{\n'
+            '  "D": 2.5,\n'
+            '  "L": 1.0,\n'
+            '  "passes_bound": true,\n'
+            '  "slope": -1.0\n'
+            '}\n')
 
 
 class TestApproxRealizability:

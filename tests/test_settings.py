@@ -43,7 +43,8 @@ def _mog(**kwargs):
 
 
 # (name, rule, bound, call): rule "positive" (> 0), "at_least" (>= bound),
-# "nonzero" or "finite"; call(x) builds or runs with the setting at x
+# "nonzero", "finite" or "square" (> 0 with x * x > 0); call(x) builds or
+# runs with the setting at x
 SETTINGS = [
     ("box lower bound", "finite", None,
      lambda x: Box(np.array([x]), np.array([1.7e308]))),
@@ -92,6 +93,9 @@ SETTINGS = [
      lambda x: classify_critical_point(F1, ORIGIN, grad_tol=x)),
     ("PSD tolerance psd_tol", "at_least", 0.0,
      lambda x: classify_critical_point(F1, ORIGIN, psd_tol=x)),
+    ("finite-difference step h", "square", None,
+     lambda x: classify_critical_point(F1, ORIGIN, h=x, dg_cfg=DGConfig(k=1),
+                                       eta=0.05)),
     ("grid resolution", "at_least", 1,
      lambda x: landscape(F1, BOX, x, "minimax_value")),
     ("exact-DG grid resolution", "at_least", 3,
@@ -137,6 +141,10 @@ def _cases(rule, bound):
     NaN and +-inf."""
     if rule == "finite":
         inside = [(1e308, True), (-1e308, True)]
+    elif rule == "square":
+        # h * h underflows to 0 below about 1.57e-162
+        inside = [(0.0, False), (TINY, False), (1e-163, False),
+                  (-1e-4, False), (1e-4, True)]
     elif rule in ("positive", "nonzero"):
         inside = [(0.0, False), (TINY, True),
                   (-TINY, rule == "nonzero")]
