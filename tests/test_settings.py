@@ -93,9 +93,6 @@ SETTINGS = [
      lambda x: classify_critical_point(F1, ORIGIN, grad_tol=x)),
     ("PSD tolerance psd_tol", "at_least", 0.0,
      lambda x: classify_critical_point(F1, ORIGIN, psd_tol=x)),
-    ("finite-difference step h", "square", None,
-     lambda x: classify_critical_point(F1, ORIGIN, h=x, dg_cfg=DGConfig(k=1),
-                                       eta=0.05)),
     ("grid resolution", "at_least", 1,
      lambda x: landscape(F1, BOX, x, "minimax_value")),
     ("exact-DG grid resolution", "at_least", 3,
@@ -133,6 +130,9 @@ SETTINGS = [
     ("iterations", "at_least", 0, lambda x: _mog(iterations=x)),
     ("learning rate lr", "positive", 0.0, lambda x: _mog(lr=x)),
     ("point coordinate", "finite", None, lambda x: _parse_point(f"{x},0")),
+    ("finite-difference step h", "square", None,
+     lambda x: classify_critical_point(F1, ORIGIN, h=x, dg_cfg=DGConfig(k=1),
+                                       eta=0.05)),
 ]
 
 
