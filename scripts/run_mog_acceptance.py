@@ -30,8 +30,12 @@ a last invocation collects it from the finished artifacts:
     python scripts/run_mog_acceptance.py
 
 A process pinned to one CPU runs the two halves of each duality-gap
-evaluation in sequence; one that may use two or more runs them on two
-threads.
+evaluation (and co's two finite-difference sides) in sequence; one that
+may use two or more runs them on two threads.
+
+Each <alg>_seed<N>.json holds a "manifest" of what made it: argv, the
+git revision (null outside a git checkout), the numpy version and the
+thread setup the run used (openblas_pinned, cpu_mask, concurrent_halves).
 
 Usage: python scripts/run_mog_acceptance.py [--iters N] [--seeds a,b,...]
            [--algs gda,dg,eg,co] [--out DIR]
@@ -40,6 +44,7 @@ Usage: python scripts/run_mog_acceptance.py [--iters N] [--seeds a,b,...]
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -54,6 +59,16 @@ DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "artifacts",
                            "mog_acceptance")
 ALGORITHMS = ("gda", "dg", "eg", "co")
 PROTOCOL_SEEDS = (1, 2, 3, 4, 5)
+
+
+def git_revision():
+    """HEAD of the checkout this script lives in, or None without git."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=os.path.dirname(__file__),
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def run_one(alg, seed, iters, out_dir):
@@ -75,6 +90,8 @@ def run_one(alg, seed, iters, out_dir):
         "final_disc_fake_median": last[9],
         "final_disc_union_median": log.final_disc_union_median,
         "final_value": last[1],
+        "manifest": {"argv": sys.argv, "git_revision": git_revision(),
+                     "numpy_version": np.__version__, **log.thread_setup},
     }
     log.write_csv(os.path.join(out_dir, f"{alg}_seed{seed}.csv"))
     log.write_samples_csv(os.path.join(out_dir, f"{alg}_seed{seed}_samples.csv"))

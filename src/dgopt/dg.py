@@ -147,9 +147,10 @@ _halves = threading.local()
 
 @contextlib.contextmanager
 def concurrent_halves():
-    """Within the block, DG evaluations on this thread run their descent
-    half on one worker thread beside the ascent half, with the same
-    results; only this starts the worker (and imports concurrent.futures)."""
+    """Within the block, run_pair calls on this thread (a DG evaluation's
+    two halves, MoG co's two finite-difference sides) run their first
+    thunk on one worker thread beside the second, with the same results;
+    only this starts the worker (and imports concurrent.futures)."""
     from concurrent.futures import ThreadPoolExecutor
     before = getattr(_halves, "pool", None)
     try:
@@ -159,13 +160,30 @@ def concurrent_halves():
         _halves.pool = before
 
 
+def run_pair(first, second):
+    """(first(), second()) for two thunks that share no state.
+
+    They run in sequence, first first, or in a concurrent_halves() scope
+    with first on its worker; when both fail, first's error wins.
+    """
+    pool = getattr(_halves, "pool", None)
+    if pool is None:
+        return first(), second()
+    future = pool.submit(first)
+    try:
+        out = second()
+    except Exception:
+        future.result()
+        raise
+    return future.result(), out
+
+
 def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     """(descent_tail(u_k), ascent_tail(v_k)) for the two inner chains.
 
     u_k takes k descent steps on u -> M(u, p.v) from p.u, v_k k ascent
-    steps on v -> M(p.u, v) from p.v.  The halves share no state: they
-    run in sequence, descent first, or in a concurrent_halves() scope
-    with descent on its worker; when both fail, the descent error wins.
+    steps on v -> M(p.u, v) from p.v.  The halves share no state, so
+    they are a run_pair: descent first, on the worker when concurrent.
 
     When the previous call on this thread had the same game, point bits,
     k and gamma, the halves reuse its (u_k, v_k) and run only the tails.
@@ -195,16 +213,7 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
                        "ascent", p)
         return y, ascent_tail(y)
 
-    if getattr(_halves, "pool", None) is None:
-        (u_k, lowered), (v_k, raised) = descent(), ascent()
-    else:
-        future = _halves.pool.submit(descent)
-        try:
-            v_k, raised = ascent()
-        except Exception:
-            future.result()
-            raise
-        u_k, lowered = future.result()
+    (u_k, lowered), (v_k, raised) = run_pair(descent, ascent)
     if not hit:
         _last_chains.entry = (weakref.ref(game, _forget), key, u_k.copy(),
                               v_k.copy())
@@ -222,6 +231,7 @@ def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
     keeps the estimate below the exact box duality gap.
     """
     checked("inner step count k", k, at_least=0)
+    checked("inner step size gamma", gamma, positive=True)
     return _inner_halves(game, p, k, gamma, lambda uw: uw, lambda vw: vw)
 
 
@@ -271,10 +281,8 @@ def _unrolled_grads(game, p, k, gamma):
     y, B, A = _differentiated_chain(game, p, gamma, k)
     x, C, D = _differentiated_chain(game, p, -gamma, k)
 
-    gu_first = game.grad_u(u, y)
-    gv_first = game.grad_v(u, y)
-    gu_second = game.grad_u(x, v)
-    gv_second = game.grad_v(x, v)
+    gu_first, gv_first = game.grads(u, y)
+    gu_second, gv_second = game.grads(x, v)
 
     grad_u = gu_first + A.T @ gv_first - C.T @ gu_second
     grad_v = B.T @ gv_first - gv_second - D.T @ gu_second
@@ -339,6 +347,7 @@ def dg_metric(game: GameOracle, p: JointPoint, k: int,
     at once and the metric is an array over the batch; it raises if any
     entry is non-finite."""
     checked("inner step count k", k, at_least=0)
+    checked("inner step size gamma", gamma, positive=True)
     low, high = _inner_halves(game, p, k, gamma,
                               lambda uw: game.value(uw, p.v),
                               lambda vw: game.value(p.u, vw))

@@ -10,6 +10,7 @@ closed forms below serve as test oracles against the numerical path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -244,6 +245,11 @@ class CriticalPointReport:
     dg_label: Optional[str] = None
 
 
+# classify_critical_point's smallest step h: its second differences
+# divide by h * h, a normal float from here up (below, subnormal or 0)
+H_MIN = math.sqrt(sys.float_info.min)
+
+
 def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
                             dg_cfg: Optional[dgmod.DGConfig] = None,
                             eta: Optional[float] = None,
@@ -256,10 +262,7 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
     given): the numerical Hessian of the DG value map labels the point
     min / max / saddle / degenerate.
     """
-    checked("finite-difference step h", h, positive=True)
-    if h * h == 0:      # the second differences divide by h * h
-        raise ValueError(f"finite-difference step h must be positive with "
-                         f"h*h > 0 and finite, got {h}")
+    checked("finite-difference step h", h, at_least=H_MIN)
     checked("gradient tolerance grad_tol", grad_tol, positive=True)
     checked("PSD tolerance psd_tol", psd_tol, at_least=0)
     gnorm = float(np.linalg.norm(game.joint_grad(p)))

@@ -130,6 +130,11 @@ class GameOracle:
     batch axis: u, v of one shape (..., 1) stand for a batch of points,
     value returns a (...) array and the gradients (..., 1) arrays, each
     entry bit-identical to the per-point call.
+
+    grads(u, v) is the joint-gradient entry point, (grad_u, grad_v) at
+    one point, which the step rules call once per gradient pair.  Here
+    it is the two calls in that order; the MoG GAN overrides it with one
+    pass, bit-identical to the two calls.
     """
 
     name: str
@@ -147,8 +152,11 @@ class GameOracle:
             return self.second_order(p.u, p.v)
         return second_order_fd(self, p, h)
 
+    def grads(self, u: Array, v: Array):
+        return self.grad_u(u, v), self.grad_v(u, v)
+
     def joint_grad(self, p: JointPoint) -> Array:
-        return np.concatenate([self.grad_u(p.u, p.v), self.grad_v(p.u, p.v)])
+        return np.concatenate(self.grads(p.u, p.v))
 
     def value_and_grad_u(self, u: Array, v: Array):
         return self.value(u, v), self.grad_u(u, v)

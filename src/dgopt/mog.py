@@ -335,12 +335,23 @@ class MogGanGame:
         return self._objective(p), self._backward_u(
             u, v, p[n:], inside[n:], [a[n:] for a in dacts], gacts)
 
+    def _joint_pass(self, u, v):
+        """One D pass over real+fake rows and one backward through D (its
+        parameter and input gradients) and then G: the clamped
+        probabilities, grad_u and grad_v."""
+        p, inside, dacts, gacts = self._on_batch(u, v, for_backward=True)
+        grad_v, dx = self._backward_v(v, p, inside, dacts, input_grad=True)
+        return p, self._backward_g(u, gacts, dx[self.n:]), grad_v
+
+    def grads(self, u, v):
+        """grad_u and grad_v at (u, v) from one pass."""
+        _, grad_u, grad_v = self._joint_pass(u, v)
+        return grad_u, grad_v
+
     def value_and_grads(self, u, v):
         """value, grad_u and grad_v at (u, v) from one pass."""
-        p, inside, dacts, gacts = self._on_batch(u, v, for_backward=True)
-        value = self._objective(p)
-        grad_v, dx = self._backward_v(v, p, inside, dacts, input_grad=True)
-        return value, self._backward_g(u, gacts, dx[self.n:]), grad_v
+        p, grad_u, grad_v = self._joint_pass(u, v)
+        return self._objective(p), grad_u, grad_v
 
     def hessian_blocks(self, p, h=1e-5):
         raise NotImplementedError("the GAN game exposes first-order "
@@ -381,6 +392,7 @@ class MogTrainingLog:
     final_u: Optional[np.ndarray] = None
     final_v: Optional[np.ndarray] = None
     final_disc_union_median: Optional[float] = None
+    thread_setup: Optional[dict] = None     # see _thread_setup
 
     def column(self, name: str) -> np.ndarray:
         idx = LOG_COLUMNS.index(name)
@@ -402,7 +414,7 @@ def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
                        base_step: float = 1e-4):
     """Central-difference product of the full objective Hessian with a
     direction, via the joint raw gradient; a non-finite gradient raises
-    NonFiniteValueError."""
+    NonFiniteValueError.  The two sides are a dg.run_pair, plus first."""
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         return np.zeros_like(direction)
@@ -411,8 +423,10 @@ def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
     d_v = direction[game.dim_u:]
     plus = JointPoint(p.u + delta * d_u, p.v + delta * d_v)
     minus = JointPoint(p.u - delta * d_u, p.v - delta * d_v)
-    return ((np.concatenate(_checked_grads(game, plus))
-             - np.concatenate(_checked_grads(game, minus))) / (2.0 * delta))
+    g_plus, g_minus = dgmod.run_pair(lambda: _checked_grads(game, plus),
+                                     lambda: _checked_grads(game, minus))
+    return ((np.concatenate(g_plus) - np.concatenate(g_minus))
+            / (2.0 * delta))
 
 
 def _co_step(game: MogGanGame, p: JointPoint, eta, gamma: float) -> JointPoint:
@@ -474,6 +488,23 @@ def _one_blas_thread():
         put(before)
 
 
+@contextlib.contextmanager
+def _thread_setup():
+    """A training run's thread scope: OpenBLAS held at one thread and,
+    when it was found and the process may use two or more CPUs (its
+    affinity mask, else the machine's CPU count), a concurrent_halves()
+    scope.  The block gets the setup as a dict: openblas_pinned,
+    cpu_mask (the sorted CPU ids) and concurrent_halves."""
+    cpus = sorted(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                  else range(os.cpu_count() or 1))
+    with _one_blas_thread() as pinned:
+        setup = {"openblas_pinned": pinned, "cpu_mask": cpus,
+                 "concurrent_halves": pinned and len(cpus) >= 2}
+        with (dgmod.concurrent_halves() if setup["concurrent_halves"]
+              else contextlib.nullcontext()):
+            yield setup
+
+
 def train_mog(algorithm: str, seed: int, iterations: int = 20000,
               lr: float = 2e-4, co_gamma: float = 1.0,
               dg_k: int = 10, log_interval: int = 100,
@@ -488,8 +519,8 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
 
     The whole run holds OpenBLAS at one thread, so no output depends on
     the host's BLAS thread count.  If it can, and the process may use two
-    or more CPUs (its affinity mask, else the machine's CPU count), the
-    run is a dg.concurrent_halves() scope; the output is the same.
+    or more CPUs, the run is a dg.concurrent_halves() scope; the output
+    is the same.  The log's thread_setup records which (_thread_setup).
     """
     if algorithm not in MOG_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
@@ -502,11 +533,7 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
     if game is None:
         game = MogGanGame(seed, n=n, dtype=dtype)
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
-    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else range(os.cpu_count() or 1))
-    with _one_blas_thread() as pinned, (
-            dgmod.concurrent_halves() if pinned and len(cpus) >= 2
-            else contextlib.nullcontext()):
+    with _thread_setup() as log.thread_setup:
         if algorithm == "co":
             step = functools.partial(_co_step, game,
                                      eta=game.dtype.type(cfg.eta),

@@ -43,8 +43,7 @@ class OptimizerConfig:
 
 
 def _checked_grads(game: GameOracle, p: JointPoint):
-    gu = game.grad_u(p.u, p.v)
-    gv = game.grad_v(p.u, p.v)
+    gu, gv = game.grads(p.u, p.v)
     if not (np.isfinite(gu).all() and np.isfinite(gv).all()):
         raise NonFiniteValueError("non-finite gradient", point=p)
     return gu, gv
@@ -126,7 +125,8 @@ def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
     gu, gv = _checked_grads(game, p)
     u, v = p
     y, _, S = dgmod._differentiated_chain(game, p, eta, k, own_start=False)
-    total = game.grad_u(u, y) + S.T @ game.grad_v(u, y)
+    gu_y, gv_y = game.grads(u, y)
+    total = gu_y + S.T @ gv_y
     return JointPoint(u - eta * total, v + eta * gv)
 
 
@@ -268,8 +268,7 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
         dg_gamma = dg_metric_cfg.resolved_gamma(cfg.eta)
 
     def record(t, p):
-        gu = game.grad_u(p.u, p.v)
-        gv = game.grad_v(p.u, p.v)
+        gu, gv = game.grads(p.u, p.v)
         dg_val = None
         if dg_metric_cfg is not None:
             try:

@@ -1,5 +1,6 @@
 """GAN game oracle: dataset statistics, backprop checks, training plumbing."""
 
+import collections
 import contextlib
 import gc
 import json
@@ -152,18 +153,30 @@ class TestGanOracle:
             fd = (game.value(u, v + e) - game.value(u, v - e)) / (2 * h)
             assert abs(gv[c] - fd) <= max(1e-4 * abs(fd), 1e-9)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_fused_passes_equal_separate_calls_bit_for_bit(self, dtype):
-        game = MogGanGame(seed=5, n=600, dtype=dtype)
+    @staticmethod
+    def _assert_fused_equal_separate(game):
         for u, v in (game.init_params(), _moved_params(game, 1)):
             value = game.value(u, v)
             gu, gv = game.grad_u(u, v), game.grad_v(u, v)
             val_u, fused_gu = game.value_and_grad_u(u, v)
             val_v, fused_gv = game.value_and_grad_v(u, v)
             val, all_gu, all_gv = game.value_and_grads(u, v)
+            pair_gu, pair_gv = game.grads(u, v)
             assert val_u == value and val_v == value and val == value
-            assert np.array_equal(fused_gu, gu) and np.array_equal(all_gu, gu)
-            assert np.array_equal(fused_gv, gv) and np.array_equal(all_gv, gv)
+            for fused in (fused_gu, all_gu, pair_gu):
+                assert fused.tobytes() == gu.tobytes()
+            for fused in (fused_gv, all_gv, pair_gv):
+                assert fused.tobytes() == gv.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_passes_equal_separate_calls_bit_for_bit(self, dtype):
+        self._assert_fused_equal_separate(
+            MogGanGame(seed=5, n=600, dtype=dtype))
+
+    def test_fused_passes_equal_separate_calls_at_protocol_size(self):
+        # the baselines' step size: 5000 rows, float32 (10,000 D rows)
+        self._assert_fused_equal_separate(
+            MogGanGame(seed=5, n=5000, dtype=np.float32))
 
     def test_concurrent_oracle_calls_match_sequential(self):
         # one game shared by more threads than cores, switching often,
@@ -175,7 +188,7 @@ class TestGanOracle:
         points = [_moved_params(game, s) for s in range(6)]
         calls = [(name, i % 2, j) for name in ("grad_v", "grad_u",
                                                "value_and_grad_u",
-                                               "value_and_grads",
+                                               "value_and_grads", "grads",
                                                "eval_samples",
                                                "disc_outputs")
                  for i in range(2) for j in range(len(points))]
@@ -234,7 +247,7 @@ class TestGanOracle:
 
 
 ORACLE_CALLS = ("value", "grad_u", "grad_v", "value_and_grad_u",
-                "value_and_grad_v", "value_and_grads")
+                "value_and_grad_v", "value_and_grads", "grads")
 
 
 def _every_output(game, u, v):
@@ -315,9 +328,11 @@ class TestCoHessianVector:
             def grad_v(self, u, v):
                 return -self.B @ v + self.C.T @ u
 
+            def grads(self, u, v):
+                return self.grad_u(u, v), self.grad_v(u, v)
+
             def joint_grad(self, p):
-                return np.concatenate([self.grad_u(p.u, p.v),
-                                       self.grad_v(p.u, p.v)])
+                return np.concatenate(self.grads(p.u, p.v))
 
         game = MicroGame()
         rng = np.random.default_rng(2)
@@ -450,17 +465,66 @@ class TestTrainingPlumbing:
 
 
 class _NanGradU(MogGanGame):
-    """A MoG game whose grad_u returns NaN on its nan_call-th call."""
+    """A MoG game whose grad_u, through grad_u or grads, is NaN on the
+    nan_call-th call of the two (counted together), or on every grads
+    call made on thread nan_thread."""
 
-    def __init__(self, nan_call, **kwargs):
+    def __init__(self, nan_call=None, nan_thread=None, **kwargs):
         super().__init__(**kwargs)
-        self.nan_call = nan_call
+        self.nan_call, self.nan_thread = nan_call, nan_thread
         self.calls = 0
+        self._lock = threading.Lock()
+
+    def _nan_now(self):
+        with self._lock:
+            self.calls += 1
+            return self.calls == self.nan_call
 
     def grad_u(self, u, v):
-        self.calls += 1
         g = super().grad_u(u, v)
-        return g * np.nan if self.calls == self.nan_call else g
+        return g * np.nan if self._nan_now() else g
+
+    def grads(self, u, v):
+        gu, gv = super().grads(u, v)
+        nan = self._nan_now() or (threading.current_thread().name
+                                  == self.nan_thread)
+        return (gu * np.nan if nan else gu), gv
+
+
+class _CountedCalls(MogGanGame):
+    """A MoG game that counts its gradient entry points' calls by name
+    and calling thread."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.calls = collections.Counter()
+        self._lock = threading.Lock()
+
+    def _count(self, name):
+        with self._lock:
+            self.calls[name, threading.current_thread().name] += 1
+
+    def grad_u(self, u, v):
+        self._count("grad_u")
+        return super().grad_u(u, v)
+
+    def grad_v(self, u, v):
+        self._count("grad_v")
+        return super().grad_v(u, v)
+
+    def grads(self, u, v):
+        self._count("grads")
+        return super().grads(u, v)
+
+    def value_and_grads(self, u, v):
+        self._count("value_and_grads")
+        return super().value_and_grads(u, v)
+
+    def total(self, name):
+        return sum(c for (n, _), c in self.calls.items() if n == name)
+
+    def threads(self, name):
+        return {t for n, t in self.calls if n == name}
 
 
 class _ThreadNames(MogGanGame):
@@ -495,6 +559,8 @@ class TestHalvesFollowTheAffinityMask:
         log = train_mog("dg", seed=1, iterations=2, log_interval=1, dg_k=2,
                         n=200, game=game)
         assert log.status == "ok"
+        assert log.thread_setup["cpu_mask"] == list(range(cpus or 1))
+        assert log.thread_setup["concurrent_halves"] is (cpus == 2)
         main = threading.current_thread().name
         assert game.names["grad_v"] == {main}
         if cpus != 2:
@@ -538,16 +604,75 @@ class TestSharedChains:
         assert not hasattr(dgmod._last_chains, "entry")
 
 
+class TestStepRuleCalls:
+    # dg_k=0: a log row's metric takes no gradient, so value_and_grads
+    # (once per row) is the only gradient call a log row makes
+    @pytest.mark.parametrize("algorithm,per_iter", [("gda", 1), ("eg", 2),
+                                                    ("co", 3)])
+    def test_one_joint_pass_per_gradient_pair(self, monkeypatch, algorithm,
+                                              per_iter):
+        _allow_cpus(monkeypatch, 1)
+        game = _CountedCalls(seed=1, n=200, dtype=np.float32)
+        log = train_mog(algorithm, seed=1, iterations=4, log_interval=2,
+                        dg_k=0, n=200, game=game)
+        assert log.status == "ok"
+        assert game.total("grads") == 4 * per_iter
+        assert game.total("value_and_grads") == len(log.rows) == 3
+        assert game.total("grad_u") == game.total("grad_v") == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_co_runs_one_finite_difference_side_on_the_worker(
+            self, monkeypatch, cpus):
+        if cpus == 2 and mog._openblas_thread_calls() is None:
+            pytest.skip("no OpenBLAS found: the sides run in sequence")
+        _allow_cpus(monkeypatch, cpus)
+        game = _CountedCalls(seed=1, n=200, dtype=np.float32)
+        log = train_mog("co", seed=1, iterations=2, log_interval=2, dg_k=0,
+                        n=200, game=game)
+        assert log.status == "ok"
+        main = threading.current_thread().name
+        if cpus == 1:
+            assert game.threads("grads") == {main}
+        else:
+            # per step: the gradient and the minus side here, plus there
+            assert game.calls["grads", main] == 2 * 2
+            assert game.calls["grads", "dg-descent_0"] == 2
+
+
 class TestCoDivergence:
     # dg_k=1: the first log row's metric makes grad_u call 1; the first
-    # co step makes call 2 at p, 3 and 4 in the Hessian-vector product
+    # co step makes grads call 2 at p, 3 and 4 in the Hessian-vector
+    # product (plus side, then minus)
     @pytest.mark.parametrize("nan_call", [2, 3, 4])
     def test_nonfinite_gradient_stops_the_run(self, monkeypatch, nan_call):
         _allow_cpus(monkeypatch, 1)
         game = _NanGradU(nan_call, seed=1, n=200, dtype=np.float32)
+        self.assert_stopped_at_the_start(
+            train_mog("co", seed=1, iterations=3, log_interval=1, dg_k=1,
+                      n=200, game=game))
+        assert game.calls >= nan_call
+
+    def test_nonfinite_worker_side_stops_the_run(self, monkeypatch):
+        # with two CPUs the plus side runs on the worker; its failure
+        # stops the run as the plus side's failure does on one CPU
+        if mog._openblas_thread_calls() is None:
+            pytest.skip("no OpenBLAS found: the sides run in sequence")
+        _allow_cpus(monkeypatch, 1)
+        one_cpu = train_mog("co", seed=1, iterations=3, log_interval=1,
+                            dg_k=1, n=200,
+                            game=_NanGradU(3, seed=1, n=200,
+                                           dtype=np.float32))
+        _allow_cpus(monkeypatch, 2)
+        game = _NanGradU(nan_thread="dg-descent_0", seed=1, n=200,
+                         dtype=np.float32)
         log = train_mog("co", seed=1, iterations=3, log_interval=1, dg_k=1,
                         n=200, game=game)
-        assert game.calls >= nan_call
+        assert log.thread_setup["concurrent_halves"]
+        assert log.rows == one_cpu.rows
+        self.assert_stopped_at_the_start(log)
+
+    @staticmethod
+    def assert_stopped_at_the_start(log):
         assert log.status == "diverged"
         assert [int(row[0]) for row in log.rows] == [0]
         assert all(np.isfinite(x) for x in log.rows[0][1:])
@@ -632,6 +757,30 @@ class TestAcceptanceScript:
         assert verdict["total_wall_seconds"] == pytest.approx(
             6.0 + verdict["runs"][4]["wall_seconds"])
         assert not (tmp_path / "verdict.json.tmp").exists()
+
+    def test_manifest_records_what_made_the_run(self, tmp_path):
+        proc = self.run(tmp_path, 0)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads(
+            (tmp_path / "gda_seed1.json").read_text())["manifest"]
+        assert manifest["argv"] == [str(self.SCRIPT), "--iters", "0",
+                                    "--seeds", "1", "--algs", "gda",
+                                    "--out", str(tmp_path)]
+        try:
+            head = subprocess.run(["git", "rev-parse", "HEAD"],
+                                  cwd=self.SCRIPT.parent, capture_output=True,
+                                  text=True, check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            head = None
+        assert manifest["git_revision"] == head
+        assert manifest["numpy_version"] == np.__version__
+        # the script's process has this one's libraries and CPU mask
+        pinned = mog._openblas_thread_calls() is not None
+        mask = sorted(os.sched_getaffinity(0)) if hasattr(
+            os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
+        assert manifest["openblas_pinned"] is pinned
+        assert manifest["cpu_mask"] == mask
+        assert manifest["concurrent_halves"] is (pinned and len(mask) >= 2)
 
     def test_unknown_algorithm_is_refused(self, tmp_path):
         # a typo must not overwrite the verdict with an empty run list

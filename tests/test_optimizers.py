@@ -365,8 +365,8 @@ class TestTrajectories:
     def test_logged_dg_settings_checked_once_per_step(self, monkeypatch,
                                                       grad_mode):
         """A logged dg run resolves gamma and checks k before its first
-        step; each step then makes one settings check, the logged
-        dg_metric's k."""
+        step; each step then makes two settings checks, the logged
+        dg_metric's k and gamma."""
         checked, calls = dgmod.checked, []
 
         def counting(name, *args, **kwargs):
@@ -384,4 +384,4 @@ class TestTrajectories:
                            dg_metric_cfg=dg)
             return len(calls)
 
-        assert checks(7) - checks(1) == 6
+        assert checks(7) - checks(1) == 2 * 6

@@ -7,12 +7,13 @@ ValueError that starts with the setting's name.
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from dgopt.cli import _parse_point
-from dgopt.dg import AdaGradState, DGConfig, dg_metric
+from dgopt.dg import AdaGradState, DGConfig, dg_metric, worst_case_responses
 from dgopt.dynamics import (classify_critical_point, dg_exact_grid,
                             dg_update_matrix_f1, dg_update_matrix_f2,
                             landscape, linearize)
@@ -28,6 +29,7 @@ from dgopt.rates import (check_approx_realizability,
 
 TINY = math.nextafter(0.0, 1.0)
 NAN, INF = float("nan"), float("inf")
+NORMAL_ROOT = math.sqrt(sys.float_info.min)   # x * x is subnormal below
 B3 = make_bilinear(3.0)
 F1 = make_quadratic_f1()
 P = JointPoint.of(0.5, 0.5)
@@ -43,8 +45,9 @@ def _mog(**kwargs):
 
 
 # (name, rule, bound, call): rule "positive" (> 0), "at_least" (>= bound),
-# "nonzero", "finite" or "square" (> 0 with x * x > 0); call(x) builds or
-# runs with the setting at x
+# "nonzero", "finite", "square" (> 0 with x * x > 0) or "normal square"
+# (>= bound, below which x * x is subnormal); call(x) builds or runs with
+# the setting at x
 SETTINGS = [
     ("box lower bound", "finite", None,
      lambda x: Box(np.array([x]), np.array([1.7e308]))),
@@ -133,6 +136,13 @@ SETTINGS = [
     ("finite-difference step h", "square", None,
      lambda x: classify_critical_point(F1, ORIGIN, h=x, dg_cfg=DGConfig(k=1),
                                        eta=0.05)),
+    ("inner step size gamma", "positive", 0.0,
+     lambda x: dg_metric(B3, P, 3, x)),
+    ("inner step size gamma", "positive", 0.0,
+     lambda x: worst_case_responses(B3, P, 3, x)),
+    ("finite-difference step h", "normal square", NORMAL_ROOT,
+     lambda x: classify_critical_point(F1, ORIGIN, h=x, dg_cfg=DGConfig(k=1),
+                                       eta=0.05)),
 ]
 
 
@@ -145,6 +155,11 @@ def _cases(rule, bound):
         # h * h underflows to 0 below about 1.57e-162
         inside = [(0.0, False), (TINY, False), (1e-163, False),
                   (-1e-4, False), (1e-4, True)]
+    elif rule == "normal square":
+        # 1.6e-162 squares to a subnormal, where the second differences
+        # labelled the f1 DG origin a saddle
+        inside = [(1.6e-162, False), (math.nextafter(bound, 0.0), False),
+                  (bound, True)]
     elif rule in ("positive", "nonzero"):
         inside = [(0.0, False), (TINY, True),
                   (-TINY, rule == "nonzero")]
