@@ -76,20 +76,24 @@ def run_one(alg, seed, iters, out_dir):
     log = train_mog(alg, seed=seed, iterations=iters, dg_k=10,
                     log_interval=100, dtype=np.float32)
     wall = time.time() - t0
-    first, last = log.rows[0], log.rows[-1]
+
+    def logged(name, row=-1):
+        return float(log.column(name)[row])
+
     row = {
         "algorithm": alg,
         "seed": seed,
         "iterations": iters,
         "status": log.status,
         "wall_seconds": wall,
-        "initial_dg_metric": first[4],
-        "final_dg_metric": last[4],
-        "final_mode_fracs": [last[5], last[6], last[7]],
-        "final_disc_real_median": last[8],
-        "final_disc_fake_median": last[9],
+        "initial_dg_metric": logged("dg_metric", 0),
+        "final_dg_metric": logged("dg_metric"),
+        "final_mode_fracs": [logged(f"mode_frac_{c}")
+                             for c in ("m4", "0", "4")],
+        "final_disc_real_median": logged("disc_real_median"),
+        "final_disc_fake_median": logged("disc_fake_median"),
         "final_disc_union_median": log.final_disc_union_median,
-        "final_value": last[1],
+        "final_value": logged("value"),
         "manifest": {"argv": sys.argv, "git_revision": git_revision(),
                      "numpy_version": np.__version__, **log.thread_setup},
     }

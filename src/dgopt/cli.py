@@ -190,7 +190,7 @@ def cmd_mog(args) -> int:
              ("grad_v norm", log.column("grad_v_norm"), svgplot.PALETTE[3])],
             xlabel="iteration", ylabel="value",
             title=f"mog {args.alg} seed {args.seed}")
-    fracs = [log.rows[-1][5], log.rows[-1][6], log.rows[-1][7]]
+    fracs = [log.column(f"mode_frac_{c}")[-1] for c in ("m4", "0", "4")]
     print(f"status {log.status}; final mode mass "
           f"[{fracs[0]:.3f}, {fracs[1]:.3f}, {fracs[2]:.3f}] -> {prefix}.csv")
     return 0
@@ -202,8 +202,10 @@ def cmd_plot(args) -> int:
         raise FileNotFoundError(f"no such CSV: {path}")
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
+    # a lines CSV starts with a header; a landscape CSV has none
+    if len(lines) < (1 if args.kind == "landscape" else 2):
+        raise ValueError(f"no data rows in CSV: {path}")
     if args.kind == "landscape":
-        # landscape CSVs are raw value rows with no header
         values = np.array([[float(x) for x in line.split(",")]
                            for line in lines])
         n_u, n_v = values.shape

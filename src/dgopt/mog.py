@@ -259,99 +259,69 @@ class MogGanGame:
     def discriminate(self, v, x):
         return self._forward(D_LAYOUT, v, x[:, None])
 
-    @staticmethod
-    def _clamped_probs(logits):
-        p = stable_sigmoid(logits)
-        clamped = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-        inside = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
-        return clamped, inside
+    def _pass(self, u, v, value=False, du=False, dv=False):
+        """(value, grad_u, grad_v) at (u, v), each None unless asked for.
 
-    def _on_batch(self, u, v, for_backward=False):
-        """D on the real data followed by G(u)'s fakes: clamped
-        probabilities, the unclamped mask and both nets' activations."""
-        fake, gacts = self._fake(u, for_backward)
-        logits, dacts = self.discriminate(v, np.concatenate([self.data, fake]))
-        p, inside = self._clamped_probs(logits)
-        return p, inside, dacts, gacts
-
-    def _objective(self, p) -> float:
-        real_term = float(np.mean(np.log(p[:self.n])))
-        fake_term = float(np.mean(np.log(1.0 - p[self.n:])))
-        total = real_term + fake_term
-        if not math.isfinite(total):
-            raise NonFiniteValueError("GAN objective is non-finite")
-        return total
-
-    def _backward_v(self, v, p, inside, dacts, input_grad=False):
-        """D's parameter gradient over the whole batch (and, if asked,
-        the gradient w.r.t. D's inputs)."""
-        dlogit = np.empty_like(p)
-        dlogit[:self.n] = (1.0 - p[:self.n]) / self.n
-        dlogit[self.n:] = -p[self.n:] / self.n
+        D runs on the n real rows then G(u)'s n fakes when the value or
+        grad_v needs them, else on the fakes only.  Its backward covers
+        every row it saw for grad_v, else the fakes only, and goes on
+        into G's backward for grad_u.
+        """
+        n = self.n
+        fake, gacts = self._fake(u, for_backward=du)
+        logits, dacts = self.discriminate(
+            v, np.concatenate([self.data, fake]) if value or dv else fake)
+        sig = stable_sigmoid(logits)
+        p = np.clip(sig, PROB_EPS, 1.0 - PROB_EPS)
+        inside = (sig > PROB_EPS) & (sig < 1.0 - PROB_EPS)
+        total = None
+        if value:
+            total = (float(np.mean(np.log(p[:n])))
+                     + float(np.mean(np.log(1.0 - p[n:]))))
+            if not math.isfinite(total):
+                raise NonFiniteValueError("GAN objective is non-finite")
+        if not (du or dv):
+            return total, None, None
+        back = n if value and not dv else 0   # first row D backpropagates
+        p, inside, dacts = p[back:], inside[back:], [a[back:] for a in dacts]
+        dlogit = -p / n   # the fake rows' term; only it depends on u
+        if dv:
+            dlogit[:n] = (1.0 - p[:n]) / n
         dlogit[~inside] = 0.0
-        return mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, True,
-                            input_grad, self._scratch(dacts))
-
-    def _backward_u(self, u, v, p, inside, dacts, gacts):
-        """G's parameter gradient from D's pass over the fake rows only."""
-        dlogit = -p / self.n
-        dlogit[~inside] = 0.0
-        _, dx = mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, False,
-                             True, self._scratch(dacts))
-        return self._backward_g(u, gacts, dx)
-
-    def _backward_g(self, u, gacts, dx):
-        grad, _ = mlp_backward(G_LAYOUT, u, gacts, dx[:, 0], self.dtype, True,
-                               False, self._scratch(gacts))
-        return grad
+        grad_v, dx = mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, dv,
+                                  du, self._scratch(dacts))
+        if not du:
+            return total, None, grad_v
+        grad_u, _ = mlp_backward(G_LAYOUT, u, gacts, dx[n if dv else 0:, 0],
+                                 self.dtype, True, False, self._scratch(gacts))
+        return total, grad_u, grad_v
 
     # -- oracle surface ----------------------------------------------------
 
     def value(self, u, v) -> float:
-        p, _, _, _ = self._on_batch(u, v)
-        return self._objective(p)
+        return self._pass(u, v, value=True)[0]
 
     def grad_v(self, u, v) -> np.ndarray:
-        p, inside, dacts, _ = self._on_batch(u, v)
-        return self._backward_v(v, p, inside, dacts)[0]
+        return self._pass(u, v, dv=True)[2]
 
     def grad_u(self, u, v) -> np.ndarray:
-        # only the fake term depends on the generator
-        fake, gacts = self._fake(u, for_backward=True)
-        logits, dacts = self.discriminate(v, fake)
-        p, inside = self._clamped_probs(logits)
-        return self._backward_u(u, v, p, inside, dacts, gacts)
+        return self._pass(u, v, du=True)[1]
 
     def value_and_grad_v(self, u, v):
         """value(u, v) and grad_v(u, v) from one pass."""
-        p, inside, dacts, _ = self._on_batch(u, v)
-        return self._objective(p), self._backward_v(v, p, inside, dacts)[0]
+        return self._pass(u, v, value=True, dv=True)[::2]
 
     def value_and_grad_u(self, u, v):
-        """value(u, v) and grad_u(u, v) from one pass; D's backward
-        covers only the fake rows."""
-        p, inside, dacts, gacts = self._on_batch(u, v, for_backward=True)
-        n = self.n
-        return self._objective(p), self._backward_u(
-            u, v, p[n:], inside[n:], [a[n:] for a in dacts], gacts)
-
-    def _joint_pass(self, u, v):
-        """One D pass over real+fake rows and one backward through D (its
-        parameter and input gradients) and then G: the clamped
-        probabilities, grad_u and grad_v."""
-        p, inside, dacts, gacts = self._on_batch(u, v, for_backward=True)
-        grad_v, dx = self._backward_v(v, p, inside, dacts, input_grad=True)
-        return p, self._backward_g(u, gacts, dx[self.n:]), grad_v
+        """value(u, v) and grad_u(u, v) from one pass."""
+        return self._pass(u, v, value=True, du=True)[:2]
 
     def grads(self, u, v):
         """grad_u and grad_v at (u, v) from one pass."""
-        _, grad_u, grad_v = self._joint_pass(u, v)
-        return grad_u, grad_v
+        return self._pass(u, v, du=True, dv=True)[1:]
 
     def value_and_grads(self, u, v):
         """value, grad_u and grad_v at (u, v) from one pass."""
-        p, grad_u, grad_v = self._joint_pass(u, v)
-        return self._objective(p), grad_u, grad_v
+        return self._pass(u, v, value=True, du=True, dv=True)
 
     def hessian_blocks(self, p, h=1e-5):
         raise NotImplementedError("the GAN game exposes first-order "
@@ -515,7 +485,8 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
     gda, eg and dg are optimizers.make_step_map's step maps; dg descends
     the envelope gradient of a dg_k-step duality-gap estimate (inner
     step size lr).  Logging happens every log_interval steps on a fixed
-    1000-draw noise evaluation set.
+    1000-draw noise evaluation set.  A supplied game must have the run's
+    seed, n and dtype.
 
     The whole run holds OpenBLAS at one thread, so no output depends on
     the host's BLAS thread count.  If it can, and the process may use two
@@ -532,6 +503,9 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
                           dg=dgmod.DGConfig(k=dg_k))
     if game is None:
         game = MogGanGame(seed, n=n, dtype=dtype)
+    for name, arg in (("seed", seed), ("n", n), ("dtype", np.dtype(dtype))):
+        if (have := getattr(game, name)) != arg:
+            raise ValueError(f"game has {name}={have}, not {arg}")
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
     with _thread_setup() as log.thread_setup:
         if algorithm == "co":

@@ -473,3 +473,16 @@ class TestPlotCommand:
 
     def test_missing_csv_is_usage_error(self):
         assert run(["plot", "--csv", "/nonexistent.csv", "--out", "/tmp/z"]) == 2
+
+    @pytest.mark.parametrize("kind, text", [
+        ("lines", ""), ("lines", "t,u,v\n"), ("landscape", ""),
+    ])
+    def test_csv_without_data_rows_is_usage_error(self, tmp_path, capsys,
+                                                  kind, text):
+        csv = tmp_path / "empty.csv"
+        csv.write_text(text)
+        code = run(["plot", "--csv", str(csv), "--kind", kind,
+                    "--out", str(tmp_path / "re")])
+        assert code == 2
+        assert str(csv) in capsys.readouterr().err
+        assert not (tmp_path / "re.svg").exists()

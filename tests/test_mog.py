@@ -137,7 +137,7 @@ class TestGanOracle:
         # zero-bias initialization geometry
         game = MogGanGame(seed=8, n=300, dtype=np.float64)
         log = train_mog("gda", seed=8, iterations=50, log_interval=50,
-                        dtype=np.float64, game=game, lr=1e-2)
+                        dtype=np.float64, n=300, game=game, lr=1e-2)
         u, v = log.final_u, log.final_v
         _, gu, gv = game.value_and_grads(u, v)
         rng = np.random.default_rng(3)
@@ -186,11 +186,8 @@ class TestGanOracle:
         # array may share a thread's reused pass buffers
         game = MogGanGame(seed=7, n=200, dtype=np.float64)
         points = [_moved_params(game, s) for s in range(6)]
-        calls = [(name, i % 2, j) for name in ("grad_v", "grad_u",
-                                               "value_and_grad_u",
-                                               "value_and_grads", "grads",
-                                               "eval_samples",
-                                               "disc_outputs")
+        calls = [(name, i % 2, j)
+                 for name in (*ORACLE_CALLS, "eval_samples", "disc_outputs")
                  for i in range(2) for j in range(len(points))]
 
         def call(name, i, j):
@@ -199,7 +196,8 @@ class TestGanOracle:
                 return (game.eval_samples(u),)
             if name == "disc_outputs":
                 return (game.disc_outputs(v, game.eval_samples(u)),)
-            return getattr(game, name)(u, v)
+            out = getattr(game, name)(u, v)
+            return out if isinstance(out, tuple) else (out,)
 
         want = [np.hstack(call(*c)) for c in calls]
         interval = sys.getswitchinterval()
@@ -307,6 +305,44 @@ class TestPassBuffers:
             assert peak < 1_000_000, (name, peak)
 
 
+class TestPassRows:
+    """The rows each entry point's pass runs D on and backpropagates, and
+    whether it goes on into G: the cost, which bit-equality cannot see."""
+
+    # entry point: (D forward rows, D backward rows, G backward) per n
+    ROWS = {"value": (2, 0, False),
+            "grad_u": (1, 1, True),
+            "grad_v": (2, 2, False),
+            "value_and_grad_u": (2, 1, True),
+            "value_and_grad_v": (2, 2, False),
+            "grads": (2, 2, True),
+            "value_and_grads": (2, 2, True)}
+
+    @pytest.mark.parametrize("name", ORACLE_CALLS)
+    def test_rows_per_entry_point(self, monkeypatch, name):
+        calls = []
+        forward, backward = mog.mlp_forward, mog.mlp_backward
+
+        def record_forward(layout, params, x, *rest):
+            calls.append(("forward", layout, len(x)))
+            return forward(layout, params, x, *rest)
+
+        def record_backward(layout, params, acts, dout, *rest):
+            calls.append(("backward", layout, len(dout)))
+            return backward(layout, params, acts, dout, *rest)
+
+        monkeypatch.setattr(mog, "mlp_forward", record_forward)
+        monkeypatch.setattr(mog, "mlp_backward", record_backward)
+        n = 200
+        game = MogGanGame(seed=4, n=n, dtype=np.float64)
+        getattr(game, name)(*_moved_params(game, 4))
+        d_fwd, d_bwd, g_bwd = self.ROWS[name]
+        want = [("forward", G_LAYOUT, n), ("forward", D_LAYOUT, d_fwd * n)]
+        want += [("backward", D_LAYOUT, d_bwd * n)] if d_bwd else []
+        want += [("backward", G_LAYOUT, n)] if g_bwd else []
+        assert calls == want
+
+
 class TestCoHessianVector:
     def test_fd_hvp_matches_exact_on_quadratic_micro_game(self):
         """A 2+2-parameter bilinear-quadratic game with a known Hessian:
@@ -369,6 +405,15 @@ class TestTrainingPlumbing:
         for r1, r2 in zip(runs[0].rows, runs[1].rows):
             assert r1 == r2
         assert np.array_equal(runs[0].final_samples, runs[1].final_samples)
+
+    @pytest.mark.parametrize("setting, value",
+                             [("seed", 1), ("n", 100), ("dtype", "float64")])
+    def test_supplied_game_must_match_the_arguments(self, setting, value):
+        # a mismatched game would train on other data than the log records
+        game = MogGanGame(**{"seed": 3, "n": 200, "dtype": np.float32,
+                             setting: value})
+        with pytest.raises(ValueError, match=f"game has {setting}="):
+            train_mog("gda", seed=3, iterations=1, n=200, game=game)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
