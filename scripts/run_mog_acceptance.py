@@ -11,9 +11,11 @@ The eg and co baselines run on the same protocol with --algs eg,co.
 Write them to a separate --out: the criterion's runtime check sums the
 wall time of every run in its verdict.json.
 
-An existing <alg>_seed<N>.json is reused instead of re-run, but only
-if it was made with the requested iteration count; any other refuses
-the whole invocation (exit 2) before anything runs.
+--k sets dg's inner step count (default 10, the protocol's); every
+algorithm's logged DG metric uses it too, so each <alg>_seed<N>.json
+records it as dg_k.  An existing <alg>_seed<N>.json is reused instead of
+re-run, but only if it was made with the requested iteration count and
+k; any other refuses the whole invocation (exit 2) before anything runs.
 
 verdict.json is written only when every requested algorithm has all of
 the protocol's seeds 1-5 in the output directory, and then lists those
@@ -37,8 +39,11 @@ Each <alg>_seed<N>.json holds a "manifest" of what made it: argv, the
 git revision (null outside a git checkout), the numpy version and the
 thread setup the run used (openblas_pinned, cpu_mask, concurrent_halves).
 
-Usage: python scripts/run_mog_acceptance.py [--iters N] [--seeds a,b,...]
-           [--algs gda,dg,eg,co] [--out DIR]
+At each log row a run prints its iteration, iterations per second so
+far and the estimated time left to stderr.
+
+Usage: python scripts/run_mog_acceptance.py [--iters N] [--k K]
+           [--seeds a,b,...] [--algs gda,dg,eg,co] [--out DIR]
 """
 
 import argparse
@@ -71,10 +76,21 @@ def git_revision():
         return None
 
 
-def run_one(alg, seed, iters, out_dir):
+def print_progress(alg, seed):
+    """A train_mog progress callback: iteration, it/s and ETA on stderr."""
+    def progress(it, iterations, elapsed):
+        rate = it / elapsed
+        eta = f"{(iterations - it) / rate:.0f}s" if rate else "?"
+        print(f"{alg} seed {seed}: iteration {it}/{iterations}, "
+              f"{rate:.2f} it/s, ETA {eta}", file=sys.stderr, flush=True)
+    return progress
+
+
+def run_one(alg, seed, iters, k, out_dir):
     t0 = time.time()
-    log = train_mog(alg, seed=seed, iterations=iters, dg_k=10,
-                    log_interval=100, dtype=np.float32)
+    log = train_mog(alg, seed=seed, iterations=iters, dg_k=k,
+                    log_interval=100, dtype=np.float32,
+                    progress=print_progress(alg, seed))
     wall = time.time() - t0
 
     def logged(name, row=-1):
@@ -84,6 +100,7 @@ def run_one(alg, seed, iters, out_dir):
         "algorithm": alg,
         "seed": seed,
         "iterations": iters,
+        "dg_k": k,
         "status": log.status,
         "wall_seconds": wall,
         "initial_dg_metric": logged("dg_metric", 0),
@@ -110,6 +127,9 @@ def run_one(alg, seed, iters, out_dir):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--iters", type=int, default=20000)
+    ap.add_argument("--k", type=int, default=10,
+                    help="dg inner step count, also used by every "
+                         "algorithm's logged DG metric")
     ap.add_argument("--seeds", type=str, default="1,2,3,4,5")
     ap.add_argument("--algs", type=str, default="gda,dg",
                     help="subset of gda,dg,eg,co to run; the verdict lists "
@@ -123,6 +143,8 @@ def main():
     if unknown:
         ap.error(f"--algs takes {','.join(ALGORITHMS)}, not "
                  f"{','.join(unknown)}")
+    if args.k < 0:
+        ap.error(f"--k must be at least 0, not {args.k}")
     os.makedirs(args.out, exist_ok=True)
 
     algs = [alg for alg in ALGORITHMS if alg in algs]
@@ -134,10 +156,14 @@ def main():
         if os.path.exists(marker):
             with open(marker) as fh:
                 row = json.load(fh)
-            if row.get("iterations") != args.iters:
-                ap.exit(2, f"{marker} was made with {row.get('iterations')} "
-                           f"iterations, not the requested {args.iters}; "
-                           f"move it away or use another --out\n")
+            for key, want, what in (
+                    ("iterations", args.iters, "{} iterations"),
+                    ("dg_k", args.k, "k={}")):
+                if row.get(key) != want:
+                    ap.exit(2, f"{marker} was made with "
+                               f"{what.format(row.get(key))}, not the "
+                               f"requested {what.format(want)}; move it "
+                               f"away or use another --out\n")
             existing[alg, seed] = row
 
     t0 = time.time()
@@ -145,7 +171,8 @@ def main():
         if (alg, seed) in existing:
             print(f"{alg} seed {seed}: reusing existing artifact", flush=True)
         else:
-            existing[alg, seed] = run_one(alg, seed, args.iters, args.out)
+            existing[alg, seed] = run_one(alg, seed, args.iters, args.k,
+                                          args.out)
     protocol = [(alg, seed) for alg in algs for seed in PROTOCOL_SEEDS]
     missing = [f"{alg}_seed{seed}.json" for alg, seed in protocol
                if (alg, seed) not in existing]

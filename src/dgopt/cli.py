@@ -8,7 +8,8 @@ outputs.
 --threads is accepted and changes nothing.  A mog run decides its own
 threads (see mog.train_mog): it runs the two halves of each duality-gap
 evaluation concurrently when the process may use two or more CPUs, e.g.
-under taskset, with the same outputs either way.
+under taskset, with the same outputs either way.  A rate run splits its
+runs over a forked child on the same condition (see rates.run_rates).
 """
 
 from __future__ import annotations
@@ -152,8 +153,7 @@ def cmd_rate(args) -> int:
         t_list.append(t)
         t = int(round(t * math.sqrt(10.0)))
     t_list.append(args.tmax)
-    ada = rates.run_adagrad_rate(problem, t_list, args.seed, args.repeats)
-    sgd = rates.run_sgd_baseline(problem, t_list, args.seed, args.repeats)
+    ada, sgd = rates.run_rates(problem, t_list, args.seed, args.repeats)
     prefix = _out_prefix(args)
     ada.write_csv(f"{prefix}.csv")
     ada.write_json(f"{prefix}.json")
@@ -201,13 +201,18 @@ def cmd_plot(args) -> int:
     if not path.exists():
         raise FileNotFoundError(f"no such CSV: {path}")
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [(n, line.strip().split(",")) for n, line in enumerate(fh, 1)
+                 if line.strip()]
     # a lines CSV starts with a header; a landscape CSV has none
     if len(lines) < (1 if args.kind == "landscape" else 2):
         raise ValueError(f"no data rows in CSV: {path}")
+    first, width = lines[0][0], len(lines[0][1])
+    for n, cells in lines:
+        if len(cells) != width:
+            raise ValueError(f"ragged CSV {path}: line {n} has {len(cells)} "
+                             f"cells, line {first} has {width}")
     if args.kind == "landscape":
-        values = np.array([[float(x) for x in line.split(",")]
-                           for line in lines])
+        values = np.array([[float(x) for x in cells] for _, cells in lines])
         n_u, n_v = values.shape
         canvas = svgplot.SvgCanvas()
         axes = svgplot.Axes(canvas, (0, n_u - 1), (0, n_v - 1),
@@ -217,8 +222,8 @@ def cmd_plot(args) -> int:
                         mark_argmin=True)
         canvas.save(args.out + ".svg")
     else:
-        header = lines[0].split(",")
-        rows = [line.split(",") for line in lines[1:]]
+        header = lines[0][1]
+        rows = [cells for _, cells in lines[1:]]
         xs = np.array([float(r[0]) for r in rows])
         series = []
         for col in range(1, len(header)):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -139,6 +140,13 @@ def _forget(game_ref):
 def _point_key(x):
     x = np.asarray(x)
     return x.tobytes(), x.shape, x.dtype.str
+
+
+def cpu_mask() -> list:
+    """The sorted ids of the CPUs this process may use: its affinity
+    mask, else every CPU of the machine where the OS keeps no mask."""
+    return sorted(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                  else range(os.cpu_count() or 1))
 
 
 # Per thread, the worker of the innermost open concurrent_halves() scope

@@ -17,8 +17,8 @@ import contextlib
 import ctypes
 import functools
 import math
-import os
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -461,12 +461,10 @@ def _one_blas_thread():
 @contextlib.contextmanager
 def _thread_setup():
     """A training run's thread scope: OpenBLAS held at one thread and,
-    when it was found and the process may use two or more CPUs (its
-    affinity mask, else the machine's CPU count), a concurrent_halves()
-    scope.  The block gets the setup as a dict: openblas_pinned,
-    cpu_mask (the sorted CPU ids) and concurrent_halves."""
-    cpus = sorted(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-                  else range(os.cpu_count() or 1))
+    when it was found and the process may use two or more CPUs
+    (dg.cpu_mask), a concurrent_halves() scope.  The block gets the
+    setup as a dict: openblas_pinned, cpu_mask and concurrent_halves."""
+    cpus = dgmod.cpu_mask()
     with _one_blas_thread() as pinned:
         setup = {"openblas_pinned": pinned, "cpu_mask": cpus,
                  "concurrent_halves": pinned and len(cpus) >= 2}
@@ -479,14 +477,15 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
               lr: float = 2e-4, co_gamma: float = 1.0,
               dg_k: int = 10, log_interval: int = 100,
               dtype=np.float32, game: Optional[MogGanGame] = None,
-              n: int = 5000) -> MogTrainingLog:
+              n: int = 5000, progress=None) -> MogTrainingLog:
     """Full-batch training with one of gda / eg / co / dg at step size lr.
 
     gda, eg and dg are optimizers.make_step_map's step maps; dg descends
     the envelope gradient of a dg_k-step duality-gap estimate (inner
     step size lr).  Logging happens every log_interval steps on a fixed
-    1000-draw noise evaluation set.  A supplied game must have the run's
-    seed, n and dtype.
+    1000-draw noise evaluation set, after which a given progress is
+    called with (iteration, iterations, seconds since the run began).  A
+    supplied game must have the run's seed, n and dtype.
 
     The whole run holds OpenBLAS at one thread, so no output depends on
     the host's BLAS thread count.  If it can, and the process may use two
@@ -507,6 +506,7 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
         if (have := getattr(game, name)) != arg:
             raise ValueError(f"game has {name}={have}, not {arg}")
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
+    started = time.perf_counter()
     with _thread_setup() as log.thread_setup:
         if algorithm == "co":
             step = functools.partial(_co_step, game,
@@ -526,6 +526,8 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
                              float(np.linalg.norm(gv)), dg_val,
                              fracs[0], fracs[1], fracs[2], disc_real,
                              disc_fake))
+            if progress is not None:
+                progress(it, iterations, time.perf_counter() - started)
 
         p = JointPoint(*game.init_params())
         log_row(0, p)

@@ -8,15 +8,20 @@ the average iterate instead of the generic O(1/sqrt(T)).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import outputs
-from .dg import AdaGradState, adagrad_step
+from .dg import AdaGradState, adagrad_step, cpu_mask
 from .games import Array, Box, checked
 
 
@@ -129,53 +134,117 @@ def _fit_loglog_slope(ts, errs) -> float:
     return float(coef[0])
 
 
-def _run_rate(problem: RealizableProblem, t_list: Sequence[int], seed: int,
-              repeats: int, step_rule: str, start: str = "random") -> RateResult:
+def _repeat_errors(problem: RealizableProblem, t_list: list, seed: int,
+                   start: str, run: tuple) -> Array:
+    """One (step rule, repeat) run's error row: the exact family-average
+    suboptimality of the running-mean iterate at each logged T."""
+    step_rule, r = run
+    rng = seeded_rng(seed, f"rate-{step_rule}-repeat{r}")
+    if start == "x_star":
+        x = problem.x_star.copy()
+    else:
+        x = rng.uniform(problem.box.lo, problem.box.hi)
+    z_draws = rng.integers(0, problem.family_size, size=t_list[-1])
+    diameter = problem.diameter
+    errors = np.zeros(len(t_list))
+    running_sum = np.zeros(problem.dimension)
+    state = AdaGradState.fresh(diameter, problem.box)
+    log_idx = 0
+    for t, z in enumerate(z_draws.tolist(), start=1):
+        running_sum += x
+        g = problem.sample_grad(x, z)
+        if step_rule == "adagrad":
+            x = adagrad_step(state, x, g)
+        else:
+            eta_t = diameter / math.sqrt(t)
+            x = problem.box.clamp(x - eta_t * g)
+        if t == t_list[log_idx]:
+            avg = running_sum / t
+            errors[log_idx] = problem.expected_value(avg)
+            log_idx += 1
+            if log_idx == len(t_list):
+                break
+    return errors
+
+
+def _split_runs(run, items: list) -> list:
+    """[run(item) for item in items], the back half in a forked child.
+
+    The child pickles its results (or its error's type and message, which
+    re-raises here) into a pipe and leaves with os._exit; the parent runs
+    the front half meanwhile, kills the child if that raised, and always
+    reaps it.  The runs share no state, so the list is the same as in
+    sequence, which is how they run without os.fork, on fewer than two
+    CPUs, or while a second thread is alive (a fork copies one thread).
+    A process and not a thread, since the loops' numpy calls are too
+    small to release the GIL.
+    """
+    cut = (len(items) + 1) // 2
+    if (cut == len(items) or not hasattr(os, "fork")
+            or len(cpu_mask()) < 2 or threading.active_count() != 1):
+        return [run(item) for item in items]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, [run(item) for item in items[cut:]])
+            except Exception as exc:
+                outcome = (False, (type(exc), str(exc)))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            front = [run(item) for item in items[:cut]]
+            sent = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise RuntimeError(f"the forked half of the runs sent no result "
+                           f"(wait status {status})")
+    ok, back = pickle.loads(sent)
+    if not ok:
+        kind, message = back
+        raise kind(message)
+    return front + back
+
+
+def _run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
+               repeats: int, step_rules: tuple, start: str) -> tuple:
+    """One RateResult per step rule, all rules' repeats split at once."""
     checked("repeats", repeats, at_least=1)
     t_list = sorted({int(checked("logged step count", t, at_least=1))
                      for t in t_list})
     if len(t_list) < 2:
         raise ValueError("a log-log slope needs at least two logged step "
                          "counts")
-    t_max = t_list[-1]
+    runs = [(rule, r) for rule in step_rules for r in range(repeats)]
+    rows = _split_runs(functools.partial(_repeat_errors, problem, t_list,
+                                         seed, start), runs)
     diameter = problem.diameter
-    per_repeat = np.zeros((repeats, len(t_list)))
-
-    for r in range(repeats):
-        rng = seeded_rng(seed, f"rate-{step_rule}-repeat{r}")
-        if start == "x_star":
-            x = problem.x_star.copy()
-        else:
-            x = rng.uniform(problem.box.lo, problem.box.hi)
-        z_draws = rng.integers(0, problem.family_size, size=t_max)
-        running_sum = np.zeros(problem.dimension)
-        state = AdaGradState.fresh(diameter, problem.box)
-        log_idx = 0
-        for t, z in enumerate(z_draws.tolist(), start=1):
-            running_sum += x
-            g = problem.sample_grad(x, z)
-            if step_rule == "adagrad":
-                x = adagrad_step(state, x, g)
-            else:
-                eta_t = diameter / math.sqrt(t)
-                x = problem.box.clamp(x - eta_t * g)
-            if t == t_list[log_idx]:
-                avg = running_sum / t
-                per_repeat[r, log_idx] = problem.expected_value(avg)
-                log_idx += 1
-                if log_idx == len(t_list):
-                    break
-
-    err_mean = per_repeat.mean(axis=0)
-    err_std = per_repeat.std(axis=0)
     l_const = problem.smoothness
     bounds = [4.0 * l_const * diameter * diameter / t for t in t_list]
-    passes = bool(np.all(err_mean <= np.asarray(bounds)))
-    return RateResult(t_values=list(t_list), error_mean=err_mean.tolist(),
-                      error_std=err_std.tolist(), bound_values=bounds,
-                      slope=_fit_loglog_slope(t_list, err_mean),
-                      smoothness=l_const, diameter=diameter,
-                      passes_bound=passes)
+    results = []
+    for i in range(len(step_rules)):
+        per_repeat = np.stack(rows[i * repeats:(i + 1) * repeats])
+        err_mean = per_repeat.mean(axis=0)
+        err_std = per_repeat.std(axis=0)
+        results.append(RateResult(
+            t_values=list(t_list), error_mean=err_mean.tolist(),
+            error_std=err_std.tolist(), bound_values=list(bounds),
+            slope=_fit_loglog_slope(t_list, err_mean), smoothness=l_const,
+            diameter=diameter,
+            passes_bound=bool(np.all(err_mean <= np.asarray(bounds)))))
+    return tuple(results)
 
 
 def run_adagrad_rate(problem: RealizableProblem, t_list: Sequence[int],
@@ -183,14 +252,23 @@ def run_adagrad_rate(problem: RealizableProblem, t_list: Sequence[int],
                      start: str = "random") -> RateResult:
     """Simplified AdaGrad on single-sample gradients; the error is the
     exact family-average suboptimality of the running-mean iterate."""
-    return _run_rate(problem, t_list, seed, repeats, "adagrad", start=start)
+    return _run_rates(problem, t_list, seed, repeats, ("adagrad",), start)[0]
 
 
 def run_sgd_baseline(problem: RealizableProblem, t_list: Sequence[int],
                      seed: int, repeats: int = 10,
                      start: str = "random") -> RateResult:
     """Projected SGD with eta_t = D / sqrt(t); the slower comparison."""
-    return _run_rate(problem, t_list, seed, repeats, "sgd", start=start)
+    return _run_rates(problem, t_list, seed, repeats, ("sgd",), start)[0]
+
+
+def run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
+              repeats: int = 10, start: str = "random") -> tuple:
+    """(run_adagrad_rate(...), run_sgd_baseline(...)) with the same
+    arguments, the two rules' 2 * repeats runs split at once: at
+    repeats=1 each rule has a CPU."""
+    return _run_rates(problem, t_list, seed, repeats, ("adagrad", "sgd"),
+                      start)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,30 @@ class TestDeterminism:
                                            "_hist.csv", ".svg")})
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("repeats", ["1", "2", "3"])
+    def test_rate_byte_identical_under_one_cpu_mask(self, tmp_path,
+                                                    monkeypatch, repeats):
+        # two CPUs split the runs over a forked child; one runs them all
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)),
+                                raising=False)
+            out = tmp_path / str(cpus) / "rate"
+            code = run(["rate", "--dim", "3", "--family", "4", "--Tmax",
+                        "1000", "--repeats", repeats, "--seed", "5",
+                        "--out", str(out)])
+            assert code == 0
+            outputs.append({suffix: Path(f"{out}{suffix}").read_bytes()
+                            for suffix in (".csv", ".json", "_sgd.csv",
+                                           "_sgd.json", ".svg")})
+        assert len(forks) == 1
+        assert outputs[0] == outputs[1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_catalog_dg_starts_no_thread_and_loads_no_blas_hooks(self, tmp_path):
         script = (
             "import threading, sys\n"
@@ -485,4 +509,19 @@ class TestPlotCommand:
                     "--out", str(tmp_path / "re")])
         assert code == 2
         assert str(csv) in capsys.readouterr().err
+        assert not (tmp_path / "re.svg").exists()
+
+    @pytest.mark.parametrize("kind, text, line", [
+        ("lines", "t,a,b\n0,1,2\n1,2\n", 3),
+        ("lines", "t,a,b\n\n0,1,2,3\n", 3),
+        ("landscape", "1,2,3\n4,5\n7,8,9\n", 2),
+    ])
+    def test_ragged_csv_is_usage_error(self, tmp_path, capsys, kind, text,
+                                       line):
+        csv = tmp_path / "ragged.csv"
+        csv.write_text(text)
+        code = run(["plot", "--csv", str(csv), "--kind", kind,
+                    "--out", str(tmp_path / "re")])
+        assert code == 2
+        assert f"ragged CSV {csv}: line {line} has" in capsys.readouterr().err
         assert not (tmp_path / "re.svg").exists()

@@ -406,6 +406,25 @@ class TestTrainingPlumbing:
             assert r1 == r2
         assert np.array_equal(runs[0].final_samples, runs[1].final_samples)
 
+    def test_progress_sees_each_log_row_and_changes_nothing(self, tmp_path):
+        calls = []
+        logs = [train_mog("eg", seed=2, iterations=7, log_interval=3, n=200,
+                          progress=progress)
+                for progress in (None, lambda *args: calls.append(args))]
+        assert [(it, total) for it, total, _ in calls] == [
+            (int(row[0]), 7) for row in logs[1].rows] == [
+            (0, 7), (3, 7), (6, 7), (7, 7)]
+        elapsed = [seconds for _, _, seconds in calls]
+        assert 0 < elapsed[0] and elapsed == sorted(elapsed)
+        blobs = []
+        for i, log in enumerate(logs):
+            log.write_csv(tmp_path / f"{i}.csv")
+            log.write_samples_csv(tmp_path / f"{i}_samples.csv")
+            log.write_histogram_csv(tmp_path / f"{i}_hist.csv")
+            blobs.append([(tmp_path / f"{i}{suffix}").read_bytes()
+                          for suffix in (".csv", "_samples.csv", "_hist.csv")])
+        assert blobs[0] == blobs[1]
+
     @pytest.mark.parametrize("setting, value",
                              [("seed", 1), ("n", 100), ("dtype", "float64")])
     def test_supplied_game_must_match_the_arguments(self, setting, value):
@@ -735,16 +754,16 @@ class TestAcceptanceScript:
     SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
         "run_mog_acceptance.py"
 
-    def run(self, out_dir, iters, algs="gda", seeds="1"):
+    def run(self, out_dir, iters, algs="gda", seeds="1", flags=()):
         return subprocess.run(
             [sys.executable, str(self.SCRIPT), "--iters", str(iters),
-             "--seeds", seeds, "--algs", algs, "--out", str(out_dir)],
-            capture_output=True, text=True, timeout=120)
+             "--seeds", seeds, "--algs", algs, "--out", str(out_dir),
+             *flags], capture_output=True, text=True, timeout=120)
 
     @staticmethod
-    def write_artifact(out_dir, alg, iters, seed=1):
+    def write_artifact(out_dir, alg, iters, seed=1, dg_k=10):
         row = {"algorithm": alg, "seed": seed, "iterations": iters,
-               "wall_seconds": 1.5}
+               "dg_k": dg_k, "wall_seconds": 1.5}
         (out_dir / f"{alg}_seed{seed}.json").write_text(json.dumps(row))
         return row
 
@@ -759,6 +778,28 @@ class TestAcceptanceScript:
         assert "gda_seed1.json" in proc.stderr
         assert "100 iterations" in proc.stderr
         assert not (tmp_path / "verdict.json").exists()
+
+    def test_artifact_from_another_k_is_refused(self, tmp_path):
+        self.write_artifact(tmp_path, "gda", 200, dg_k=5)
+        proc = self.run(tmp_path, 200)
+        assert proc.returncode == 2
+        assert "gda_seed1.json was made with k=5" in proc.stderr
+        assert "requested k=10" in proc.stderr
+        assert not (tmp_path / "verdict.json").exists()
+
+    def test_k_reaches_the_run_and_its_json(self, tmp_path):
+        proc = self.run(tmp_path, 0, flags=("--k", "3"))
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads((tmp_path / "gda_seed1.json").read_text())
+        assert row["dg_k"] == 3
+        log = train_mog("gda", seed=1, iterations=0, dg_k=3)
+        assert row["initial_dg_metric"] == float(log.column("dg_metric")[0])
+        # one progress line per log row, on stderr
+        assert proc.stderr.splitlines() == [
+            "gda seed 1: iteration 0/0, 0.00 it/s, ETA ?"]
+        proc = self.run(tmp_path, 0)
+        assert proc.returncode == 2
+        assert "made with k=3, not the requested k=10" in proc.stderr
 
     def test_matching_artifact_is_reused_and_only_requested_runs_listed(
             self, tmp_path):

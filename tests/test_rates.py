@@ -1,14 +1,18 @@
 """Realizable stochastic problems, AdaGrad rate, approximate realizability."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from dgopt import rates
 from dgopt.dg import AdaGradState, adagrad_step
 from dgopt.rates import (QuadraticSaddle, RateResult,
                          check_approx_realizability,
                          make_approx_realizable_family,
                          make_realizable_quadratic, run_adagrad_rate,
-                         run_sgd_baseline, seeded_rng)
+                         run_rates, run_sgd_baseline, seeded_rng)
 
 
 class TestConstruction:
@@ -119,6 +123,107 @@ class TestRateHarness:
             '  "passes_bound": true,\n'
             '  "slope": -1.0\n'
             '}\n')
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in the test, which starts with two CPUs."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    set_cpus(monkeypatch, 2)
+    return calls
+
+
+class TestSplitRuns:
+    """The runs of a rate call split over a forked child and the parent."""
+
+    T_LIST = [10, 100, 1000]
+
+    def result_bytes(self, results, tmp_path):
+        blobs = []
+        for i, res in enumerate(results):
+            res.write_csv(tmp_path / f"{i}.csv")
+            res.write_json(tmp_path / f"{i}.json")
+            blobs += [(tmp_path / f"{i}{ext}").read_bytes()
+                      for ext in (".csv", ".json")]
+        return blobs
+
+    @pytest.mark.parametrize("start", ["random", "x_star"])
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    def test_split_equals_one_cpu(self, forks, monkeypatch, tmp_path,
+                                  repeats, start):
+        prob = make_realizable_quadratic(4, 5, seed=3)
+        blobs = []
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            results = (*run_rates(prob, self.T_LIST, 3, repeats, start),
+                       run_adagrad_rate(prob, self.T_LIST, 3, repeats, start),
+                       run_sgd_baseline(prob, self.T_LIST, 3, repeats, start))
+            blobs.append(self.result_bytes(results, tmp_path))
+            assert no_child_left()
+        # run_rates forks, and each single rule with two or more runs
+        assert len(forks) == 1 + 2 * (repeats >= 2)
+        assert blobs[0] == blobs[1]
+        assert blobs[0][:4] == blobs[0][4:]
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_error_in_either_half_reraises_and_reaps(self, forks, monkeypatch,
+                                                      failing):
+        prob = make_realizable_quadratic(4, 5, seed=3)
+        parent, grad = os.getpid(), rates.RealizableProblem.sample_grad
+
+        def sample_grad(problem, x, z):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise FloatingPointError(f"injected in the {failing}")
+            return grad(problem, x, z)
+
+        monkeypatch.setattr(rates.RealizableProblem, "sample_grad",
+                            sample_grad)
+        with pytest.raises(FloatingPointError) as info:
+            run_rates(prob, self.T_LIST, 3, repeats=1)
+        assert str(info.value) == f"injected in the {failing}"
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_no_fork_on_one_cpu_or_beside_a_live_thread(self, forks,
+                                                        monkeypatch):
+        prob = make_realizable_quadratic(4, 5, seed=3)
+        set_cpus(monkeypatch, 1)
+        run_rates(prob, self.T_LIST, 3, repeats=2)
+        assert not forks
+        set_cpus(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            run_rates(prob, self.T_LIST, 3, repeats=2)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert not forks
+        run_rates(prob, self.T_LIST, 3, repeats=2)
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_bad_settings_raise_before_any_fork(self, forks):
+        prob = make_realizable_quadratic(4, 5, seed=3)
+        with pytest.raises(ValueError, match="repeats"):
+            run_rates(prob, self.T_LIST, 3, repeats=0)
+        with pytest.raises(ValueError, match="two logged step counts"):
+            run_rates(prob, [50], 3, repeats=2)
+        assert not forks
 
 
 class TestApproxRealizability:
