@@ -211,8 +211,16 @@ def cmd_plot(args) -> int:
         if len(cells) != width:
             raise ValueError(f"ragged CSV {path}: line {n} has {len(cells)} "
                              f"cells, line {first} has {width}")
+
+    def number(n, cell):
+        try:
+            return float(cell)
+        except ValueError:
+            raise ValueError(f"non-numeric CSV {path}: line {n} has cell "
+                             f"{cell!r}") from None
+
     if args.kind == "landscape":
-        values = np.array([[float(x) for x in cells] for _, cells in lines])
+        values = np.array([[number(n, x) for x in cells] for n, cells in lines])
         n_u, n_v = values.shape
         canvas = svgplot.SvgCanvas()
         axes = svgplot.Axes(canvas, (0, n_u - 1), (0, n_v - 1),
@@ -222,12 +230,12 @@ def cmd_plot(args) -> int:
                         mark_argmin=True)
         canvas.save(args.out + ".svg")
     else:
-        header = lines[0][1]
-        rows = [cells for _, cells in lines[1:]]
-        xs = np.array([float(r[0]) for r in rows])
+        header, rows = lines[0][1], lines[1:]
+        xs = np.array([number(n, r[0]) for n, r in rows])
         series = []
         for col in range(1, len(header)):
-            ys = np.array([float(r[col]) if r[col] else np.nan for r in rows])
+            ys = np.array([number(n, r[col]) if r[col] else np.nan
+                           for n, r in rows])
             series.append((header[col], ys,
                            svgplot.PALETTE[(col - 1) % len(svgplot.PALETTE)]))
         svgplot.line_chart(args.out + ".svg", xs, series, xlabel=header[0],

@@ -111,31 +111,33 @@ def mlp_forward(layout: MLPLayout, params, x, hidden=None):
     Returns the (n,) output and the activation stack for backprop.  The
     hidden activations are written into ``hidden`` (one (n, width)
     buffer per hidden layer) when given, else into fresh arrays; the
-    output is always fresh.  A width-1 input layer is an outer product,
-    so it broadcasts instead of calling BLAS.
+    output is always fresh.  A width-1 input layer is one K=2 GEMM
+    [x, 1] @ [w; b] (w and b are adjacent in params); its (n, 2) input,
+    ones in column 1, is ``hidden[-1]`` when hidden is given.
     """
     layers = layout.unpack(params)
     acts = [x]
     h = x
     for i, (w, b) in enumerate(layers[:-1]):
         t = None if hidden is None else hidden[i]
-        t = (np.multiply(h, w, out=t) if w.shape[0] == 1
-             else np.matmul(h, w, out=t))
-        t += b
+        if w.shape[0] == 1:
+            xin = (np.ones((2, len(h)), np.result_type(h, params)).T
+                   if hidden is None else hidden[-1])
+            xin[:, 0] = h[:, 0]
+            (w0, _, _), (_, b1, _) = layout.slices[i]
+            t = np.matmul(xin, params[w0:b1].reshape(2, -1), out=t)
+        else:
+            t = np.matmul(h, w, out=t)
+            t += b
         np.tanh(t, out=t)
         acts.append(t)
         h = t
     w, b = layers[-1]
-    out = h @ w
+    # row by row: a BLAS GEMV's bits for a row depend on where the row
+    # sits in h, and D's fakes follow the real rows in a pass on both
+    out = np.einsum("ij,j->i", h, w[:, 0])
     out += b
-    return out[:, 0], acts
-
-
-def _through_weights(g, w, out=None):
-    """g @ w.T, broadcast as an outer product when w has one column."""
-    if w.shape[1] == 1:
-        return np.multiply(g, w[:, 0], out=out)
-    return np.matmul(g, w.T, out=out)
+    return out, acts
 
 
 def mlp_backward(layout: MLPLayout, params, acts, dout, dtype,
@@ -146,32 +148,38 @@ def mlp_backward(layout: MLPLayout, params, acts, dout, dtype,
     for; both are fresh arrays.  The pass consumes ``acts``: it
     overwrites the hidden activations (never ``acts[0]``, the input)
     with the backpropagated signal, so they must come from a forward
-    pass nobody reuses.  The signal through each weight matrix goes
-    into ``scratch`` (an (n, width) buffer) when given, else into one
-    fresh array.
+    pass nobody reuses.  ``scratch``, when given, is a pair: an (n,
+    width) buffer for the signal through a hidden-to-hidden weight
+    matrix and an (n,) ones vector for the bias gradients (each a GEMV
+    ones @ g); else both are fresh.  The signal through a width-1 layer
+    is an outer product, multiplied into the tanh derivative in place.
     """
     layers = layout.unpack(params)
     grad = np.zeros(layout.dim, dtype=dtype) if param_grads else None
     glayers = layout.unpack(grad) if param_grads else None
     g = dout.astype(dtype, copy=False)[:, None]
-    spare = scratch
+    spare, ones = scratch or (None, np.ones(len(g), dtype))
     for idx in range(len(layers) - 1, -1, -1):
         w = layers[idx][0]
         if param_grads:
             gw, gb = glayers[idx]
             gw[:] = acts[idx].T @ g
-            gb[:] = g.sum(axis=0)
-        if idx == 0:
-            return grad, (_through_weights(g, w) if input_grad else None)
-        # through the weights, then the tanh whose output is acts[idx]
-        if spare is not None and spare.shape[1] != w.shape[0]:
-            spare = None
-        up = _through_weights(g, w, spare)
+            np.matmul(ones, g, out=gb)
+        if idx == 0:   # g @ w.T row by row, as mlp_forward's head
+            return grad, (np.einsum("ij,kj->ik", g, w) if input_grad else None)
+        # the tanh derivative at acts[idx] times the signal through w
         h = acts[idx]
         np.square(h, out=h)
         np.subtract(1.0, h, out=h)
-        h *= up
-        spare, g = up, h
+        if w.shape[1] == 1:
+            h *= g
+            h *= w[:, 0]
+        else:
+            if spare is not None and spare.shape[1] != w.shape[0]:
+                spare = None
+            spare = np.matmul(g, w.T, out=spare)
+            h *= spare
+        g = h
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +223,9 @@ class MogGanGame:
         arrays) for a pass outside the game's dtype.
 
         "g" is G's two hidden layers on the training noise; "d" is the
-        two hidden layers of every other pass plus the backprop scratch,
-        sized for the largest batch seen (at least the 2n real+fake rows).
+        two hidden layers of every other pass, the backprop scratch and
+        D's (rows, 2) input [x, 1] (see mlp_forward), sized for the
+        largest batch seen (at least the 2n real+fake rows).
         """
         if dtype != self.dtype:
             return None
@@ -225,12 +234,15 @@ class MogGanGame:
             size = self.n if name == "g" else max(rows, 2 * self.n)
             bufs = [np.empty((size, HIDDEN), dtype)
                     for _ in range(2 if name == "g" else 3)]
+            if name == "d":   # column-major, so its ones column is contiguous
+                bufs.append(np.ones((2, size), dtype).T)
             setattr(self._ws, name, bufs)
         return [b[:rows] for b in bufs]
 
     def _scratch(self, acts):
+        """mlp_backward's scratch: the backprop buffer and D's ones column."""
         bufs = self._buffers("d", len(acts[-1]), acts[-1].dtype)
-        return None if bufs is None else bufs[2]
+        return None if bufs is None else (bufs[2], bufs[3][:, 1])
 
     def _fake(self, u, for_backward=False):
         """G(u) on the training noise, and its activations.

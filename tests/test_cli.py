@@ -525,3 +525,19 @@ class TestPlotCommand:
         assert code == 2
         assert f"ragged CSV {csv}: line {line} has" in capsys.readouterr().err
         assert not (tmp_path / "re.svg").exists()
+
+    @pytest.mark.parametrize("kind, text, line, cell", [
+        ("lines", "t,a\n1,x\n", 2, "x"),
+        ("lines", "t,a\n0,1\n\n,2\n", 4, ""),
+        ("landscape", "1,2\n3,4e\n", 2, "4e"),
+    ])
+    def test_non_numeric_cell_is_usage_error(self, tmp_path, capsys, kind,
+                                             text, line, cell):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        code = run(["plot", "--csv", str(csv), "--kind", kind,
+                    "--out", str(tmp_path / "re")])
+        assert code == 2
+        assert (f"non-numeric CSV {csv}: line {line} has cell {cell!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "re.svg").exists()
