@@ -6,10 +6,11 @@ through named streams, so fixed arguments reproduce byte-identical
 outputs.
 
 --threads is accepted and changes nothing.  A mog run decides its own
-threads (see mog.train_mog): it runs the two halves of each duality-gap
-evaluation concurrently when the process may use two or more CPUs, e.g.
-under taskset, with the same outputs either way.  A rate run splits its
-runs over a forked child on the same condition (see rates.run_rates).
+threads (see parallel.thread_setup): it runs the two halves of each
+duality-gap evaluation concurrently when the process may use two or
+more CPUs, e.g. under taskset, with the same outputs either way.  A rate
+run splits its runs over a forked worker process on the same condition
+(see parallel.split_runs).
 """
 
 from __future__ import annotations
@@ -29,16 +30,21 @@ USAGE_ERROR = 2
 OPERATION_ERROR = 1
 
 
+def _two_floats(text: str, form: str) -> tuple:
+    try:
+        first, second = (float(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected {form!r}, got {text!r}") from None
+    return first, second
+
+
 def _parse_point(text: str) -> JointPoint:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'u,v' with one coordinate each, got {text!r}")
-    return JointPoint.of(*(checked("point coordinate", x) for x in parts))
+    return JointPoint.of(*(checked("point coordinate", x)
+                           for x in _two_floats(text, "u,v")))
 
 
 def _parse_box(text: str) -> Box:
-    lo, hi = (float(x) for x in text.split(","))
-    return Box.square(lo, hi)
+    return Box.square(*_two_floats(text, "lo,hi"))
 
 
 def _dg_config(args) -> dgmod.DGConfig:

@@ -21,9 +21,7 @@ step can only increase (decrease) the frozen-opponent objective.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import threading
 import weakref
 from dataclasses import dataclass
@@ -33,6 +31,7 @@ import numpy as np
 
 from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
                     checked)
+from .parallel import run_pair
 
 GRAD_MODES = ("envelope", "unrolled")
 
@@ -140,50 +139,6 @@ def _forget(game_ref):
 def _point_key(x):
     x = np.asarray(x)
     return x.tobytes(), x.shape, x.dtype.str
-
-
-def cpu_mask() -> list:
-    """The sorted ids of the CPUs this process may use: its affinity
-    mask, else every CPU of the machine where the OS keeps no mask."""
-    return sorted(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-                  else range(os.cpu_count() or 1))
-
-
-# Per thread, the worker of the innermost open concurrent_halves() scope
-_halves = threading.local()
-
-
-@contextlib.contextmanager
-def concurrent_halves():
-    """Within the block, run_pair calls on this thread (a DG evaluation's
-    two halves, MoG co's two finite-difference sides) run their first
-    thunk on one worker thread beside the second, with the same results;
-    only this starts the worker (and imports concurrent.futures)."""
-    from concurrent.futures import ThreadPoolExecutor
-    before = getattr(_halves, "pool", None)
-    try:
-        with ThreadPoolExecutor(1, "dg-descent") as _halves.pool:
-            yield
-    finally:
-        _halves.pool = before
-
-
-def run_pair(first, second):
-    """(first(), second()) for two thunks that share no state.
-
-    They run in sequence, first first, or in a concurrent_halves() scope
-    with first on its worker; when both fail, first's error wins.
-    """
-    pool = getattr(_halves, "pool", None)
-    if pool is None:
-        return first(), second()
-    future = pool.submit(first)
-    try:
-        out = second()
-    except Exception:
-        future.result()
-        raise
-    return future.result(), out
 
 
 def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):

@@ -13,8 +13,6 @@ catalog, so the duality-gap machinery applies unchanged.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 import threading
@@ -25,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import dg as dgmod
-from . import optimizers, outputs
+from . import optimizers, outputs, parallel
 from .games import JointPoint, NonFiniteValueError, checked
 from .optimizers import OptimizerConfig, _checked_grads
 from .rates import seeded_rng
@@ -374,7 +372,7 @@ class MogTrainingLog:
     final_u: Optional[np.ndarray] = None
     final_v: Optional[np.ndarray] = None
     final_disc_union_median: Optional[float] = None
-    thread_setup: Optional[dict] = None     # see _thread_setup
+    thread_setup: Optional[dict] = None     # see parallel.thread_setup
 
     def column(self, name: str) -> np.ndarray:
         idx = LOG_COLUMNS.index(name)
@@ -396,7 +394,8 @@ def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
                        base_step: float = 1e-4):
     """Central-difference product of the full objective Hessian with a
     direction, via the joint raw gradient; a non-finite gradient raises
-    NonFiniteValueError.  The two sides are a dg.run_pair, plus first."""
+    NonFiniteValueError.  The two sides are a parallel.run_pair, plus
+    first."""
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         return np.zeros_like(direction)
@@ -405,8 +404,8 @@ def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
     d_v = direction[game.dim_u:]
     plus = JointPoint(p.u + delta * d_u, p.v + delta * d_v)
     minus = JointPoint(p.u - delta * d_u, p.v - delta * d_v)
-    g_plus, g_minus = dgmod.run_pair(lambda: _checked_grads(game, plus),
-                                     lambda: _checked_grads(game, minus))
+    g_plus, g_minus = parallel.run_pair(lambda: _checked_grads(game, plus),
+                                        lambda: _checked_grads(game, minus))
     return ((np.concatenate(g_plus) - np.concatenate(g_minus))
             / (2.0 * delta))
 
@@ -420,69 +419,6 @@ def _co_step(game: MogGanGame, p: JointPoint, eta, gamma: float) -> JointPoint:
     hvp = _fd_hessian_vector(game, p, np.concatenate([gu, gv]))
     return JointPoint(p.u - eta * (gu + gamma * hvp[:game.dim_u]),
                       p.v + eta * gv - eta * gamma * hvp[game.dim_u:])
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) for the thread count of the OpenBLAS this process has
-    loaded, or None when there is none to find (another BLAS, or no
-    /proc/self/maps to list the loaded libraries)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(None, 5)[5].strip() for line in fh
-                            if "openblas" in line.rpartition("/")[2]})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread inside the block, then restore it.
-
-    BLAS threads would compete with the two DG halves for the cores,
-    and the thread count changes how BLAS splits some reductions.  The
-    block gets False, and nothing changes, without a known OpenBLAS.
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield False
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield True
-    finally:
-        put(before)
-
-
-@contextlib.contextmanager
-def _thread_setup():
-    """A training run's thread scope: OpenBLAS held at one thread and,
-    when it was found and the process may use two or more CPUs
-    (dg.cpu_mask), a concurrent_halves() scope.  The block gets the
-    setup as a dict: openblas_pinned, cpu_mask and concurrent_halves."""
-    cpus = dgmod.cpu_mask()
-    with _one_blas_thread() as pinned:
-        setup = {"openblas_pinned": pinned, "cpu_mask": cpus,
-                 "concurrent_halves": pinned and len(cpus) >= 2}
-        with (dgmod.concurrent_halves() if setup["concurrent_halves"]
-              else contextlib.nullcontext()):
-            yield setup
 
 
 def train_mog(algorithm: str, seed: int, iterations: int = 20000,
@@ -501,8 +437,9 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
 
     The whole run holds OpenBLAS at one thread, so no output depends on
     the host's BLAS thread count.  If it can, and the process may use two
-    or more CPUs, the run is a dg.concurrent_halves() scope; the output
-    is the same.  The log's thread_setup records which (_thread_setup).
+    or more CPUs, the run is a parallel.concurrent_halves() scope; the
+    output is the same.  The log's thread_setup records which
+    (parallel.thread_setup).
     """
     if algorithm not in MOG_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; "
@@ -519,7 +456,7 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
             raise ValueError(f"game has {name}={have}, not {arg}")
     log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
     started = time.perf_counter()
-    with _thread_setup() as log.thread_setup:
+    with parallel.thread_setup() as log.thread_setup:
         if algorithm == "co":
             step = functools.partial(_co_step, game,
                                      eta=game.dtype.type(cfg.eta),

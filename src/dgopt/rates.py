@@ -11,18 +11,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import outputs
-from .dg import AdaGradState, adagrad_step, cpu_mask
+from .dg import AdaGradState, adagrad_step
 from .games import Array, Box, checked
+from .parallel import split_runs
 
 
 def seeded_rng(seed: int, label: str) -> np.random.Generator:
@@ -167,57 +164,6 @@ def _repeat_errors(problem: RealizableProblem, t_list: list, seed: int,
     return errors
 
 
-def _split_runs(run, items: list) -> list:
-    """[run(item) for item in items], the back half in a forked child.
-
-    The child pickles its results (or its error's type and message, which
-    re-raises here) into a pipe and leaves with os._exit; the parent runs
-    the front half meanwhile, kills the child if that raised, and always
-    reaps it.  The runs share no state, so the list is the same as in
-    sequence, which is how they run without os.fork, on fewer than two
-    CPUs, or while a second thread is alive (a fork copies one thread).
-    A process and not a thread, since the loops' numpy calls are too
-    small to release the GIL.
-    """
-    cut = (len(items) + 1) // 2
-    if (cut == len(items) or not hasattr(os, "fork")
-            or len(cpu_mask()) < 2 or threading.active_count() != 1):
-        return [run(item) for item in items]
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, [run(item) for item in items[cut:]])
-            except Exception as exc:
-                outcome = (False, (type(exc), str(exc)))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(outcome))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            front = [run(item) for item in items[:cut]]
-            sent = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status:
-        raise RuntimeError(f"the forked half of the runs sent no result "
-                           f"(wait status {status})")
-    ok, back = pickle.loads(sent)
-    if not ok:
-        kind, message = back
-        raise kind(message)
-    return front + back
-
-
 def _run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
                repeats: int, step_rules: tuple, start: str) -> tuple:
     """One RateResult per step rule, all rules' repeats split at once."""
@@ -228,7 +174,7 @@ def _run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
         raise ValueError("a log-log slope needs at least two logged step "
                          "counts")
     runs = [(rule, r) for rule in step_rules for r in range(repeats)]
-    rows = _split_runs(functools.partial(_repeat_errors, problem, t_list,
+    rows = split_runs(functools.partial(_repeat_errors, problem, t_list,
                                          seed, start), runs)
     diameter = problem.diameter
     l_const = problem.smoothness

@@ -354,6 +354,22 @@ class TestSettingsContract:
         assert err.startswith("error: ") and name in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,form,given", [
+        (("landscape", "--game", "f1", "--box=1"), "lo,hi", "1"),
+        (("landscape", "--game", "f1", "--box=1,2,3"), "lo,hi", "1,2,3"),
+        (("traj", "--game", "f1", "--alg", "gda", "--init", "a,b"), "u,v",
+         "a,b"),
+        (("stability", "--game", "f1", "--alg", "gda", "--point", "1"),
+         "u,v", "1"),
+    ])
+    def test_malformed_pair_names_the_expected_form(self, tmp_path, capsys,
+                                                    flags, form, given):
+        code = run([*flags, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: expected '{form}', got '{given}'\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestDeterminism:
     def test_byte_identical_across_threads_flag(self, tmp_path):
@@ -430,8 +446,8 @@ class TestDeterminism:
     def test_catalog_dg_starts_no_thread_and_loads_no_blas_hooks(self, tmp_path):
         script = (
             "import threading, sys\n"
-            "from dgopt import cli, mog\n"
-            "assert mog._openblas_thread_calls.cache_info().currsize == 0\n"
+            "from dgopt import cli, parallel\n"
+            "assert parallel._openblas_thread_calls.cache_info().currsize == 0\n"
             "started, start = [], threading.Thread.start\n"
             "threading.Thread.start = lambda t: (started.append(t), start(t))\n"
             "for args in (['traj', '--game', 'f1', '--alg', 'dg', '--init',\n"
@@ -441,7 +457,7 @@ class TestDeterminism:
             "    assert cli.main(args + ['--no-plot', '--out', sys.argv[1]]) == 0\n"
             "assert not started\n"
             "assert 'concurrent.futures' not in sys.modules\n"
-            "assert mog._openblas_thread_calls.cache_info().currsize == 0\n")
+            "assert parallel._openblas_thread_calls.cache_info().currsize == 0\n")
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}"
                                           f"{os.environ.get('PYTHONPATH', '')}")

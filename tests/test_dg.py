@@ -9,14 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dgopt import dg as dgmod
-from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, concurrent_halves,
-                      dg_descent_step, dg_estimate, dg_metric,
-                      worst_case_responses)
+from dgopt import parallel
+from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, dg_descent_step,
+                      dg_estimate, dg_metric, worst_case_responses)
 from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
                          make_bilinear, make_game, make_poly_f3,
                          make_quadratic_f1, make_quadratic_f2)
 from dgopt.optimizers import OptimizerConfig, gda_step, run_trajectory
+from dgopt.parallel import concurrent_halves
 
 B3 = make_bilinear(3.0)
 F1 = make_quadratic_f1()
@@ -261,11 +261,11 @@ class TestHalves:
         main = threading.current_thread().name
         assert evaluate(1) == main
         with concurrent_halves():
-            outer = dgmod._halves.pool
+            outer = parallel._halves.pool
             assert evaluate(2).startswith("dg-descent")
             with concurrent_halves():
-                assert dgmod._halves.pool is not outer
-            assert dgmod._halves.pool is outer
+                assert parallel._halves.pool is not outer
+            assert parallel._halves.pool is outer
             # another thread has no scope open: its halves run on it
             names = []
             other = threading.Thread(target=lambda: names.append(evaluate(3)),
@@ -275,7 +275,7 @@ class TestHalves:
             assert not other.is_alive()
             assert names == ["other"]
         assert evaluate(4) == main
-        assert getattr(dgmod._halves, "pool", None) is None
+        assert getattr(parallel._halves, "pool", None) is None
 
 
 def _counting(game):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dgopt import dg as dgmod
-from dgopt import mog, optimizers
+from dgopt import mog, optimizers, parallel
 from dgopt.dg import DGConfig, dg_estimate, dg_metric
 from dgopt.games import JointPoint
 from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, MogTrainingLog,
@@ -174,11 +174,6 @@ class TestGanOracle:
     def test_fused_passes_equal_separate_calls_bit_for_bit(self, dtype, n):
         self._assert_fused_equal_separate(
             MogGanGame(seed=5, n=n, dtype=dtype))
-
-    def test_fused_passes_equal_separate_calls_at_protocol_size(self):
-        # the baselines' step size: 5000 rows, float32 (10,000 D rows)
-        self._assert_fused_equal_separate(
-            MogGanGame(seed=5, n=5000, dtype=np.float32))
 
     def test_concurrent_oracle_calls_match_sequential(self):
         # one game shared by more threads than cores, switching often,
@@ -441,12 +436,12 @@ class TestTrainingPlumbing:
             train_mog("adam", seed=0, iterations=1)
 
     def test_blas_thread_count_restored(self, monkeypatch):
-        calls = mog._openblas_thread_calls()
+        calls = parallel._openblas_thread_calls()
         if calls is None:
             pytest.skip("no OpenBLAS found in this process")
         get, _ = calls
         before = get()
-        with mog._one_blas_thread():
+        with parallel.thread_setup():
             assert get() == 1
         assert get() == before
         _allow_cpus(monkeypatch, 2)
@@ -454,7 +449,7 @@ class TestTrainingPlumbing:
         assert get() == before
 
     def test_co_output_independent_of_blas_threads(self):
-        calls = mog._openblas_thread_calls()
+        calls = parallel._openblas_thread_calls()
         if calls is None:
             pytest.skip("no OpenBLAS found in this process")
         get, put = calls
@@ -485,7 +480,7 @@ class TestTrainingPlumbing:
         step = make_step_map(game, OptimizerConfig(algorithm, eta=1e-2,
                                                    dg=DGConfig(k=3)))
         p = JointPoint(*game.init_params())
-        with mog._one_blas_thread():
+        with parallel.thread_setup():
             for _ in range(3):
                 p = step(p)
         assert log.status == "ok"
@@ -615,7 +610,7 @@ class TestHalvesFollowTheAffinityMask:
     @pytest.mark.parametrize("cpus,mask", [(1, True), (2, True),
                                            (None, False), (2, False)])
     def test_descent_half_thread(self, monkeypatch, cpus, mask):
-        if cpus == 2 and mog._openblas_thread_calls() is None:
+        if cpus == 2 and parallel._openblas_thread_calls() is None:
             pytest.skip("no OpenBLAS found: the halves run in sequence")
         _allow_cpus(monkeypatch, cpus, mask)
         started, start = [], threading.Thread.start
@@ -646,7 +641,7 @@ class TestSharedChains:
         cfg = DGConfig(k=3)
         fresh = dg_estimate(MogGanGame(seed, n=200, dtype=np.float32), p,
                             cfg, eta=1e-2)
-        with (dgmod.concurrent_halves() if concurrent
+        with (parallel.concurrent_halves() if concurrent
               else contextlib.nullcontext()):
             metric = dg_metric(game, p, 3, 1e-2)
             est = dg_estimate(game, p, cfg, eta=1e-2)
@@ -689,7 +684,7 @@ class TestStepRuleCalls:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_co_runs_one_finite_difference_side_on_the_worker(
             self, monkeypatch, cpus):
-        if cpus == 2 and mog._openblas_thread_calls() is None:
+        if cpus == 2 and parallel._openblas_thread_calls() is None:
             pytest.skip("no OpenBLAS found: the sides run in sequence")
         _allow_cpus(monkeypatch, cpus)
         game = _CountedCalls(seed=1, n=200, dtype=np.float32)
@@ -721,7 +716,7 @@ class TestCoDivergence:
     def test_nonfinite_worker_side_stops_the_run(self, monkeypatch):
         # with two CPUs the plus side runs on the worker; its failure
         # stops the run as the plus side's failure does on one CPU
-        if mog._openblas_thread_calls() is None:
+        if parallel._openblas_thread_calls() is None:
             pytest.skip("no OpenBLAS found: the sides run in sequence")
         _allow_cpus(monkeypatch, 1)
         one_cpu = train_mog("co", seed=1, iterations=3, log_interval=1,
@@ -863,7 +858,7 @@ class TestAcceptanceScript:
         assert manifest["git_revision"] == head
         assert manifest["numpy_version"] == np.__version__
         # the script's process has this one's libraries and CPU mask
-        pinned = mog._openblas_thread_calls() is not None
+        pinned = parallel._openblas_thread_calls() is not None
         mask = sorted(os.sched_getaffinity(0)) if hasattr(
             os, "sched_getaffinity") else list(range(os.cpu_count() or 1))
         assert manifest["openblas_pinned"] is pinned

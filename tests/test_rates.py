@@ -1,7 +1,9 @@
 """Realizable stochastic problems, AdaGrad rate, approximate realizability."""
 
 import os
+import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -125,6 +127,14 @@ class TestRateHarness:
             '}\n')
 
 
+class StepError(Exception):
+    """An error whose constructor takes the step it failed at as well."""
+
+    def __init__(self, message, step):
+        super().__init__(message, step)
+        self.step = step
+
+
 def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -193,6 +203,54 @@ class TestSplitRuns:
         with pytest.raises(FloatingPointError) as info:
             run_rates(prob, self.T_LIST, 3, repeats=1)
         assert str(info.value) == f"injected in the {failing}"
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_back_half_error_reraises_as_itself(self, forks, monkeypatch):
+        # rebuilt from its type and message alone, this error would fail
+        # to construct, and the parent would raise an unrelated TypeError
+        prob = make_realizable_quadratic(4, 5, seed=3)
+        parent, grad = os.getpid(), rates.RealizableProblem.sample_grad
+
+        def sample_grad(problem, x, z):
+            if os.getpid() != parent:
+                raise StepError("injected in the child", 7)
+            return grad(problem, x, z)
+
+        monkeypatch.setattr(rates.RealizableProblem, "sample_grad",
+                            sample_grad)
+        with pytest.raises(StepError) as info:
+            run_rates(prob, self.T_LIST, 3, repeats=1)
+        assert info.value.args == ("injected in the child", 7)
+        assert info.value.step == 7
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_back_half_without_a_result_raises_at_once(self, forks,
+                                                       monkeypatch):
+        # a worker that dies fails the call: it must not wait for ever
+        # on a result that cannot come, so SIGALRM ends a hung wait
+        prob = make_realizable_quadratic(4, 5, seed=3)
+        parent, grad = os.getpid(), rates.RealizableProblem.sample_grad
+
+        def sample_grad(problem, x, z):
+            if os.getpid() != parent:
+                os._exit(3)
+            return grad(problem, x, z)
+
+        def hung(signum, frame):
+            raise TimeoutError("still waiting for the dead back half")
+
+        monkeypatch.setattr(rates.RealizableProblem, "sample_grad",
+                            sample_grad)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                run_rates(prob, self.T_LIST, 3, repeats=1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert len(forks) == 1
         assert no_child_left()
 
