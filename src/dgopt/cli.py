@@ -234,7 +234,8 @@ def cmd_plot(args) -> int:
                             title=path.stem)
         svgplot.heatmap(canvas, axes, np.arange(n_u), np.arange(n_v), values,
                         mark_argmin=True)
-        canvas.save(args.out + ".svg")
+        svg = f"{_out_prefix(args)}.svg"
+        canvas.save(svg)
     else:
         header, rows = lines[0][1], lines[1:]
         xs = np.array([number(n, r[0]) for n, r in rows])
@@ -244,9 +245,10 @@ def cmd_plot(args) -> int:
                            for n, r in rows])
             series.append((header[col], ys,
                            svgplot.PALETTE[(col - 1) % len(svgplot.PALETTE)]))
-        svgplot.line_chart(args.out + ".svg", xs, series, xlabel=header[0],
+        svg = f"{_out_prefix(args)}.svg"
+        svgplot.line_chart(svg, xs, series, xlabel=header[0],
                            title=path.stem)
-    print(f"rendered {args.out}.svg")
+    print(f"rendered {svg}")
     return 0
 
 
@@ -289,7 +291,7 @@ def _add_optimizer_flags(sub):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dgopt",
+        prog="dgopt", allow_abbrev=False,
         description="duality-gap optimization toolkit for two-player games")
     parser.add_argument("--config", type=str, default=None,
                         help="key=value file supplying flag defaults")
@@ -355,17 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_argv(argv):
-    """Translate a key=value config file into argv entries inserted after
-    the subcommand, so explicit flags still win."""
-    if "--config" not in argv:
+    """Translate a key=value config file, given as --config FILE or
+    --config=FILE, into argv entries inserted after the subcommand, so
+    explicit flags still win."""
+    pre = argparse.ArgumentParser(prog="dgopt", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    found, rest = pre.parse_known_args(argv)
+    if found.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2:]
     extra = []
-    with open(path) as fh:
+    with open(found.config) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -382,13 +384,10 @@ def _load_config_argv(argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _load_config_argv(argv)
+        args = build_parser().parse_args(_load_config_argv(argv))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:

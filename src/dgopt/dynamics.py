@@ -265,7 +265,7 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
     checked("finite-difference step h", h, at_least=H_MIN)
     checked("gradient tolerance grad_tol", grad_tol, positive=True)
     checked("PSD tolerance psd_tol", psd_tol, at_least=0)
-    gnorm = float(np.linalg.norm(game.joint_grad(p)))
+    gnorm = float(np.linalg.norm(np.concatenate(game.grads(p.u, p.v))))
     if gnorm >= grad_tol:
         raise ValueError(f"not a critical point: joint gradient norm "
                          f"{gnorm:.3e} >= {grad_tol:.1e}")
@@ -288,6 +288,7 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
         pt = JointPoint.split(x, game.dim_u)
         return dgmod.dg_estimate(game, pt, dg_cfg, eta=gamma).value
 
+    # q's own second-difference stencil: central_difference's would move bits
     x0 = p.concat()
     n = x0.size
     hess = np.zeros((n, n))

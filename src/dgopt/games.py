@@ -15,6 +15,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import parallel
+
 Array = np.ndarray
 
 HALF_PI = math.pi / 2.0
@@ -146,17 +148,14 @@ class GameOracle:
     second_order: Optional[Callable[[Array, Array], HessianBlocks]] = None
     domain: Optional[Box] = None
 
-    def hessian_blocks(self, p: JointPoint, h: float = 1e-5) -> HessianBlocks:
+    def hessian_blocks(self, p: JointPoint) -> HessianBlocks:
         """Closed-form blocks when available, FD of the gradients otherwise."""
         if self.second_order is not None:
             return self.second_order(p.u, p.v)
-        return second_order_fd(self, p, h)
+        return second_order_fd(self, p)
 
     def grads(self, u: Array, v: Array):
         return self.grad_u(u, v), self.grad_v(u, v)
-
-    def joint_grad(self, p: JointPoint) -> Array:
-        return np.concatenate(self.grads(p.u, p.v))
 
     def value_and_grad_u(self, u: Array, v: Array):
         return self.value(u, v), self.grad_u(u, v)
@@ -165,22 +164,23 @@ class GameOracle:
         return self.value(u, v), self.grad_v(u, v)
 
 
+def central_difference(fn: Callable[[Array], Array], x: Array,
+                       direction: Array, step: float) -> Array:
+    """(fn(x + step d) - fn(x - step d)) / (2 step) for d = direction,
+    its two sides one parallel.run_pair, plus side first."""
+    plus, minus = parallel.run_pair(lambda: fn(x + step * direction),
+                                    lambda: fn(x - step * direction))
+    return (plus - minus) / (2 * step)
+
+
 def central_jacobian(fn: Callable[[Array], Array], x: Array,
                      steps: Array) -> Array:
-    """Jacobian of the vector map fn at x by central differences.
-
-    Column j is (fn(x + s_j e_j) - fn(x - s_j e_j)) / (2 s_j) with
-    s_j = steps[j]; every step must be positive and finite.
-    """
+    """Jacobian of the vector map fn at x: column j is central_difference
+    along e_j with step steps[j], which must be positive and finite."""
     for s in steps:
         checked("finite-difference step", s, positive=True)
-    n = x.size
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = steps[j]
-        cols.append((fn(x + e) - fn(x - e)) / (2 * steps[j]))
-    return np.stack(cols, axis=1)
+    return np.stack([central_difference(fn, x, e, s)
+                     for e, s in zip(np.eye(x.size), steps)], axis=1)
 
 
 def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> HessianBlocks:
@@ -194,7 +194,7 @@ def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> Hessian
     x = p.concat().astype(float)
     du = game.dim_u
     jac = central_jacobian(
-        lambda y: game.joint_grad(JointPoint.split(y, du)), x,
+        lambda y: np.concatenate(game.grads(y[:du], y[du:])), x,
         h * np.maximum(1.0, np.abs(x)))
     H_uu, H_uv = jac[:du, :du], jac[:du, du:]
     H_vu, H_vv = jac[du:, :du], jac[du:, du:]
@@ -415,9 +415,16 @@ def parse_game_spec(text: str) -> GameSpec:
     if rest:
         for item in rest.split(","):
             key, eq, val = item.partition("=")
+            key = key.strip()
             if not eq or not key:
                 raise ValueError(f"malformed game parameter {item!r} in {text!r}")
-            params[key.strip()] = float(val)
+            if key in params:
+                raise ValueError(f"game parameter {key!r} repeats in {text!r}")
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ValueError(f"game parameter {key!r} in {text!r} is not "
+                                 f"a number: {val.strip()!r}") from None
     return GameSpec(name=name, parameters=params)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dg as dgmod
 from . import optimizers, outputs, parallel
-from .games import JointPoint, NonFiniteValueError, checked
+from .games import JointPoint, NonFiniteValueError, central_difference, checked
 from .optimizers import OptimizerConfig, _checked_grads
 from .rates import seeded_rng
 
@@ -173,8 +173,6 @@ def mlp_backward(layout: MLPLayout, params, acts, dout, dtype,
             h *= g
             h *= w[:, 0]
         else:
-            if spare is not None and spare.shape[1] != w.shape[0]:
-                spare = None
             spare = np.matmul(g, w.T, out=spare)
             h *= spare
         g = h
@@ -333,7 +331,7 @@ class MogGanGame:
         """value, grad_u and grad_v at (u, v) from one pass."""
         return self._pass(u, v, value=True, du=True, dv=True)
 
-    def hessian_blocks(self, p, h=1e-5):
+    def hessian_blocks(self, p):
         raise NotImplementedError("the GAN game exposes first-order "
                                   "information only")
 
@@ -390,24 +388,16 @@ class MogTrainingLog:
                               self.final_histogram))
 
 
-def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction,
-                       base_step: float = 1e-4):
+def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction):
     """Central-difference product of the full objective Hessian with a
-    direction, via the joint raw gradient; a non-finite gradient raises
-    NonFiniteValueError.  The two sides are a parallel.run_pair, plus
-    first."""
+    direction, via the joint raw gradient at step 1e-4/|direction|; a
+    non-finite gradient raises NonFiniteValueError."""
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         return np.zeros_like(direction)
-    delta = base_step / norm
-    d_u = direction[:game.dim_u]
-    d_v = direction[game.dim_u:]
-    plus = JointPoint(p.u + delta * d_u, p.v + delta * d_v)
-    minus = JointPoint(p.u - delta * d_u, p.v - delta * d_v)
-    g_plus, g_minus = parallel.run_pair(lambda: _checked_grads(game, plus),
-                                        lambda: _checked_grads(game, minus))
-    return ((np.concatenate(g_plus) - np.concatenate(g_minus))
-            / (2.0 * delta))
+    du = game.dim_u
+    return central_difference(lambda x: np.concatenate(_checked_grads(
+        game, JointPoint(x[:du], x[du:]))), p.concat(), direction, 1e-4 / norm)
 
 
 def _co_step(game: MogGanGame, p: JointPoint, eta, gamma: float) -> JointPoint:

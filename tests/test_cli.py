@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dgopt.cli import main
+from dgopt.cli import _load_config_argv, build_parser, main
 
 
 def run(args):
@@ -341,6 +341,10 @@ class TestSettingsContract:
         # operation error here
         (("stability", "--game", "f1", "--alg", "gda", "--point", "1,1",
           "--fd-step", "inf"), "finite-difference step"),
+        (("traj", "--game", "bilinear:c=abc", "--alg", "gda"),
+         "game parameter 'c' in 'bilinear:c=abc' is not a number"),
+        (("traj", "--game", "bilinear:c=1,c=2", "--alg", "gda"),
+         "game parameter 'c' repeats"),
     ])
     def test_out_of_range_setting_is_named(self, tmp_path, capsys, flags,
                                            name):
@@ -499,6 +503,49 @@ class TestConfigFile:
         cfg.write_text("this is not a key value line\n")
         assert run(["--config", str(cfg), "traj"]) == 2
 
+    TRAJ = ["traj", "--game", "f1", "--alg", "gda", "--init", "0.5,0.5",
+            "--no-plot"]
+
+    @pytest.mark.parametrize("form", [("--config", "{}"), ("--config={}",)],
+                             ids=["space", "equals"])
+    def test_both_config_spellings_are_read(self, tmp_path, form):
+        # blank and comment lines are skipped
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# seven steps\n\nsteps=7\n   \n")
+        code = run([arg.format(cfg) for arg in form]
+                   + [*self.TRAJ, "--out", str(tmp_path / "out")])
+        assert code == 0
+        summary = json.loads((tmp_path / "out.json").read_text())
+        assert summary["steps"] == 7
+
+    def test_abbreviated_config_flag_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=7\n")
+        code = run(["--conf", str(cfg), *self.TRAJ,
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_subcommand_flags_still_abbreviate(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=7\n")
+        argv = ["--config", str(cfg), "traj", "--game", "f1", "--alg", "co",
+                "--init", "0,0", "--co", "0.2"]
+        args = build_parser().parse_args(_load_config_argv(argv))
+        assert (args.co_gamma, args.steps) == (0.2, 7)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--config"], "argument --config: expected one argument"),
+        (["traj", "--config"], "argument --config: expected one argument"),
+        (["--config", "{}"], "error: config file given but no subcommand"),
+    ], ids=["no-path", "no-path-after-subcommand", "no-subcommand"])
+    def test_config_without_a_path_or_subcommand_is_usage_error(
+            self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=7\n")
+        assert run([arg.format(cfg) for arg in argv]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestPlotCommand:
     def test_rerender_from_csv(self, tmp_path):
@@ -510,6 +557,21 @@ class TestPlotCommand:
                     "--out", str(tmp_path / "re")])
         assert code == 0
         ET.parse(tmp_path / "re.svg")
+
+    @pytest.mark.parametrize("kind, text", [
+        ("landscape", "0.5,0.25,1\n0,-1,2\n"),
+        ("lines", "t,a\n0,\n1,\n"),   # no finite y: the default range
+    ], ids=["landscape", "lines-all-nan"])
+    def test_renders_into_a_new_directory(self, tmp_path, capsys, kind,
+                                          text):
+        csv = tmp_path / "in.csv"
+        csv.write_text(text)
+        out = tmp_path / "new" / "dir" / "p"
+        code = run(["plot", "--csv", str(csv), "--kind", kind,
+                    "--out", str(out)])
+        assert code == 0
+        assert ET.parse(f"{out}.svg").getroot().tag.endswith("svg")
+        assert capsys.readouterr().out == f"rendered {out}.svg\n"
 
     def test_missing_csv_is_usage_error(self):
         assert run(["plot", "--csv", "/nonexistent.csv", "--out", "/tmp/z"]) == 2

@@ -483,6 +483,15 @@ class TestConfigStrings:
         with pytest.raises(ValueError, match="gamma must be positive"):
             DGConfig(k=3).resolved_gamma(eta)
 
+    def test_auto_gamma_needs_an_outer_step(self):
+        with pytest.raises(ValueError, match="gamma is unset and no outer "
+                                             "eta was supplied"):
+            DGConfig(k=3).resolved_gamma(None)
+
+    def test_unknown_grad_mode_rejected(self):
+        with pytest.raises(ValueError, match="grad_mode must be one of"):
+            DGConfig(k=3, grad_mode="reverse")
+
 
 class TestDGMetric:
     def test_equilibrium_zero(self):

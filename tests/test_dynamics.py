@@ -52,6 +52,21 @@ class TestLinearize:
         assert all(ev == pytest.approx(1.0, abs=1e-9)
                    for ev in report.eigenvalues)
 
+    def test_map_of_three_coordinates_uses_the_general_solver(self):
+        m = np.array([[0.5, 0.3, 0.0], [0.0, -0.2, 0.1], [0.0, 0.0, 1.5]])
+
+        def step(p):
+            x = m @ p.concat()
+            return JointPoint(x[:2], x[2:])
+
+        report = linearize(step, JointPoint(np.zeros(2), np.zeros(1)))
+        np.testing.assert_allclose(report.jacobian, m, atol=1e-9)
+        assert sorted(ev.real for ev in report.eigenvalues) == pytest.approx(
+            [-0.2, 0.5, 1.5], abs=1e-9)
+        assert all(ev.imag == 0.0 for ev in report.eigenvalues)
+        assert report.spectral_radius == pytest.approx(1.5, abs=1e-9)
+        assert report.classification == "unstable"
+
     def test_non_fixed_point_rejected(self):
         cfg = OptimizerConfig(algorithm="gda", eta=0.05)
         with pytest.raises(NotAFixedPointError) as err:

@@ -19,7 +19,7 @@ import pytest
 from dgopt import dg as dgmod
 from dgopt import mog, optimizers, parallel
 from dgopt.dg import DGConfig, dg_estimate, dg_metric
-from dgopt.games import JointPoint
+from dgopt.games import JointPoint, NonFiniteValueError
 from dgopt.mog import (D_LAYOUT, G_LAYOUT, MogGanGame, MogTrainingLog,
                        _fd_hessian_vector, mlp_backward, mlp_forward,
                        mode_coverage, sample_dataset, train_mog)
@@ -219,6 +219,14 @@ class TestGanOracle:
         val = game.value(u, v)
         assert np.isfinite(val)
 
+    def test_non_finite_objective_raises(self):
+        game = MogGanGame(seed=2, n=200, dtype=np.float64)
+        u, v = game.init_params()
+        v = v.copy()
+        v[-1] = np.nan   # D's output bias: every logit is NaN
+        with pytest.raises(NonFiniteValueError, match="GAN objective"):
+            game.value(u, v)
+
     def test_layer_shapes(self):
         assert G_LAYOUT.sizes == (16, 64, 64, 1)
         assert D_LAYOUT.sizes == (1, 64, 64, 1)
@@ -275,6 +283,23 @@ class TestPassBuffers:
             for (name, g), (_, w) in zip(got, want):
                 assert np.asarray(g).dtype == np.asarray(w).dtype, name
                 assert np.array_equal(g, w), name
+
+    def test_other_dtype_parameters_use_fresh_arrays(self):
+        # float64 parameters on a float32 game: a fresh game's results,
+        # and this thread's pass buffers stay as the float32 call left them
+        game = MogGanGame(seed=4, n=300, dtype=np.float32)
+        game.value_and_grads(*game.init_params())
+        bufs = {name: getattr(game._ws, name) for name in ("g", "d")}
+        kept = {name: [b.copy() for b in bs] for name, bs in bufs.items()}
+        u, v = (x.astype(np.float64) for x in _moved_params(game, 4))
+        got = _every_output(game, u, v)
+        want = _every_output(MogGanGame(seed=4, n=300, dtype=np.float32), u, v)
+        for (name, g), (_, w) in zip(got, want):
+            assert np.asarray(g).dtype == np.asarray(w).dtype, name
+            assert np.array_equal(g, w), name
+        for name, bs in bufs.items():
+            assert getattr(game._ws, name) is bs
+            assert all(np.array_equal(b, k) for b, k in zip(bs, kept[name]))
 
     def test_returned_arrays_survive_later_calls(self):
         game = MogGanGame(seed=3, n=500, dtype=np.float32)
