@@ -359,11 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_argv(argv):
     """Translate a key=value config file, given as --config FILE or
     --config=FILE, into argv entries inserted after the subcommand, so
-    explicit flags still win."""
+    explicit flags still win.  Any other flag before the subcommand is
+    refused by name (argparse would take its value for the subcommand)."""
     pre = argparse.ArgumentParser(prog="dgopt", add_help=False,
                                   allow_abbrev=False)
     pre.add_argument("--config")
     found, rest = pre.parse_known_args(argv)
+    if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):
+        raise ValueError(f"unrecognized argument before the subcommand: "
+                         f"{rest[0]}")
     if found.config is None:
         return argv
     extra = []

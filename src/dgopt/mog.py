@@ -132,7 +132,7 @@ def mlp_forward(layout: MLPLayout, params, x, hidden=None):
         h = t
     w, b = layers[-1]
     # row by row: a BLAS GEMV's bits for a row depend on where the row
-    # sits in h, and D's fakes follow the real rows in a pass on both
+    # sits in h, so a row's output would depend on its batch
     out = np.einsum("ij,j->i", h, w[:, 0])
     out += b
     return out, acts
@@ -221,13 +221,13 @@ class MogGanGame:
         "g" is G's two hidden layers on the training noise; "d" is the
         two hidden layers of every other pass, the backprop scratch and
         D's (rows, 2) input [x, 1] (see mlp_forward), sized for the
-        largest batch seen (at least the 2n real+fake rows).
+        largest batch seen (at least the n rows of a D pass in _pass).
         """
         if dtype != self.dtype:
             return None
         bufs = getattr(self._ws, name, None)
         if bufs is None or len(bufs[0]) < rows:
-            size = self.n if name == "g" else max(rows, 2 * self.n)
+            size = max(rows, self.n)
             bufs = [np.empty((size, HIDDEN), dtype)
                     for _ in range(2 if name == "g" else 3)]
             if name == "d":   # column-major, so its ones column is contiguous
@@ -267,42 +267,49 @@ class MogGanGame:
     def discriminate(self, v, x):
         return self._forward(D_LAYOUT, v, x[:, None])
 
+    def _half(self, v, x, real, value, dv, du=False):
+        """One n-row D pass of _pass: the value term of rows x (the data
+        or fakes), their grad_v part and D's input gradient (for grad_u),
+        each None unless asked for."""
+        logits, dacts = self.discriminate(v, x)
+        sig = stable_sigmoid(logits)
+        p = np.clip(sig, PROB_EPS, 1.0 - PROB_EPS)
+        term = (float(np.mean(np.log(p if real else 1.0 - p)))
+                if value else None)
+        if not (dv or du):
+            return term, None, None
+        dlogit = (1.0 - p) / self.n if real else -p / self.n
+        dlogit[~((sig > PROB_EPS) & (sig < 1.0 - PROB_EPS))] = 0.0
+        return (term, *mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype,
+                                    dv, du, self._scratch(dacts)))
+
     def _pass(self, u, v, value=False, du=False, dv=False):
         """(value, grad_u, grad_v) at (u, v), each None unless asked for.
 
-        D runs on the n real rows then G(u)'s n fakes when the value or
-        grad_v needs them, else on the fakes only.  Its backward covers
-        every row it saw for grad_v, else the fakes only, and goes on
-        into G's backward for grad_u.
+        D runs on the n real rows, when the value or grad_v needs them,
+        and on G(u)'s n fakes, as two passes of one parallel.run_pair:
+        the real half first, the fake half on this thread, whose last G
+        pass (_fake) it reuses.  Each half backpropagates for grad_v, the
+        fake half also for grad_u, on into G's backward.  The value and
+        grad_v are the real term plus the fake term.
         """
-        n = self.n
-        fake, gacts = self._fake(u, for_backward=du)
-        logits, dacts = self.discriminate(
-            v, np.concatenate([self.data, fake]) if value or dv else fake)
-        sig = stable_sigmoid(logits)
-        p = np.clip(sig, PROB_EPS, 1.0 - PROB_EPS)
-        inside = (sig > PROB_EPS) & (sig < 1.0 - PROB_EPS)
-        total = None
-        if value:
-            total = (float(np.mean(np.log(p[:n])))
-                     + float(np.mean(np.log(1.0 - p[n:]))))
-            if not math.isfinite(total):
-                raise NonFiniteValueError("GAN objective is non-finite")
-        if not (du or dv):
-            return total, None, None
-        back = n if value and not dv else 0   # first row D backpropagates
-        p, inside, dacts = p[back:], inside[back:], [a[back:] for a in dacts]
-        dlogit = -p / n   # the fake rows' term; only it depends on u
-        if dv:
-            dlogit[:n] = (1.0 - p[:n]) / n
-        dlogit[~inside] = 0.0
-        grad_v, dx = mlp_backward(D_LAYOUT, v, dacts, dlogit, self.dtype, dv,
-                                  du, self._scratch(dacts))
-        if not du:
-            return total, None, grad_v
-        grad_u, _ = mlp_backward(G_LAYOUT, u, gacts, dx[n if dv else 0:, 0],
-                                 self.dtype, True, False, self._scratch(gacts))
-        return total, grad_u, grad_v
+        def fake_half():
+            fake, gacts = self._fake(u, for_backward=du)
+            term, grad_v, dx = self._half(v, fake, False, value, dv, du)
+            if not du:
+                return term, None, grad_v
+            grad_u, _ = mlp_backward(G_LAYOUT, u, gacts, dx[:, 0], self.dtype,
+                                     True, False, self._scratch(gacts))
+            return term, grad_u, grad_v
+
+        if not (value or dv):
+            return fake_half()
+        (real, real_v, _), (fake, grad_u, fake_v) = parallel.run_pair(
+            lambda: self._half(v, self.data, True, value, dv), fake_half)
+        total = real + fake if value else None
+        if value and not math.isfinite(total):
+            raise NonFiniteValueError("GAN objective is non-finite")
+        return total, grad_u, real_v + fake_v if dv else None
 
     # -- oracle surface ----------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Each runs independent work beside the calling thread, with the results
 of a run in sequence: run_pair (a DG evaluation's two halves, MoG co's
-two finite-difference sides) in a concurrent_halves() scope, a MoG
-training run's thread_setup(), and split_runs for the rate harness.
+two finite-difference sides, a MoG oracle pass's real and fake rows)
+in a concurrent_halves() scope, a MoG training run's thread_setup(),
+and split_runs for the rate harness.
 """
 
 from __future__ import annotations
@@ -44,17 +45,23 @@ def run_pair(first, second):
     """(first(), second()) for two thunks that share no state.
 
     They run in sequence, first first, or in a concurrent_halves() scope
-    with first on its worker; when both fail, first's error wins.
+    with first on its worker; when both fail, first's error wins.  A pair
+    started inside either thunk runs in sequence on that thunk's thread:
+    the worker opens no scope, and this thread's is closed while second
+    runs, so neither waits for the busy worker.
     """
     pool = getattr(_halves, "pool", None)
     if pool is None:
         return first(), second()
     future = pool.submit(first)
+    _halves.pool = None
     try:
         out = second()
     except Exception:
         future.result()
         raise
+    finally:
+        _halves.pool = pool
     return future.result(), out
 
 

@@ -526,6 +526,21 @@ class TestConfigFile:
         assert code == 2
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("argv", [["--conf", "{}"], ["--conf={}"]],
+                             ids=["space", "equals"])
+    def test_unknown_flag_before_the_subcommand_is_named(self, tmp_path,
+                                                         capsys, argv):
+        # its value must not be taken for the subcommand
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("steps=7\n")
+        code = run([arg.format(cfg) for arg in argv]
+                   + [*self.TRAJ, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unrecognized argument before the subcommand: "
+            f"{argv[0].format(cfg)}\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_subcommand_flags_still_abbreviate(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps=7\n")

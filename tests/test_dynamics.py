@@ -196,6 +196,14 @@ class TestLandscape:
         _, node = grid.argmin_node()
         assert abs(node[0]) < 1e-12 and abs(node[1]) < 1e-12
 
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(ValueError, match="measure must be one of"):
+            landscape(make_bilinear(3.0), self.BOX, 11, "dg_unrolled")
+
+    def test_dg_approx_needs_a_config(self):
+        with pytest.raises(ValueError, match="dg_approx needs a DGConfig"):
+            landscape(make_bilinear(3.0), self.BOX, 11, "dg_approx")
+
     def test_motivation_minimax_sign_structure(self):
         # x^2 dominance on the u-axis edges, -y^2 dominance on the v-axis
         game = make_motivation()

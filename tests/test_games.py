@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dgopt.games import (GameSpec, JointPoint, catalog_names,
+from dgopt.games import (Box, GameSpec, JointPoint, as_vector, catalog_names,
                          central_jacobian, make_bilinear,
                          make_game, make_motivation, make_ncnc, make_poly_f3,
                          make_quadratic_f1, make_quadratic_f2, parse_game_spec,
@@ -220,3 +220,14 @@ class TestSpecs:
     def test_malformed_parameter_rejected(self):
         with pytest.raises(ValueError):
             parse_game_spec("bilinear:c")
+
+
+class TestPointsAndBoxes:
+    def test_two_dimensional_strategy_rejected(self):
+        with pytest.raises(ValueError, match=r"1-D strategy vector, got "
+                           r"shape \(2, 1\)"):
+            as_vector([[1.0], [2.0]])
+
+    def test_box_bounds_of_two_shapes_rejected(self):
+        with pytest.raises(ValueError, match="one shape"):
+            Box([0.0, 0.0], [1.0, 1.0, 1.0])

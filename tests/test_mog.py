@@ -168,12 +168,44 @@ class TestGanOracle:
             for fused in (fused_gv, all_gv, pair_gv):
                 assert fused.tobytes() == gv.tobytes()
 
-    # a row's bits must not depend on its offset in the 2n-row D pass
+    # the real and the fake D pass are the same in every entry point
     @pytest.mark.parametrize("n", [600, 601, 5000])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fused_passes_equal_separate_calls_bit_for_bit(self, dtype, n):
         self._assert_fused_equal_separate(
             MogGanGame(seed=5, n=n, dtype=dtype))
+
+    @pytest.mark.parametrize("n", [600, 601])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_concurrent_halves_equal_sequential_bit_for_bit(self, dtype, n):
+        # in a concurrent_halves() scope the real rows' D pass runs on the
+        # worker, with that thread's buffers, beside the fake rows' here
+        game = MogGanGame(seed=6, n=n, dtype=dtype)
+        threads, half = [], game._half
+        game._half = lambda v, x, real, *rest: (
+            threads.append((real, threading.current_thread().name))
+            or half(v, x, real, *rest))
+
+        def every_call():
+            out = [getattr(game, name)(u, v)
+                   for u, v in (game.init_params(), _moved_params(game, 6))
+                   for name in ORACLE_CALLS]
+            return [np.asarray(part).tobytes() for res in out
+                    for part in (res if isinstance(res, tuple) else (res,))]
+
+        want = every_call()
+        main = threading.current_thread().name
+        assert set(threads) == {(True, main), (False, main)}
+        threads.clear()
+        with parallel.concurrent_halves():
+            got = every_call()
+        assert got == want
+        assert set(threads) == {(True, "dg-descent_0"), (False, main)}
+
+    def test_hessian_blocks_are_refused(self):
+        game = MogGanGame(seed=2, n=100, dtype=np.float64)
+        with pytest.raises(NotImplementedError, match="first-order"):
+            game.hessian_blocks(JointPoint(*game.init_params()))
 
     def test_concurrent_oracle_calls_match_sequential(self):
         # one game shared by more threads than cores, switching often,
@@ -209,6 +241,27 @@ class TestGanOracle:
         # thread's buffers would have been overwritten by later calls
         for g, w in zip(got, want * 3):
             assert np.array_equal(np.hstack(g), w)
+
+    def test_threads_with_their_own_halves_match_sequential(self):
+        # four threads each open a scope, so eight share the game: each
+        # real half runs on its caller's worker with that worker's buffers
+        game = MogGanGame(seed=7, n=200, dtype=np.float64)
+        points = [_moved_params(game, s) for s in range(4)]
+        want = [np.hstack(game.value_and_grads(*p)) for p in points]
+
+        def call(p):
+            with parallel.concurrent_halves():
+                return np.hstack(game.value_and_grads(*p))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(call, points * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want * 3):
+            assert np.array_equal(g, w)
 
     def test_loss_finite_under_extreme_discriminator(self):
         # saturate the discriminator head; clamping keeps logs finite
@@ -256,7 +309,7 @@ ORACLE_CALLS = ("value", "grad_u", "grad_v", "value_and_grad_u",
 def _every_output(game, u, v):
     """Each oracle entry point at (u, v), then the diagnostics: eval
     samples (a G pass on 1000 rows) and D on the data (n rows) and on
-    those samples (1000 rows, after the 2n-row calls)."""
+    those samples (1000 rows, after the n-row calls)."""
     out = [(name, getattr(game, name)(u, v)) for name in ORACLE_CALLS]
     samples = game.eval_samples(u)
     out += [("eval_samples", samples),
@@ -273,7 +326,8 @@ class TestPassBuffers:
     @pytest.mark.parametrize("seed", range(20))
     def test_bit_identical_to_unbuffered_passes(self, seed):
         dtype = np.float32 if seed % 2 == 0 else np.float64
-        # 2n = 1200 rows: the 1000-row calls use part of the buffers
+        # n = 600 rows: the 1000-row calls grow the buffers, and the
+        # n-row calls at the next point use part of them
         game = MogGanGame(seed=seed, n=600, dtype=dtype)
         ref = MogGanGame(seed=seed, n=600, dtype=dtype)
         ref._buffers = lambda name, rows, dtype: None  # fresh arrays
@@ -311,8 +365,8 @@ class TestPassBuffers:
             assert np.array_equal(part, copy), name
 
     def test_warm_calls_allocate_no_pass_sized_arrays(self):
-        # protocol size: a fresh n x 64 float32 pass array is 1.28 MB,
-        # and the 2n-row ones 2.56 MB
+        # protocol size: a fresh n x 64 float32 pass array is 1.28 MB, and
+        # each of the pass's two D passes and G's backward run on n rows
         game = MogGanGame(seed=1, n=5000, dtype=np.float32)
         u, v = game.init_params()
         game.value_and_grads(u, v)
@@ -331,14 +385,17 @@ class TestPassRows:
     """The rows each entry point's pass runs D on and backpropagates, and
     whether it goes on into G: the cost, which bit-equality cannot see."""
 
-    # entry point: (D forward rows, D backward rows, G backward) per n
-    ROWS = {"value": (2, 0, False),
-            "grad_u": (1, 1, True),
-            "grad_v": (2, 2, False),
-            "value_and_grad_u": (2, 1, True),
-            "value_and_grad_v": (2, 2, False),
-            "grads": (2, 2, True),
-            "value_and_grads": (2, 2, True)}
+    # entry point: its mlp_forward/mlp_backward calls in order, each on n
+    # rows: the real half's D calls, then G's forward and the fake half's
+    REAL_D, REAL_D_BACK = ["fD"], ["fD", "bD"]
+    FAKE_D, FAKE_D_BACK = ["fG", "fD"], ["fG", "fD", "bD"]
+    ROWS = {"value": REAL_D + FAKE_D,
+            "grad_u": FAKE_D_BACK + ["bG"],
+            "grad_v": REAL_D_BACK + FAKE_D_BACK,
+            "value_and_grad_u": REAL_D + FAKE_D_BACK + ["bG"],
+            "value_and_grad_v": REAL_D_BACK + FAKE_D_BACK,
+            "grads": REAL_D_BACK + FAKE_D_BACK + ["bG"],
+            "value_and_grads": REAL_D_BACK + FAKE_D_BACK + ["bG"]}
 
     @pytest.mark.parametrize("name", ORACLE_CALLS)
     def test_rows_per_entry_point(self, monkeypatch, name):
@@ -358,11 +415,10 @@ class TestPassRows:
         n = 200
         game = MogGanGame(seed=4, n=n, dtype=np.float64)
         getattr(game, name)(*_moved_params(game, 4))
-        d_fwd, d_bwd, g_bwd = self.ROWS[name]
-        want = [("forward", G_LAYOUT, n), ("forward", D_LAYOUT, d_fwd * n)]
-        want += [("backward", D_LAYOUT, d_bwd * n)] if d_bwd else []
-        want += [("backward", G_LAYOUT, n)] if g_bwd else []
-        assert calls == want
+        kinds = {"f": "forward", "b": "backward"}
+        layouts = {"D": D_LAYOUT, "G": G_LAYOUT}
+        assert calls == [(kinds[kind], layouts[net], n)
+                         for kind, net in self.ROWS[name]]
 
 
 class TestCoHessianVector:
@@ -655,6 +711,25 @@ class TestHalvesFollowTheAffinityMask:
         else:
             assert started == ["dg-descent_0"]
             assert game.names["grad_u"] == {"dg-descent_0"}
+
+    # with two CPUs every baseline step's passes are pairs, and a log
+    # row's DG chains (dg_k=2) run pairs nested inside the halves
+    @pytest.mark.parametrize("algorithm", ["gda", "eg", "co"])
+    def test_baselines_equal_on_one_and_two_cpus(self, monkeypatch, tmp_path,
+                                                 algorithm):
+        if parallel._openblas_thread_calls() is None:
+            pytest.skip("no OpenBLAS found: the halves run in sequence")
+        runs = []
+        for cpus in (1, 2):
+            _allow_cpus(monkeypatch, cpus)
+            log = train_mog(algorithm, seed=2, iterations=20, log_interval=5,
+                            dg_k=2, n=601)
+            assert log.status == "ok"
+            assert log.thread_setup["concurrent_halves"] is (cpus == 2)
+            log.write_csv(tmp_path / "log.csv")
+            runs.append([(tmp_path / "log.csv").read_bytes(),
+                         log.final_u.tobytes(), log.final_v.tobytes()])
+        assert runs[0] == runs[1]
 
 
 class TestSharedChains:

@@ -41,6 +41,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             OptimizerConfig(algorithm="fr", **kwargs)
 
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ValueError, match="unknown algorithm 'adam'"):
+            OptimizerConfig(algorithm="adam")
+
     def test_zero_consensus_weight_accepted(self):
         assert OptimizerConfig(algorithm="co", co_gamma=0.0).co_gamma == 0.0
 
@@ -251,6 +255,14 @@ class TestFr:
         from dgopt.games import SingularHessianError
         with pytest.raises(SingularHessianError):
             fr_step(B3, P10, 0.05, 0.05)  # H_vv = 0 for the bilinear game
+
+    def test_overflowing_follower_correction_raises(self):
+        # H_vv = 1e-310 is no zero pivot, but H_vu g_u / H_vv overflows
+        from dgopt.games import SingularHessianError
+        blocks = tuple(np.array([[h]]) for h in (-6.0, 4.0, 4.0, 1e-310))
+        game = replace(F1, second_order=lambda u, v: blocks)
+        with pytest.raises(SingularHessianError, match="non-finite values"):
+            fr_step(game, JointPoint.of(1.0, 1.0), 0.05, 0.05)
 
 
 class TestFixedPointPreservation:
