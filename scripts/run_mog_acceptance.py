@@ -24,10 +24,13 @@ names and leaves any earlier verdict as it was.
 
 One process trains its runs one after another.  To use more CPUs, start
 one process per CPU, pinned with taskset; neither writes a verdict, and
-a last invocation collects it from the finished artifacts:
+a last invocation collects it from the finished artifacts.  A dg seed
+takes about ten times as long as a gda seed, so on two CPUs one side
+runs two dg seeds and then every gda seed, and the other three dg seeds:
 
-    taskset -c 0 python scripts/run_mog_acceptance.py --seeds 1,2,3 &
-    taskset -c 1 python scripts/run_mog_acceptance.py --seeds 4,5 &
+    (taskset -c 0 python scripts/run_mog_acceptance.py --algs dg --seeds 1,2
+     taskset -c 0 python scripts/run_mog_acceptance.py --algs gda) &
+    taskset -c 1 python scripts/run_mog_acceptance.py --algs dg --seeds 3,4,5 &
     wait
     python scripts/run_mog_acceptance.py
 
@@ -57,7 +60,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dgopt.mog import train_mog  # noqa: E402
+from dgopt.mog import MogGanGame, train_mog  # noqa: E402
 from dgopt.outputs import write_json  # noqa: E402
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "artifacts",
@@ -88,9 +91,8 @@ def print_progress(alg, seed):
 
 def run_one(alg, seed, iters, k, out_dir):
     t0 = time.time()
-    log = train_mog(alg, seed=seed, iterations=iters, dg_k=k,
-                    log_interval=100, dtype=np.float32,
-                    progress=print_progress(alg, seed))
+    log = train_mog(alg, MogGanGame(seed), iterations=iters, dg_k=k,
+                    log_interval=100, progress=print_progress(alg, seed))
     wall = time.time() - t0
 
     def logged(name, row=-1):

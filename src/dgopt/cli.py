@@ -179,9 +179,10 @@ def cmd_rate(args) -> int:
 
 
 def cmd_mog(args) -> int:
-    log = mog.train_mog(args.alg, seed=args.seed, iterations=args.iters,
-                        lr=args.lr, co_gamma=args.co_gamma,
-                        dg_k=args.k, log_interval=args.log_interval)
+    log = mog.train_mog(args.alg, mog.MogGanGame(args.seed),
+                        iterations=args.iters, lr=args.lr,
+                        co_gamma=args.co_gamma, dg_k=args.k,
+                        log_interval=args.log_interval)
     prefix = _out_prefix(args)
     log.write_csv(f"{prefix}.csv")
     log.write_samples_csv(f"{prefix}_samples.csv")

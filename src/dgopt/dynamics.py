@@ -163,6 +163,13 @@ def value_grid(fn: Callable[[Array, Array], Array], u_axis, v_axis) -> Array:
     return fn(mesh_u[..., None], mesh_v[..., None])
 
 
+def grid_duality_gap(values: Array) -> Array:
+    """Box duality gap at each node of values[..., i, j] = M(u_i, v_j):
+    the max over the node's v row minus the min over its u column."""
+    return (values.max(axis=-1)[..., :, None]
+            - values.min(axis=-2)[..., None, :])
+
+
 def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
     """Brute-force box duality gap for a 1-D/1-D game.
 
@@ -176,10 +183,7 @@ def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
     checked("exact-DG grid resolution", resolution, at_least=3)
     u_axis, v_axis = _box_axes(box, resolution)
 
-    value_matrix = value_grid(game.value, u_axis, v_axis)
-    row_max = value_matrix.max(axis=1)    # max over v' for each u
-    col_min = value_matrix.min(axis=0)    # min over u' for each v
-    grid_values = row_max[:, None] - col_min[None, :]
+    grid_values = grid_duality_gap(value_grid(game.value, u_axis, v_axis))
 
     def dg_fn(u: float, v: float) -> float:
         best_max = value_grid(game.value, [float(u)], v_axis).max()
@@ -245,8 +249,8 @@ class CriticalPointReport:
     dg_label: Optional[str] = None
 
 
-# classify_critical_point's smallest step h: its second differences
-# divide by h * h, a normal float from here up (below, subnormal or 0)
+# classify_critical_point's smallest step h: its nested central
+# differences divide by (2h)**2, a normal float from here up
 H_MIN = math.sqrt(sys.float_info.min)
 
 
@@ -259,8 +263,9 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
 
     Minimax view: a local equilibrium needs H_uu PSD for the minimizer
     and -H_vv PSD for the maximizer.  DG view (when a DGConfig is
-    given): the numerical Hessian of the DG value map labels the point
-    min / max / saddle / degenerate.
+    given): the numerical Hessian of the DG value map, the symmetrized
+    central_jacobian of its central-difference gradient, labels the
+    point min / max / saddle / degenerate.
     """
     checked("finite-difference step h", h, at_least=H_MIN)
     checked("gradient tolerance grad_tol", grad_tol, positive=True)
@@ -284,26 +289,16 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
 
     gamma = dg_cfg.resolved_gamma(eta)
 
-    def q(x: Array) -> float:
-        pt = JointPoint.split(x, game.dim_u)
-        return dgmod.dg_estimate(game, pt, dg_cfg, eta=gamma).value
+    def q(x: Array) -> Array:
+        est = dgmod.dg_estimate(game, JointPoint.split(x, game.dim_u),
+                                dg_cfg, eta=gamma)
+        return np.array([est.value])
 
-    # q's own second-difference stencil: central_difference's would move bits
     x0 = p.concat()
-    n = x0.size
-    hess = np.zeros((n, n))
-    q0 = q(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        hess[i, i] = (q(x0 + ei) - 2.0 * q0 + q(x0 - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            cross = (q(x0 + ei + ej) - q(x0 + ei - ej)
-                     - q(x0 - ei + ej) + q(x0 - ei - ej)) / (4.0 * h * h)
-            hess[i, j] = cross
-            hess[j, i] = cross
+    steps = np.full(x0.size, h)
+    hess = central_jacobian(lambda x: central_jacobian(q, x, steps)[0],
+                            x0, steps)
+    hess = 0.5 * (hess + hess.T)
     dg_eigs = sorted(float(x) for x in np.linalg.eigvalsh(hess))
     if dg_eigs[0] > psd_tol:
         label = "min"

@@ -187,10 +187,11 @@ class MogGanGame:
     """Full-batch saturating GAN objective as a two-player game oracle.
 
     The dataset and the generator noise are drawn once at construction,
-    so value and gradients are deterministic functions of (u, v).
+    so value and gradients are deterministic functions of (u, v).  n and
+    dtype default to the protocol's: 5000 rows in float32.
     """
 
-    def __init__(self, seed: int, n: int = 5000, dtype=np.float64):
+    def __init__(self, seed: int, n: int = 5000, dtype=np.float32):
         self.seed = seed
         self.n = checked("batch size n", n, at_least=1)
         self.dtype = np.dtype(dtype)
@@ -418,19 +419,18 @@ def _co_step(game: MogGanGame, p: JointPoint, eta, gamma: float) -> JointPoint:
                       p.v + eta * gv - eta * gamma * hvp[game.dim_u:])
 
 
-def train_mog(algorithm: str, seed: int, iterations: int = 20000,
+def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
               lr: float = 2e-4, co_gamma: float = 1.0,
               dg_k: int = 10, log_interval: int = 100,
-              dtype=np.float32, game: Optional[MogGanGame] = None,
-              n: int = 5000, progress=None) -> MogTrainingLog:
-    """Full-batch training with one of gda / eg / co / dg at step size lr.
+              progress=None) -> MogTrainingLog:
+    """Full-batch training on game with one of gda / eg / co / dg at step
+    size lr.
 
     gda, eg and dg are optimizers.make_step_map's step maps; dg descends
     the envelope gradient of a dg_k-step duality-gap estimate (inner
     step size lr).  Logging happens every log_interval steps on a fixed
     1000-draw noise evaluation set, after which a given progress is
-    called with (iteration, iterations, seconds since the run began).  A
-    supplied game must have the run's seed, n and dtype.
+    called with (iteration, iterations, seconds since the run began).
 
     The whole run holds OpenBLAS at one thread, so no output depends on
     the host's BLAS thread count.  If it can, and the process may use two
@@ -446,12 +446,8 @@ def train_mog(algorithm: str, seed: int, iterations: int = 20000,
     checked("learning rate lr", lr, positive=True)
     cfg = OptimizerConfig(algorithm, eta=lr, co_gamma=co_gamma,
                           dg=dgmod.DGConfig(k=dg_k))
-    if game is None:
-        game = MogGanGame(seed, n=n, dtype=dtype)
-    for name, arg in (("seed", seed), ("n", n), ("dtype", np.dtype(dtype))):
-        if (have := getattr(game, name)) != arg:
-            raise ValueError(f"game has {name}={have}, not {arg}")
-    log = MogTrainingLog(algorithm=algorithm, seed=seed, iterations=iterations)
+    log = MogTrainingLog(algorithm=algorithm, seed=game.seed,
+                         iterations=iterations)
     started = time.perf_counter()
     with parallel.thread_setup() as log.thread_setup:
         if algorithm == "co":

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import outputs
 from .dg import AdaGradState, adagrad_step
+from .dynamics import grid_duality_gap
 from .games import Array, Box, checked
 from .parallel import split_runs
 
@@ -320,19 +321,13 @@ def check_approx_realizability(family: Sequence[QuadraticSaddle],
     checked("slack", slack, at_least=0)
     checked("grid resolution", resolution, at_least=1)
     axis = np.linspace(lo, hi, resolution)
-    size = len(family)
 
     # per-member value tables on the shared grid (value() broadcasts)
     grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
     tables = np.stack([m.value(grid_u, grid_v) for m in family])
 
-    per_dg = (tables.max(axis=2)[:, :, None]
-              - tables.min(axis=1)[:, None, :])   # (size, res, res)
-    expected_dg = per_dg.mean(axis=0)
-
-    mean_table = tables.mean(axis=0)
-    full_dg = (mean_table.max(axis=1)[:, None]
-               - mean_table.min(axis=0)[None, :])
+    expected_dg = grid_duality_gap(tables).mean(axis=0)
+    full_dg = grid_duality_gap(tables.mean(axis=0))
 
     if np.any(full_dg > expected_dg + 1e-9):
         raise AssertionError("grid check of max-of-average <= average-of-max "

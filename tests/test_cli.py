@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -634,3 +635,16 @@ class TestPlotCommand:
         assert (f"non-numeric CSV {csv}: line {line} has cell {cell!r}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "re.svg").exists()
+
+
+def test_module_guard_exits_with_mains_code(monkeypatch, tmp_path, capsys):
+    # python -m dgopt.cli, run in this process: a fresh execution of the
+    # module as __main__ (none is cached, so runpy has nothing to warn of)
+    monkeypatch.delitem(sys.modules, "dgopt.cli")
+    monkeypatch.setattr(sys, "argv", ["dgopt", "traj", "--game", "nosuch",
+                                      "--out", str(tmp_path / "run")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("dgopt.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

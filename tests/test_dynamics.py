@@ -8,14 +8,29 @@ from dgopt.dynamics import (MEASURES, LandscapeGrid, NotAFixedPointError,
                             StabilityReport, bilinear_exact_dg,
                             classify_critical_point,
                             dg_exact_grid, dg_update_matrix_f1,
-                            dg_update_matrix_f2, eigenvalues_2x2, landscape,
+                            dg_update_matrix_f2, eigenvalues_2x2,
+                            grid_duality_gap, landscape,
                             linearize, verify_dg_update_matrix)
-from dgopt.games import Box, JointPoint, make_bilinear, make_game, make_motivation, make_quadratic_f1, make_quadratic_f2
+from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
+                         make_bilinear, make_game, make_motivation,
+                         make_quadratic_f1, make_quadratic_f2)
 from dgopt.optimizers import OptimizerConfig, make_step_map, run_trajectory
 
 ORIGIN = JointPoint.of(0.0, 0.0)
 F1 = make_quadratic_f1()
 F2 = make_quadratic_f2()
+
+
+def _diagonal(sign):
+    """M = u^2 + sign * v^2, with no coupling (H_uv = 0)."""
+    return GameOracle(
+        name="diag", dim_u=1, dim_v=1,
+        value=lambda u, v: u[0] ** 2 + sign * v[0] ** 2,
+        grad_u=lambda u, v: np.array([2 * u[0]]),
+        grad_v=lambda u, v: np.array([2 * sign * v[0]]),
+        second_order=lambda u, v: (np.array([[2.0]]), np.zeros((1, 1)),
+                                   np.zeros((1, 1)),
+                                   np.array([[2.0 * sign]])))
 
 
 class TestLinearize:
@@ -73,6 +88,14 @@ class TestLinearize:
             linearize(make_step_map(F1, cfg), JointPoint.of(1.0, 1.0))
         assert err.value.residual > 1e-8
 
+    def test_non_finite_jacobian_entry_rejected(self):
+        # fixed at the origin, infinite one finite-difference step along +u
+        def step(p):
+            return p if p.u[0] <= 0.0 else JointPoint(np.array([np.inf]), p.v)
+
+        with pytest.raises(NonFiniteValueError, match="non-finite Jacobian"):
+            linearize(step, ORIGIN)
+
     def test_2x2_eigen_solver_satisfies_characteristic_polynomial(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
@@ -93,6 +116,10 @@ class TestDGUpdateMatrices:
     def test_f2_matrix_matches_linearized_map(self, eta):
         gap = verify_dg_update_matrix(F2, dg_update_matrix_f2(eta), eta)
         assert gap <= 1e-8
+
+    def test_mismatched_closed_form_raises(self):
+        with pytest.raises(AssertionError, match="disagrees"):
+            verify_dg_update_matrix(F1, dg_update_matrix_f2(0.05), 0.05)
 
     def test_f1_values_at_eta_005(self):
         m = dg_update_matrix_f1(0.05)
@@ -178,6 +205,25 @@ class TestExactDG:
     def test_rejects_coarse_resolution(self):
         with pytest.raises(ValueError):
             dg_exact_grid(make_bilinear(3.0), self.BOX, resolution=2)
+
+    def test_rejects_a_game_that_is_not_one_by_one(self):
+        game = GameOracle(name="2x1", dim_u=2, dim_v=1,
+                          value=lambda u, v: float(u @ u - v @ v),
+                          grad_u=lambda u, v: 2 * u,
+                          grad_v=lambda u, v: -2 * v)
+        with pytest.raises(ValueError, match="1-D/1-D"):
+            dg_exact_grid(game, self.BOX, resolution=11)
+
+    def test_gap_is_row_max_minus_column_min_per_table(self):
+        table = np.array([[1.0, 4.0, 2.0],
+                          [3.0, 0.0, 5.0]])
+        # node (i, j): max of row i minus min of column j
+        want = np.array([[4.0 - 1.0, 4.0 - 0.0, 4.0 - 2.0],
+                         [5.0 - 1.0, 5.0 - 0.0, 5.0 - 2.0]])
+        assert np.array_equal(grid_duality_gap(table), want)
+        stack = np.stack([table, -table, 2 * table])
+        assert np.array_equal(grid_duality_gap(stack),
+                              np.stack([grid_duality_gap(t) for t in stack]))
 
 
 class TestLandscape:
@@ -356,25 +402,43 @@ class TestCriticalPoints:
     def test_decoupled_quadratic_ne_detection(self):
         # convex for the min player, concave for the max player, H_uv=0:
         # a textbook local equilibrium
-        from dgopt.games import GameOracle
-
-        def mk(sign):
-            return GameOracle(
-                name="diag", dim_u=1, dim_v=1,
-                value=lambda u, v: u[0] ** 2 + sign * v[0] ** 2,
-                grad_u=lambda u, v: np.array([2 * u[0]]),
-                grad_v=lambda u, v: np.array([2 * sign * v[0]]),
-                second_order=lambda u, v: (np.array([[2.0]]), np.zeros((1, 1)),
-                                           np.zeros((1, 1)),
-                                           np.array([[2.0 * sign]])))
-
-        ne_game = mk(-1.0)
+        ne_game = _diagonal(-1.0)
         report = classify_critical_point(ne_game, ORIGIN)
         assert report.is_local_ne
-        not_ne = mk(+1.0)
+        not_ne = _diagonal(+1.0)
         report2 = classify_critical_point(not_ne, ORIGIN)
         assert not report2.is_local_ne
 
     def test_non_critical_point_rejected(self):
         with pytest.raises(ValueError, match="not a critical point"):
             classify_critical_point(F1, JointPoint.of(1.0, 1.0))
+
+    @pytest.mark.parametrize("mode", ["unrolled", "envelope"])
+    def test_overshooting_inner_step_labels_a_max(self, mode):
+        # M = u^2 - v^2 with gamma 1.5: each inner step overshoots its
+        # best response, and the DG value is -3 (u^2 + v^2)
+        report = classify_critical_point(
+            _diagonal(-1.0), ORIGIN,
+            dg_cfg=DGConfig(k=1, gamma=1.5, grad_mode=mode))
+        assert report.dg_label == "max"
+        assert report.dg_eigs == pytest.approx([-6.0, -6.0], abs=1e-9)
+
+    def test_no_inner_steps_labels_bilinear_degenerate(self):
+        # k=0: the DG estimate is M(u, v) - M(u, v) = 0 everywhere
+        report = classify_critical_point(
+            make_bilinear(3.0), ORIGIN, dg_cfg=DGConfig(k=0, gamma=0.05))
+        assert report.dg_label == "degenerate"
+        assert np.array_equal(report.dg_hessian, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("game,closed_form", [
+        (F1, dg_update_matrix_f1), (F2, dg_update_matrix_f2)])
+    @pytest.mark.parametrize("eta", [0.01, 0.05, 0.1])
+    def test_dg_hessian_matches_the_unrolled_step_matrix(
+            self, game, closed_form, eta):
+        # the unrolled DG step's Jacobian is I - eta * Hess(DG), with the
+        # inner step size gamma = eta
+        report = classify_critical_point(
+            game, ORIGIN, dg_cfg=DGConfig(k=1, gamma=eta,
+                                          grad_mode="unrolled"))
+        want = (np.eye(2) - closed_form(eta)) / eta
+        assert np.max(np.abs(report.dg_hessian - want)) <= 1e-12

@@ -136,8 +136,8 @@ class TestGanOracle:
         # gradient check again after some training, away from the
         # zero-bias initialization geometry
         game = MogGanGame(seed=8, n=300, dtype=np.float64)
-        log = train_mog("gda", seed=8, iterations=50, log_interval=50,
-                        dtype=np.float64, n=300, game=game, lr=1e-2)
+        log = train_mog("gda", game, iterations=50, log_interval=50,
+                        lr=1e-2)
         u, v = log.final_u, log.final_v
         _, gu, gv = game.value_and_grads(u, v)
         rng = np.random.default_rng(3)
@@ -468,8 +468,8 @@ class TestCoHessianVector:
 
 class TestTrainingPlumbing:
     def test_short_run_log_structure(self):
-        log = train_mog("gda", seed=1, iterations=20, log_interval=10,
-                        dtype=np.float32, n=300)
+        log = train_mog("gda", MogGanGame(1, n=300), iterations=20,
+                        log_interval=10)
         assert log.status == "ok"
         assert [int(r[0]) for r in log.rows] == [0, 10, 20]
         assert log.final_samples.shape == (1000,)
@@ -478,16 +478,16 @@ class TestTrainingPlumbing:
             assert all(np.isfinite(x) for x in row[1:])
 
     def test_full_batch_determinism(self):
-        runs = [train_mog("dg", seed=6, iterations=6, log_interval=3,
-                          dtype=np.float32, n=200, dg_k=3) for _ in range(2)]
+        runs = [train_mog("dg", MogGanGame(6, n=200), iterations=6,
+                          log_interval=3, dg_k=3) for _ in range(2)]
         for r1, r2 in zip(runs[0].rows, runs[1].rows):
             assert r1 == r2
         assert np.array_equal(runs[0].final_samples, runs[1].final_samples)
 
     def test_progress_sees_each_log_row_and_changes_nothing(self, tmp_path):
         calls = []
-        logs = [train_mog("eg", seed=2, iterations=7, log_interval=3, n=200,
-                          progress=progress)
+        logs = [train_mog("eg", MogGanGame(2, n=200), iterations=7,
+                          log_interval=3, progress=progress)
                 for progress in (None, lambda *args: calls.append(args))]
         assert [(it, total) for it, total, _ in calls] == [
             (int(row[0]), 7) for row in logs[1].rows] == [
@@ -503,18 +503,9 @@ class TestTrainingPlumbing:
                           for suffix in (".csv", "_samples.csv", "_hist.csv")])
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("setting, value",
-                             [("seed", 1), ("n", 100), ("dtype", "float64")])
-    def test_supplied_game_must_match_the_arguments(self, setting, value):
-        # a mismatched game would train on other data than the log records
-        game = MogGanGame(**{"seed": 3, "n": 200, "dtype": np.float32,
-                             setting: value})
-        with pytest.raises(ValueError, match=f"game has {setting}="):
-            train_mog("gda", seed=3, iterations=1, n=200, game=game)
-
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            train_mog("adam", seed=0, iterations=1)
+            train_mog("adam", MogGanGame(0, n=50), iterations=1)
 
     def test_blas_thread_count_restored(self, monkeypatch):
         calls = parallel._openblas_thread_calls()
@@ -526,7 +517,7 @@ class TestTrainingPlumbing:
             assert get() == 1
         assert get() == before
         _allow_cpus(monkeypatch, 2)
-        train_mog("dg", seed=1, iterations=1, n=100, dg_k=2)
+        train_mog("dg", MogGanGame(1, n=100), iterations=1, dg_k=2)
         assert get() == before
 
     def test_co_output_independent_of_blas_threads(self):
@@ -539,7 +530,8 @@ class TestTrainingPlumbing:
         try:
             for blas_threads in (1, 2):
                 put(blas_threads)
-                runs.append(train_mog("co", seed=0, iterations=2, n=1000))
+                runs.append(train_mog("co", MogGanGame(0, n=1000),
+                                      iterations=2))
         finally:
             put(before)
         assert runs[0].rows == runs[1].rows
@@ -554,8 +546,8 @@ class TestTrainingPlumbing:
         monkeypatch.setattr(optimizers, "make_step_map",
                             lambda game, cfg: made.append(cfg) or
                             make_step_map(game, cfg))
-        log = train_mog(algorithm, seed=2, iterations=3, log_interval=3,
-                        lr=1e-2, dg_k=3, n=200)
+        log = train_mog(algorithm, MogGanGame(2, n=200), iterations=3,
+                        log_interval=3, lr=1e-2, dg_k=3)
         assert [cfg.algorithm for cfg in made] == [algorithm]
         game = MogGanGame(seed=2, n=200, dtype=np.float32)
         step = make_step_map(game, OptimizerConfig(algorithm, eta=1e-2,
@@ -569,8 +561,8 @@ class TestTrainingPlumbing:
         assert np.array_equal(log.final_v, p.v)
 
     def test_csv_outputs(self, tmp_path):
-        log = train_mog("eg", seed=3, iterations=10, log_interval=5,
-                        dtype=np.float32, n=200)
+        log = train_mog("eg", MogGanGame(3, n=200), iterations=10,
+                        log_interval=5)
         log.write_csv(tmp_path / "log.csv")
         log.write_samples_csv(tmp_path / "samples.csv")
         log.write_histogram_csv(tmp_path / "hist.csv")
@@ -698,8 +690,7 @@ class TestHalvesFollowTheAffinityMask:
         monkeypatch.setattr(threading.Thread, "start",
                             lambda t: (started.append(t.name), start(t)))
         game = _ThreadNames(seed=1, n=200, dtype=np.float32)
-        log = train_mog("dg", seed=1, iterations=2, log_interval=1, dg_k=2,
-                        n=200, game=game)
+        log = train_mog("dg", game, iterations=2, log_interval=1, dg_k=2)
         assert log.status == "ok"
         assert log.thread_setup["cpu_mask"] == list(range(cpus or 1))
         assert log.thread_setup["concurrent_halves"] is (cpus == 2)
@@ -722,8 +713,8 @@ class TestHalvesFollowTheAffinityMask:
         runs = []
         for cpus in (1, 2):
             _allow_cpus(monkeypatch, cpus)
-            log = train_mog(algorithm, seed=2, iterations=20, log_interval=5,
-                            dg_k=2, n=601)
+            log = train_mog(algorithm, MogGanGame(2, n=601), iterations=20,
+                            log_interval=5, dg_k=2)
             assert log.status == "ok"
             assert log.thread_setup["concurrent_halves"] is (cpus == 2)
             log.write_csv(tmp_path / "log.csv")
@@ -754,8 +745,7 @@ class TestSharedChains:
     def test_dropped_game_is_freed(self, monkeypatch, cpus):
         _allow_cpus(monkeypatch, cpus)
         game = MogGanGame(3, n=200, dtype=np.float32)
-        log = train_mog("dg", seed=3, iterations=2, log_interval=1, dg_k=2,
-                        n=200, game=game)
+        log = train_mog("dg", game, iterations=2, log_interval=1, dg_k=2)
         assert log.status == "ok"
         ref = weakref.ref(game)
         del game
@@ -774,8 +764,8 @@ class TestStepRuleCalls:
                                               per_iter):
         _allow_cpus(monkeypatch, 1)
         game = _CountedCalls(seed=1, n=200, dtype=np.float32)
-        log = train_mog(algorithm, seed=1, iterations=4, log_interval=2,
-                        dg_k=0, n=200, game=game)
+        log = train_mog(algorithm, game, iterations=4, log_interval=2,
+                        dg_k=0)
         assert log.status == "ok"
         assert game.total("grads") == 4 * per_iter
         assert game.total("value_and_grads") == len(log.rows) == 3
@@ -788,8 +778,7 @@ class TestStepRuleCalls:
             pytest.skip("no OpenBLAS found: the sides run in sequence")
         _allow_cpus(monkeypatch, cpus)
         game = _CountedCalls(seed=1, n=200, dtype=np.float32)
-        log = train_mog("co", seed=1, iterations=2, log_interval=2, dg_k=0,
-                        n=200, game=game)
+        log = train_mog("co", game, iterations=2, log_interval=2, dg_k=0)
         assert log.status == "ok"
         main = threading.current_thread().name
         if cpus == 1:
@@ -809,8 +798,7 @@ class TestCoDivergence:
         _allow_cpus(monkeypatch, 1)
         game = _NanGradU(nan_call, seed=1, n=200, dtype=np.float32)
         self.assert_stopped_at_the_start(
-            train_mog("co", seed=1, iterations=3, log_interval=1, dg_k=1,
-                      n=200, game=game))
+            train_mog("co", game, iterations=3, log_interval=1, dg_k=1))
         assert game.calls >= nan_call
 
     def test_nonfinite_worker_side_stops_the_run(self, monkeypatch):
@@ -819,15 +807,13 @@ class TestCoDivergence:
         if parallel._openblas_thread_calls() is None:
             pytest.skip("no OpenBLAS found: the sides run in sequence")
         _allow_cpus(monkeypatch, 1)
-        one_cpu = train_mog("co", seed=1, iterations=3, log_interval=1,
-                            dg_k=1, n=200,
-                            game=_NanGradU(3, seed=1, n=200,
-                                           dtype=np.float32))
+        one_cpu = train_mog("co", _NanGradU(3, seed=1, n=200,
+                                            dtype=np.float32),
+                            iterations=3, log_interval=1, dg_k=1)
         _allow_cpus(monkeypatch, 2)
         game = _NanGradU(nan_thread="dg-descent_0", seed=1, n=200,
                          dtype=np.float32)
-        log = train_mog("co", seed=1, iterations=3, log_interval=1, dg_k=1,
-                        n=200, game=game)
+        log = train_mog("co", game, iterations=3, log_interval=1, dg_k=1)
         assert log.thread_setup["concurrent_halves"]
         assert log.rows == one_cpu.rows
         self.assert_stopped_at_the_start(log)
@@ -844,7 +830,7 @@ class TestCoDivergence:
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations"):
-            train_mog("gda", seed=0, iterations=-3)
+            train_mog("gda", MogGanGame(0, n=50), iterations=-3)
 
 
 class TestAcceptanceScript:
@@ -889,7 +875,7 @@ class TestAcceptanceScript:
         assert proc.returncode == 0, proc.stderr
         row = json.loads((tmp_path / "gda_seed1.json").read_text())
         assert row["dg_k"] == 3
-        log = train_mog("gda", seed=1, iterations=0, dg_k=3)
+        log = train_mog("gda", MogGanGame(1), iterations=0, dg_k=3)
         assert row["initial_dg_metric"] == float(log.column("dg_metric")[0])
         # one progress line per log row, on stderr
         assert proc.stderr.splitlines() == [

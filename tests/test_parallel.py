@@ -7,8 +7,10 @@ for per-thread state (threading.local).
 
 import ast
 import contextlib
+import io
 import signal
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -136,3 +138,40 @@ class TestNestedPairs:
             names = parallel.run_pair(lambda: threading.current_thread().name,
                                       lambda: threading.current_thread().name)
         assert names == ("dg-descent_0", threading.current_thread().name)
+
+
+class TestNoOpenBlas:
+    """Where _openblas_thread_calls finds no OpenBLAS to pin, thread_setup
+    pins nothing and opens no halves scope, even with two CPUs."""
+
+    # a /proc/self/maps line of a loaded library whose name says openblas
+    MAPS = ("7f0000000000-7f0000001000 r-xp 00000000 08:01 42 "
+            "/usr/lib/libopenblas.so.0\n")
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        parallel._openblas_thread_calls.cache_clear()
+        yield
+        parallel._openblas_thread_calls.cache_clear()
+
+    @pytest.mark.parametrize("case", ["unreadable maps", "fails to load",
+                                      "no thread-count symbols"])
+    def test_nothing_is_pinned(self, monkeypatch, case):
+        def read_maps(path):
+            if case == "unreadable maps":
+                raise OSError(f"cannot read {path}")
+            return io.StringIO(self.MAPS)
+
+        def load(path):
+            if case == "fails to load":
+                raise OSError(f"cannot load {path}")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(parallel, "open", read_maps, raising=False)
+        monkeypatch.setattr(parallel.ctypes, "CDLL", load)
+        assert parallel._openblas_thread_calls() is None
+        monkeypatch.setattr(parallel, "cpu_mask", lambda: [0, 1])
+        with parallel.thread_setup() as setup:
+            assert setup == {"openblas_pinned": False, "cpu_mask": [0, 1],
+                             "concurrent_halves": False}
+            assert getattr(parallel._halves, "pool", None) is None

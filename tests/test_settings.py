@@ -41,7 +41,8 @@ FAMILY = make_approx_realizable_family(0.1, 2, 0)
 
 def _mog(**kwargs):
     # one log row of a 50-row game: the set-up runs, no training does
-    return train_mog("gda", seed=0, n=50, **{"iterations": 0, **kwargs})
+    return train_mog("gda", MogGanGame(0, n=50),
+                     **{"iterations": 0, **kwargs})
 
 
 # (name, rule, bound, call): rule "positive" (> 0), "at_least" (>= bound),
