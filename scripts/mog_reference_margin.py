@@ -8,24 +8,21 @@ Stdlib and numpy only; it reads perfbench/ and changes nothing there:
 
 For each reference seed of the chosen MoG workloads (default: both, every
 seed in perfbench/reference.json) it runs one unit's jobs
-(perfbench/workloads.unit_jobs) through dgopt.cli.main in a temporary
-directory.  It compares each job's log and sample statistics
-(perfbench/checks.mog_summary) with the recorded ones as the benchmark
-does: an entry passes when |got - want| <= MOG_ATOL + MOG_RTOL * |want|.
+(perfbench/workloads.unit_jobs) in a temporary directory, each through
+the benchmark's own perfbench/run.run_job and checks.Checker.  The
+checker covers the exit code, finite outputs, "status ok", the float64
+initial objective and the recorded outputs within MOG_RTOL/MOG_ATOL.
 It prints one line per job: workload, seed, job, the largest ratio
-|got - want| / (MOG_ATOL + MOG_RTOL * |want|) and the entry where it is.
-A failed job or a log of another shape reads inf.  Exits 1 if any ratio
-is above 1, else 0.
-
-scripts/check_mog_references.sh says whether the runs pass; this says
-by how much.
+|got - want| / (MOG_ATOL + MOG_RTOL * |want|) over the job's log and
+sample statistics (perfbench/checks.mog_summary), and the entry where it
+is.  A job the checker fails reads inf, followed by the checker's
+messages.  Exits 1 if any job fails the checker or has a ratio above 1,
+else 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import math
 import sys
 import tempfile
@@ -38,6 +35,7 @@ sys.dont_write_bytecode = True   # no __pycache__ under perfbench/
 import numpy as np  # noqa: E402
 
 import checks  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 from dgopt import cli  # noqa: E402
 
@@ -62,17 +60,13 @@ def margin(got: dict, want: dict):
     return worst, where
 
 
-def job_margin(job, want):
-    """Run one job and return (largest ratio, where)."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        rc = cli.main(list(job.argv))
-    if rc != 0:
-        return math.inf, f"exit code {rc}: {err.getvalue().strip()}"
-    try:
-        return margin(checks.mog_summary(job), want)
-    except (OSError, ValueError) as exc:
-        return math.inf, f"unreadable output: {exc}"
+def job_margin(checker, job, want):
+    """Run one job as the benchmark does and return (largest ratio,
+    where), or (inf, the checker's messages) when the checker fails it."""
+    problems = checker.check(job, run.run_job(cli, job))
+    if problems:
+        return math.inf, "; ".join(problems)
+    return margin(checks.mog_summary(job), want)
 
 
 def parse_args(argv):
@@ -105,8 +99,10 @@ def main(argv=None) -> int:
                           file=sys.stderr)
                     return 2
                 out_dir = Path(tmp) / workload / seed
+                checker = checks.Checker(workload, int(seed))
                 for job in workloads.unit_jobs(workload, int(seed), out_dir):
-                    ratio, where = job_margin(job, recorded[seed][job.name])
+                    ratio, where = job_margin(checker, job,
+                                              recorded[seed][job.name])
                     worst = max(worst, ratio)
                     print(f"{workload} {seed} {job.name} {ratio:.4f} {where}",
                           flush=True)

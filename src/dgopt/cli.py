@@ -48,10 +48,14 @@ def _parse_box(text: str) -> Box:
 
 
 def _dg_config(args) -> dgmod.DGConfig:
-    return dgmod.DGConfig(k=args.k, gamma=args.gamma, grad_mode=args.mode)
+    """The inner step --gamma, or the outer step --eta when it is unset."""
+    gamma = args.eta if args.gamma is None else args.gamma
+    return dgmod.DGConfig(k=args.k, gamma=gamma, grad_mode=args.mode)
 
 
 def _optimizer_config(args) -> optimizers.OptimizerConfig:
+    # a bad --eta is named as the outer step, before it becomes gamma
+    checked("step size eta", args.eta, positive=True)
     return optimizers.OptimizerConfig(
         algorithm=args.alg, eta=args.eta, eta_y=args.eta_y,
         sga_lambda=args.sga_lambda, co_gamma=args.co_gamma,
@@ -78,11 +82,10 @@ def cmd_traj(args) -> int:
     # origin, which is therefore the default convergence target
     targets = ([_parse_point(t) for t in args.target]
                or [JointPoint.of(0.0, 0.0)])
-    dg_log = cfg.dg if args.log_dg or args.alg == "dg" else None
     traj = optimizers.run_trajectory(game, cfg, init, steps=args.steps,
                                      targets=targets, tol=args.tol,
                                      diverge_norm=args.diverge_norm,
-                                     dg_metric_cfg=dg_log)
+                                     log_dg=args.log_dg or args.alg == "dg")
     prefix = _out_prefix(args)
     traj.write_csv(f"{prefix}.csv")
     traj.write_summary(f"{prefix}.json")
@@ -133,7 +136,7 @@ def cmd_landscape(args) -> int:
     game = make_game(args.game)
     box = _parse_box(args.box)
     grid = dynamics.landscape(game, box, args.res, args.measure,
-                              dg_cfg=_dg_config(args), eta=args.eta)
+                              dg_cfg=_dg_config(args))
     prefix = _out_prefix(args)
     grid.write_csv(f"{prefix}.csv")
     grid.write_sidecar(f"{prefix}.meta.json")

@@ -25,7 +25,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,31 +36,25 @@ from .parallel import run_pair
 GRAD_MODES = ("envelope", "unrolled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DGConfig:
-    """Inner-loop parameters for the duality-gap estimate.
+    """Inner-loop parameters for every duality-gap evaluation: k
+    warm-started steps of size gamma per player.
 
-    gamma=None ties the inner step size to the outer learning rate at
-    the point of use (the toy experiments run a single step size).
+    gamma has no default: the caller that knows the outer step sets it
+    (the CLI and train_mog tie it to eta and lr).  The checks here are
+    the only ones k and gamma get.
     """
 
     k: int = 10
-    gamma: Optional[float] = None
+    gamma: float
     grad_mode: str = "envelope"
 
     def __post_init__(self):
         checked("inner step count k", self.k, at_least=0)
-        if self.gamma is not None:
-            checked("inner step size gamma", self.gamma, positive=True)
+        checked("inner step size gamma", self.gamma, positive=True)
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}")
-
-    def resolved_gamma(self, eta: Optional[float]) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        if eta is None:
-            raise ValueError("gamma is unset and no outer eta was supplied")
-        return float(checked("inner step size gamma", eta, positive=True))
 
 
 @dataclass
@@ -183,9 +177,9 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     return lowered, raised
 
 
-def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
-                         gamma: float) -> tuple:
-    """k warm-started inner gradient steps against a frozen opponent.
+def worst_case_responses(game: GameOracle, p: JointPoint,
+                         cfg: DGConfig) -> tuple:
+    """cfg.k warm-started inner gradient steps against a frozen opponent.
 
     u_worst descends u -> M(u, p.v) starting from p.u; v_worst ascends
     v -> M(p.u, v) starting from p.v.  Each step uses the gradient at
@@ -193,12 +187,11 @@ def worst_case_responses(game: GameOracle, p: JointPoint, k: int,
     carries a box domain the inner iterates are clamped to it, which
     keeps the estimate below the exact box duality gap.
     """
-    checked("inner step count k", k, at_least=0)
-    checked("inner step size gamma", gamma, positive=True)
-    return _inner_halves(game, p, k, gamma, lambda uw: uw, lambda vw: vw)
+    return _inner_halves(game, p, cfg.k, cfg.gamma, lambda uw: uw,
+                         lambda vw: vw)
 
 
-def _differentiated_chain(game, p, step, k, own_start=True):
+def _differentiated_chain(game, p, step, k):
     """One player's k inner steps against the frozen opponent, with the
     endpoint's derivatives accumulated forward through Hessian blocks.
 
@@ -208,20 +201,18 @@ def _differentiated_chain(game, p, step, k, own_start=True):
     its gradient w.r.t. the opponent, each step takes
     d_own <- d_own + step * H_own d_own and
     d_opp <- d_opp + step * (H_cross + H_own d_opp) before moving x.
-    Returns (x_k, d_own = dx_k/d start, d_opp = dx_k/d opponent);
-    d_own is None unless own_start.
+    Returns (x_k, d_own = dx_k/d start, d_opp = dx_k/d opponent).
     """
     u, v = p
     ascent = step > 0
     x = (v if ascent else u).astype(float, copy=True)
-    d_own = np.eye(x.size) if own_start else None
+    d_own = np.eye(x.size)
     d_opp = np.zeros((x.size, game.dim_u if ascent else game.dim_v))
     for _ in range(k):
         H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(
             JointPoint(u, x) if ascent else JointPoint(x, v))
         H_own, H_cross = (H_vv, H_vu) if ascent else (H_uu, H_uv)
-        if own_start:
-            d_own = d_own + step * (H_own @ d_own)
+        d_own = d_own + step * (H_own @ d_own)
         d_opp = d_opp + step * (H_cross + H_own @ d_opp)
         x = x + step * (game.grad_v(u, x) if ascent else game.grad_u(x, v))
     return x, d_own, d_opp
@@ -252,8 +243,7 @@ def _unrolled_grads(game, p, k, gamma):
     return x, y, grad_u, grad_v
 
 
-def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
-                eta: Optional[float] = None) -> DGEstimate:
+def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig) -> DGEstimate:
     """DG value and gradient at p under the configured inner loop.
 
     At k = 0 the estimate is identically zero, so the total derivative
@@ -267,18 +257,17 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig,
     takes a batched point (see GameOracle): the value is then an array
     over the batch.
     """
-    gamma = cfg.resolved_gamma(eta)
     u, v = p
 
     if cfg.grad_mode == "unrolled" and np.ndim(u) > 1:
         raise ValueError("the unrolled DG gradient takes one point, not a "
                          "batch; use the envelope mode")
     if cfg.grad_mode == "unrolled" and cfg.k > 0:
-        uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, gamma)
+        uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, cfg.gamma)
         value = game.value(u, vw) - game.value(uw, v)
     else:
         (uw, low, gv), (vw, high, grad_u) = _inner_halves(
-            game, p, cfg.k, gamma,
+            game, p, cfg.k, cfg.gamma,
             lambda uw: (uw, *game.value_and_grad_v(uw, v)),
             lambda vw: (vw, *game.value_and_grad_u(u, vw)))
         value = high - low
@@ -301,17 +290,14 @@ def _finite(value, what, p):
     return value
 
 
-def dg_metric(game: GameOracle, p: JointPoint, k: int,
-              gamma: float) -> float:
-    """Monitoring metric: the k-step DG value only, no gradients.
+def dg_metric(game: GameOracle, p: JointPoint, cfg: DGConfig) -> float:
+    """Monitoring metric: the cfg.k-step DG value only, no gradients.
 
     Runs in the same two halves as dg_estimate.  For a batched point of
     a game that takes one (see GameOracle), the chains step every point
     at once and the metric is an array over the batch; it raises if any
     entry is non-finite."""
-    checked("inner step count k", k, at_least=0)
-    checked("inner step size gamma", gamma, positive=True)
-    low, high = _inner_halves(game, p, k, gamma,
+    low, high = _inner_halves(game, p, cfg.k, cfg.gamma,
                               lambda uw: game.value(uw, p.v),
                               lambda vw: game.value(p.u, vw))
     return _finite(high - low, "duality-gap metric", p)
@@ -342,14 +328,10 @@ def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
     joint vector take a projected adaptive step and is advanced in
     place.
     """
+    est = dg_estimate(game, p, cfg)
     if isinstance(step, AdaGradState):
-        if cfg.gamma is None:
-            raise ValueError("the adagrad outer has no constant step to tie "
-                             "gamma to; set DGConfig.gamma explicitly")
-        est = dg_estimate(game, p, cfg)
         g = np.concatenate([est.grad_u, est.grad_v])
         return JointPoint.split(adagrad_step(step, p.concat(), g),
                                 game.dim_u)
     eta = float(step)
-    est = dg_estimate(game, p, cfg, eta=eta)
     return JointPoint(p.u - eta * est.grad_u, p.v - eta * est.grad_v)

@@ -202,8 +202,7 @@ def bilinear_exact_dg(c: float, half_width: float, u: float, v: float) -> float:
 
 
 def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
-              dg_cfg: Optional[dgmod.DGConfig] = None,
-              eta: Optional[float] = None) -> LandscapeGrid:
+              dg_cfg: Optional[dgmod.DGConfig] = None) -> LandscapeGrid:
     """Evaluate a scalar measure at every grid node.
 
     dg_approx warm-starts the inner loop at each node, mirroring how the
@@ -224,10 +223,9 @@ def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
     else:
         if dg_cfg is None:
             raise ValueError("dg_approx needs a DGConfig")
-        gamma = dg_cfg.resolved_gamma(eta)
         values = value_grid(
-            lambda u, v: dgmod.dg_metric(game, JointPoint(u, v), dg_cfg.k,
-                                         gamma), u_axis, v_axis)
+            lambda u, v: dgmod.dg_metric(game, JointPoint(u, v), dg_cfg),
+            u_axis, v_axis)
     return LandscapeGrid(box=box, resolution=resolution, measure=measure,
                          u_axis=u_axis, v_axis=v_axis, values=values)
 
@@ -256,7 +254,6 @@ H_MIN = math.sqrt(sys.float_info.min)
 
 def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
                             dg_cfg: Optional[dgmod.DGConfig] = None,
-                            eta: Optional[float] = None,
                             grad_tol: float = 1e-6,
                             psd_tol: float = 1e-8) -> CriticalPointReport:
     """Classify a stationary point in the minimax and the DG views.
@@ -287,11 +284,9 @@ def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
     if dg_cfg is None:
         return report
 
-    gamma = dg_cfg.resolved_gamma(eta)
-
     def q(x: Array) -> Array:
         est = dgmod.dg_estimate(game, JointPoint.split(x, game.dim_u),
-                                dg_cfg, eta=gamma)
+                                dg_cfg)
         return np.array([est.value])
 
     x0 = p.concat()

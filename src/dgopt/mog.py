@@ -445,7 +445,7 @@ def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
     checked("iterations", iterations, at_least=0)
     checked("learning rate lr", lr, positive=True)
     cfg = OptimizerConfig(algorithm, eta=lr, co_gamma=co_gamma,
-                          dg=dgmod.DGConfig(k=dg_k))
+                          dg=dgmod.DGConfig(k=dg_k, gamma=lr))
     log = MogTrainingLog(algorithm=algorithm, seed=game.seed,
                          iterations=iterations)
     started = time.perf_counter()
@@ -459,7 +459,7 @@ def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
 
         def log_row(it, p):
             value, gu, gv = game.value_and_grads(p.u, p.v)
-            dg_val = dgmod.dg_metric(game, p, dg_k, lr)
+            dg_val = dgmod.dg_metric(game, p, cfg.dg)
             samples = game.eval_samples(p.u)
             fracs = mode_coverage(samples)
             disc_real = float(np.median(game.disc_outputs(p.v, game.data)))

@@ -8,7 +8,7 @@ vanish, since the second-order corrections all carry a gradient factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,8 @@ class OptimizerConfig:
         checked("symplectic weight sga_lambda", self.sga_lambda, at_least=0)
         checked("consensus weight co_gamma", self.co_gamma, at_least=0)
         checked("unrolled step count unroll_k", self.unroll_k, at_least=1)
+        if self.algorithm == "dg" and self.dg is None:
+            raise ValueError("algorithm 'dg' needs a DGConfig (dg=...)")
 
 
 def _checked_grads(game: GameOracle, p: JointPoint):
@@ -124,7 +126,7 @@ def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
     checked("unrolled step count k", k, at_least=1)
     gu, gv = _checked_grads(game, p)
     u, v = p
-    y, _, S = dgmod._differentiated_chain(game, p, eta, k, own_start=False)
+    y, _, S = dgmod._differentiated_chain(game, p, eta, k)
     gu_y, gv_y = game.grads(u, y)
     total = gu_y + S.T @ gv_y
     return JointPoint(u - eta * total, v + eta * gv)
@@ -171,9 +173,7 @@ def make_step_map(game: GameOracle, cfg: OptimizerConfig):
     if alg == "fr":
         return lambda p: fr_step(game, p, cfg.eta, cfg.eta_y)
     if alg == "dg":
-        dg_cfg = cfg.dg if cfg.dg is not None else dgmod.DGConfig()
-        dg_cfg = replace(dg_cfg, gamma=dg_cfg.resolved_gamma(cfg.eta))
-        return lambda p: dgmod.dg_descent_step(game, p, dg_cfg, cfg.eta)
+        return lambda p: dgmod.dg_descent_step(game, p, cfg.dg, cfg.eta)
     if alg == "ogda":
         memory = {"prev": None}
 
@@ -250,29 +250,30 @@ class Trajectory:
 def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
                    steps: int, targets: Sequence[JointPoint] = (),
                    tol: float = 1e-3, diverge_norm: float = 1e3,
-                   dg_metric_cfg: Optional[dgmod.DGConfig] = None) -> Trajectory:
+                   log_dg: bool = False) -> Trajectory:
     """Iterate a step map, recording diagnostics at every iterate.
 
     Divergence (norm above diverge_norm) truncates the run at the
     offending record; step errors keep the partial trajectory and set
-    the error field.  A logged DG metric that is non-finite leaves that
-    record's dg empty and the run goes on.  Convergence means the final
-    iterate lies within tol of one of the targets.
+    the error field.  With log_dg, every record carries the DG metric
+    under cfg.dg; a non-finite one leaves that record's dg empty and
+    the run goes on.  Convergence means the final iterate lies within
+    tol of one of the targets.
     """
     checked("step count steps", steps, at_least=1)
     checked("convergence tolerance tol", tol, at_least=0)
     checked("divergence norm diverge_norm", diverge_norm, positive=True)
+    if log_dg and cfg.dg is None:
+        raise ValueError("log_dg needs a DGConfig in cfg.dg")
     step_map = make_step_map(game, cfg)
     traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
-    if dg_metric_cfg is not None:
-        dg_gamma = dg_metric_cfg.resolved_gamma(cfg.eta)
 
     def record(t, p):
         gu, gv = game.grads(p.u, p.v)
         dg_val = None
-        if dg_metric_cfg is not None:
+        if log_dg:
             try:
-                dg_val = dgmod.dg_metric(game, p, dg_metric_cfg.k, dg_gamma)
+                dg_val = dgmod.dg_metric(game, p, cfg.dg)
             except NonFiniteValueError:
                 pass
         traj.records.append(TrajectoryRecord(

@@ -54,7 +54,8 @@ def report(criterion, ok, detail):
 
 def _run(game_spec, alg, mode="envelope", k=10, steps=5000):
     game = make_game(game_spec)
-    dg_cfg = DGConfig(k=k, grad_mode=mode) if alg == "dg" else None
+    dg_cfg = (DGConfig(k=k, gamma=ETA, grad_mode=mode) if alg == "dg"
+              else None)
     cfg = OptimizerConfig(algorithm=alg, eta=ETA, dg=dg_cfg, unroll_k=k)
     traj = run_trajectory(game, cfg, INIT, steps=steps, targets=[ORIGIN],
                           tol=1e-3)
@@ -99,7 +100,8 @@ def test_f1_dg_envelope_converges_fast():
     assert traj.classification == "converged"
     rep = linearize(make_step_map(
         make_game("f1"), OptimizerConfig(algorithm="dg", eta=ETA,
-                                         dg=DGConfig(k=10))), ORIGIN)
+                                         dg=DGConfig(k=10, gamma=ETA))),
+        ORIGIN)
     assert rep.spectral_radius < 0.95
 
 
@@ -153,7 +155,8 @@ def test_criterion_3_gda_norm_strictly_increases(c):
 @pytest.mark.parametrize("c,k", [(3.0, 1), (3.0, 10), (10.0, 1), (10.0, 10)])
 def test_criterion_3_dg_descent_reaches_origin(c, k):
     game = make_bilinear(c)
-    cfg = OptimizerConfig(algorithm="dg", eta=ETA, dg=DGConfig(k=k))
+    cfg = OptimizerConfig(algorithm="dg", eta=ETA,
+                          dg=DGConfig(k=k, gamma=ETA))
     traj = run_trajectory(game, cfg, INIT, steps=5000, targets=[ORIGIN],
                           tol=1e-3)
     dist = traj.final_point.distance_to(ORIGIN)

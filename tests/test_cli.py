@@ -346,6 +346,9 @@ class TestSettingsContract:
          "game parameter 'c' in 'bilinear:c=abc' is not a number"),
         (("traj", "--game", "bilinear:c=1,c=2", "--alg", "gda"),
          "game parameter 'c' repeats"),
+        # --eta is the default of --gamma on every measure
+        (("landscape", "--game", "f1", "--box=-1,1", "--measure", "dg_exact",
+          "--eta", "-1"), "inner step size gamma"),
     ])
     def test_out_of_range_setting_is_named(self, tmp_path, capsys, flags,
                                            name):
@@ -447,6 +450,25 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("args,suffixes", [
+        (("traj", "--game", "f2", "--alg", "dg", "--init", "0.4,-0.3",
+          "--steps", "50"), (".csv", ".json", ".svg")),
+        (("stability", "--game", "f1", "--alg", "dg", "--point", "0,0"),
+         (".json",)),
+        (("landscape", "--game", "bilinear:c=3", "--box=-1,1", "--res", "5",
+          "--measure", "dg_approx"), (".csv", ".meta.json", ".svg")),
+    ], ids=["traj", "stability", "landscape"])
+    def test_gamma_defaults_to_eta(self, tmp_path, args, suffixes):
+        outputs = []
+        for sub, gamma in (("unset", []), ("set", ["--gamma", "0.03"])):
+            out = tmp_path / sub / "run"
+            code = run([*args, "--eta", "0.03", "--k", "3", *gamma,
+                        "--out", str(out)])
+            assert code == 0
+            outputs.append({suffix: Path(f"{out}{suffix}").read_bytes()
+                            for suffix in suffixes})
+        assert outputs[0] == outputs[1]
 
     def test_catalog_dg_starts_no_thread_and_loads_no_blas_hooks(self, tmp_path):
         script = (

@@ -4,12 +4,14 @@ import contextlib
 import sys
 import threading
 import time
+from argparse import Namespace
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dgopt import parallel
+from dgopt.cli import _dg_config
 from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, dg_descent_step,
                       dg_estimate, dg_metric, worst_case_responses)
 from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
@@ -30,7 +32,7 @@ SMOOTHNESS = {"f1": 4 + np.sqrt(20), "f2": 4 + np.sqrt(20),
 class TestWorstCaseResponses:
     def test_k0_is_identity(self):
         p = JointPoint.of(0.7, -0.2)
-        uw, vw = worst_case_responses(B3, p, k=0, gamma=0.1)
+        uw, vw = worst_case_responses(B3, p, DGConfig(k=0, gamma=0.1))
         assert uw[0] == 0.7 and vw[0] == -0.2
 
     def test_bilinear_linear_accumulation(self):
@@ -41,13 +43,14 @@ class TestWorstCaseResponses:
             for k in (1, 5, 10):
                 gamma = 0.05
                 p = JointPoint.of(0.4, -1.1)
-                uw, vw = worst_case_responses(game, p, k=k, gamma=gamma)
+                uw, vw = worst_case_responses(game, p,
+                                              DGConfig(k=k, gamma=gamma))
                 assert vw[0] == pytest.approx(-1.1 + k * gamma * c * 0.4, rel=1e-12)
                 assert uw[0] == pytest.approx(0.4 - k * gamma * c * -1.1, rel=1e-12)
 
     def test_equilibrium_is_inner_fixed_point(self):
         p = JointPoint.of(0.0, 0.0)
-        uw, vw = worst_case_responses(F1, p, k=25, gamma=0.05)
+        uw, vw = worst_case_responses(F1, p, DGConfig(k=25, gamma=0.05))
         assert uw[0] == 0.0 and vw[0] == 0.0
 
     def test_nonfinite_inner_iterate_reports_step(self):
@@ -55,7 +58,7 @@ class TestWorstCaseResponses:
         p = JointPoint.of(1.0, 0.0)
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteValueError, match="inner"):
-                worst_case_responses(F1, p, k=500, gamma=1e100)
+                worst_case_responses(F1, p, DGConfig(k=500, gamma=1e100))
 
 
 class TestDGEstimate:
@@ -164,8 +167,8 @@ class TestDGEstimate:
         rng = np.random.default_rng(17)
         for _ in range(50):
             p = JointPoint.of(*rng.uniform(-0.2, 0.2, 2))
-            v10 = dg_metric(B3, p, k=10, gamma=gamma)
-            v50 = dg_metric(B3, p, k=50, gamma=gamma)
+            v10 = dg_metric(B3, p, DGConfig(k=10, gamma=gamma))
+            v50 = dg_metric(B3, p, DGConfig(k=50, gamma=gamma))
             assert v50 >= v10 >= 0.0
 
 
@@ -214,7 +217,7 @@ class TestHalves:
         # descent error still wins, as it does in sequence
         evaluations = (
             lambda game: dg_estimate(game, P_HALVES, DGConfig(k=4, gamma=0.1)),
-            lambda game: dg_metric(game, P_HALVES, 4, 0.1))
+            lambda game: dg_metric(game, P_HALVES, DGConfig(k=4, gamma=0.1)))
         for evaluate in evaluations:
             game = _failing_game(*fails, descent_delay=0.01)
             with (concurrent_halves() if concurrent
@@ -255,7 +258,7 @@ class TestHalves:
         game = GameOracle("f1-recorded", 1, 1, F1.value, record, F1.grad_v)
 
         def evaluate(k):
-            dg_metric(game, P_HALVES, k, 0.05)
+            dg_metric(game, P_HALVES, DGConfig(k=k, gamma=0.05))
             return seen.pop()
 
         main = threading.current_thread().name
@@ -300,9 +303,10 @@ class TestSharedChains:
     def test_logged_dg_trajectory_runs_each_chain_once(self, steps):
         k = 3
         game, counts = _counting(F2)
-        cfg = OptimizerConfig(algorithm="dg", eta=0.05, dg=DGConfig(k=k))
+        cfg = OptimizerConfig(algorithm="dg", eta=0.05,
+                              dg=DGConfig(k=k, gamma=0.05))
         traj = run_trajectory(game, cfg, JointPoint.of(0.4, -0.3),
-                              steps=steps, dg_metric_cfg=cfg.dg)
+                              steps=steps, log_dg=True)
         assert len(traj.records) == steps + 1
         # per step: both tails, the record's own gradient and the next
         # value's k-step chain; run twice, the chains would add k more
@@ -310,22 +314,23 @@ class TestSharedChains:
         assert counts == {"grad_u": want, "grad_v": want}
 
     def test_shared_trajectory_equals_unshared(self):
-        cfg = OptimizerConfig(algorithm="dg", eta=0.05, dg=DGConfig(k=4))
+        cfg = OptimizerConfig(algorithm="dg", eta=0.05,
+                              dg=DGConfig(k=4, gamma=0.05))
         init = JointPoint.of(0.4, -0.3)
-        logged = run_trajectory(F2, cfg, init, steps=30, dg_metric_cfg=cfg.dg)
+        logged = run_trajectory(F2, cfg, init, steps=30, log_dg=True)
         plain = run_trajectory(F2, cfg, init, steps=30)
         for a, b in zip(logged.records, plain.records):
             assert a.u.tobytes() == b.u.tobytes()
             assert a.v.tobytes() == b.v.tobytes()
         for rec in logged.records:
             p = JointPoint(rec.u, rec.v)
-            assert rec.dg == dg_metric(replace(F2), p, 4, 0.05)
+            assert rec.dg == dg_metric(replace(F2), p, cfg.dg)
 
     def test_mutating_a_result_leaves_later_results(self):
         p = JointPoint.of(0.7, -0.4)
         cfg = DGConfig(k=3, gamma=0.05)
         want = dg_estimate(replace(F1), p, cfg)
-        uw, vw = worst_case_responses(F1, p, 3, 0.05)
+        uw, vw = worst_case_responses(F1, p, cfg)
         uw[:] = 99.0
         vw[:] = -99.0
         est = dg_estimate(F1, p, cfg)
@@ -334,7 +339,7 @@ class TestSharedChains:
             assert np.array_equal(getattr(est, field), getattr(want, field))
         est.u_worst[:] = 99.0
         est.v_worst[:] = -99.0
-        uw, vw = worst_case_responses(F1, p, 3, 0.05)
+        uw, vw = worst_case_responses(F1, p, cfg)
         assert np.array_equal(uw, want.u_worst)
         assert np.array_equal(vw, want.v_worst)
 
@@ -343,7 +348,7 @@ class TestSharedChains:
         cfg = DGConfig(k=3, gamma=0.05)
         want = dg_estimate(make_bilinear(10.0), p, cfg)
         b10, counts = _counting(make_bilinear(10.0))
-        assert dg_metric(B3, p, 3, 0.05) != want.value
+        assert dg_metric(B3, p, cfg) != want.value
         got = dg_estimate(b10, p, cfg)
         assert counts == {"grad_u": 4, "grad_v": 4}
         assert got.value == want.value
@@ -353,7 +358,7 @@ class TestSharedChains:
     def test_another_setting_runs_the_chains(self, changed):
         game, counts = _counting(F2)
         p = JointPoint.of(0.6, 0.2)
-        dg_metric(game, p, 3, 0.05)
+        dg_metric(game, p, DGConfig(k=3, gamma=0.05))
         k, gamma = 3, 0.05
         if changed == "k":
             k = 2
@@ -372,7 +377,7 @@ class TestSharedChains:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(2):
                 with pytest.raises(NonFiniteValueError, match="inner"):
-                    dg_metric(F1, p, k=500, gamma=1e100)
+                    dg_metric(F1, p, DGConfig(k=500, gamma=1e100))
                 with pytest.raises(NonFiniteValueError, match="inner"):
                     dg_estimate(F1, p, DGConfig(k=500, gamma=1e100))
 
@@ -383,7 +388,7 @@ class TestSharedChains:
         cfg = DGConfig(k=3, gamma=0.05)
 
         def evaluate(game, p):
-            metric = dg_metric(game, p, 3, 0.05)
+            metric = dg_metric(game, p, cfg)
             est = dg_estimate(game, p, cfg)
             return metric, est.value, est.u_worst.tobytes(), est.grad_v.tobytes()
 
@@ -469,39 +474,34 @@ class TestDGDescent:
         assert state.sum_sq > 0.0
 
     def test_adagrad_outer_requires_explicit_gamma(self):
-        from dgopt.dg import AdaGradState
-        box = Box.square(-1.0, 1.0)
-        state = AdaGradState.fresh(diameter=box.diameter, box=box)
-        with pytest.raises(ValueError, match="gamma"):
-            dg_descent_step(B3, JointPoint.of(0.5, 0.5),
-                            DGConfig(k=5), state)
+        # a DGConfig without gamma cannot be built, so no outer rule, the
+        # adagrad one included, runs without an inner step
+        with pytest.raises(TypeError, match="gamma"):
+            DGConfig(k=3)
 
 
 class TestConfigStrings:
     @pytest.mark.parametrize("eta", [-1.0, 0.0, float("nan")])
     def test_auto_gamma_rejects_a_non_positive_step(self, eta):
+        args = Namespace(k=3, gamma=None, eta=eta, mode="envelope")
         with pytest.raises(ValueError, match="gamma must be positive"):
-            DGConfig(k=3).resolved_gamma(eta)
-
-    def test_auto_gamma_needs_an_outer_step(self):
-        with pytest.raises(ValueError, match="gamma is unset and no outer "
-                                             "eta was supplied"):
-            DGConfig(k=3).resolved_gamma(None)
+            _dg_config(args)
 
     def test_unknown_grad_mode_rejected(self):
         with pytest.raises(ValueError, match="grad_mode must be one of"):
-            DGConfig(k=3, grad_mode="reverse")
+            DGConfig(k=3, gamma=0.05, grad_mode="reverse")
 
 
 class TestDGMetric:
     def test_equilibrium_zero(self):
-        assert dg_metric(F2, JointPoint.of(0.0, 0.0), k=10, gamma=0.05) == 0.0
+        assert dg_metric(F2, JointPoint.of(0.0, 0.0),
+                         DGConfig(k=10, gamma=0.05)) == 0.0
 
     def test_equals_estimate_value(self):
         p = JointPoint.of(1.0, 1.0)
         cfg = DGConfig(k=10, gamma=0.05)
         est = dg_estimate(F2, p, cfg)
-        got = dg_metric(F2, p, k=10, gamma=0.05)
+        got = dg_metric(F2, p, cfg)
         assert got == est.value
         assert got > 0.0
 
@@ -513,7 +513,8 @@ class TestDGMetric:
         # small gamma*k keeps the inner iterates inside the box
         for _ in range(25):
             x, y = rng.uniform(-0.3, 0.3, 2)
-            approx = dg_metric(B3, JointPoint.of(x, y), k=10, gamma=0.01)
+            approx = dg_metric(B3, JointPoint.of(x, y),
+                               DGConfig(k=10, gamma=0.01))
             assert approx <= exact_fn(x, y) + 1e-9
 
     def test_bounded_by_exact_dg_at_every_grid_node(self):
@@ -526,8 +527,8 @@ class TestDGMetric:
         _, grid = dg_exact_grid(boxed, box, resolution=41)
         for i, ui in enumerate(grid.u_axis):
             for j, vj in enumerate(grid.v_axis):
-                approx = dg_metric(boxed, JointPoint.of(ui, vj), k=10,
-                                   gamma=0.05)
+                approx = dg_metric(boxed, JointPoint.of(ui, vj),
+                                   DGConfig(k=10, gamma=0.05))
                 assert approx <= grid.values[i, j] + 1e-9
 
 

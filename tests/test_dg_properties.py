@@ -53,7 +53,7 @@ def test_logged_metric_is_the_step_estimate_value(spec, k, gamma, dtype,
                      dtype=dtype).reshape(shape) for _ in range(2))
     game, p, cfg = CATALOG[spec], JointPoint(u, v), DGConfig(k=k, gamma=gamma)
     fresh = dg_estimate(replace(game), p, cfg)
-    metric = dg_metric(game, p, k, gamma)
+    metric = dg_metric(game, p, cfg)
     est = dg_estimate(game, p, cfg)
     assert np.asarray(metric).tobytes() == np.asarray(est.value).tobytes()
     assert np.asarray(est.value).tobytes() == np.asarray(fresh.value).tobytes()

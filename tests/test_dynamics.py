@@ -159,7 +159,8 @@ class TestStabilityPredictsTrajectories:
     ])
     def test_sign_of_radius_matches_outcome(self, alg, game_spec, eta):
         game = make_game(game_spec)
-        cfg = OptimizerConfig(algorithm=alg, eta=eta)
+        cfg = OptimizerConfig(algorithm=alg, eta=eta,
+                              dg=DGConfig(gamma=eta))
         report = linearize(make_step_map(game, cfg), ORIGIN)
         traj = run_trajectory(game, cfg, JointPoint.of(0.05, 0.05),
                               steps=8000, targets=[ORIGIN])
@@ -355,7 +356,7 @@ class TestBatchedGrids:
         axis = np.linspace(-half_width, half_width, self.RES)
         if measure == "dg_approx":
             expected = per_node(
-                lambda u, v: dg_metric(game, JointPoint(u, v), 10, 0.05),
+                lambda u, v: dg_metric(game, JointPoint(u, v), cfg),
                 axis, axis)
         else:
             table = per_node(game.value, axis, axis)

@@ -551,7 +551,8 @@ class TestTrainingPlumbing:
         assert [cfg.algorithm for cfg in made] == [algorithm]
         game = MogGanGame(seed=2, n=200, dtype=np.float32)
         step = make_step_map(game, OptimizerConfig(algorithm, eta=1e-2,
-                                                   dg=DGConfig(k=3)))
+                                                   dg=DGConfig(k=3,
+                                                               gamma=1e-2)))
         p = JointPoint(*game.init_params())
         with parallel.thread_setup():
             for _ in range(3):
@@ -729,13 +730,13 @@ class TestSharedChains:
     def test_logged_metric_is_the_step_estimate_value(self, seed, concurrent):
         game = MogGanGame(seed, n=200, dtype=np.float32)
         p = JointPoint(*_moved_params(game, seed))
-        cfg = DGConfig(k=3)
+        cfg = DGConfig(k=3, gamma=1e-2)
         fresh = dg_estimate(MogGanGame(seed, n=200, dtype=np.float32), p,
-                            cfg, eta=1e-2)
+                            cfg)
         with (parallel.concurrent_halves() if concurrent
               else contextlib.nullcontext()):
-            metric = dg_metric(game, p, 3, 1e-2)
-            est = dg_estimate(game, p, cfg, eta=1e-2)
+            metric = dg_metric(game, p, cfg)
+            est = dg_estimate(game, p, cfg)
         assert metric == est.value == fresh.value
         for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
             assert getattr(est, field).tobytes() == \

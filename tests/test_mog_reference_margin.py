@@ -34,6 +34,23 @@ def test_dg_seed_0_is_within_its_reference():
     assert 0.0 <= float(ratio) < 1.0
 
 
+def test_a_job_the_checker_fails_reads_inf(monkeypatch, capsys):
+    script = _load_script(monkeypatch)
+    run_job = script.run.run_job
+
+    def without_status(cli, job, tracer=None):
+        result = run_job(cli, job, tracer)
+        result.stdout = result.stdout.replace("status ok", "status diverged")
+        return result
+
+    monkeypatch.setattr(script.run, "run_job", without_status)
+    assert script.main(["--workloads", "mog_dg", "--seeds", "0"]) == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    workload, seed, job, ratio, where = line.split(" ", 4)
+    assert (workload, seed, job, ratio) == ("mog_dg", "0", "mog_dg", "inf")
+    assert where.startswith("mog_dg: status not ok: 'status diverged")
+
+
 def test_ratio_is_the_distance_in_units_of_the_bound(monkeypatch):
     script = _load_script(monkeypatch)
     rtol, atol = script.checks.MOG_RTOL, script.checks.MOG_ATOL

@@ -48,6 +48,14 @@ class TestConfig:
     def test_zero_consensus_weight_accepted(self):
         assert OptimizerConfig(algorithm="co", co_gamma=0.0).co_gamma == 0.0
 
+    def test_dg_without_a_dg_config_rejected(self):
+        with pytest.raises(ValueError, match="'dg' needs a DGConfig"):
+            OptimizerConfig(algorithm="dg")
+
+    def test_logged_dg_without_a_dg_config_rejected(self):
+        with pytest.raises(ValueError, match="log_dg needs a DGConfig"):
+            run_trajectory(F1, OptimizerConfig(), P10, steps=1, log_dg=True)
+
 
 class TestGda:
     def test_bilinear_step(self):
@@ -271,7 +279,8 @@ class TestFixedPointPreservation:
     def test_zero_gradient_points_are_fixed(self, alg):
         # f1 and f2 have their only stationary point at the origin
         game = F1 if alg != "fr" else F2
-        cfg = OptimizerConfig(algorithm=alg, eta=0.05)
+        cfg = OptimizerConfig(algorithm=alg, eta=0.05,
+                              dg=DGConfig(gamma=0.05))
         step = make_step_map(game, cfg)
         q = step(JointPoint.of(0.0, 0.0))
         assert abs(q.u[0]) < 1e-12 and abs(q.v[0]) < 1e-12
@@ -320,10 +329,10 @@ class TestTrajectories:
     ])
     def test_step_error_keeps_the_partial_trajectory(self, game, alg, init,
                                                      error):
-        dg = DGConfig(k=10) if alg == "dg" else None
+        dg = DGConfig(k=10, gamma=0.05) if alg == "dg" else None
         cfg = OptimizerConfig(algorithm=alg, eta=0.05, dg=dg)
         traj = run_trajectory(game, cfg, JointPoint.of(init, init), steps=10,
-                              dg_metric_cfg=dg)
+                              log_dg=dg is not None)
         assert [(r.t, r.dg) for r in traj.records] == [(0, None)]
         assert traj.error == error
         assert traj.classification == "non_convergent"
@@ -376,9 +385,8 @@ class TestTrajectories:
     @pytest.mark.parametrize("grad_mode", ["envelope", "unrolled"])
     def test_logged_dg_settings_checked_once_per_step(self, monkeypatch,
                                                       grad_mode):
-        """A logged dg run resolves gamma and checks k before its first
-        step; each step then makes two settings checks, the logged
-        dg_metric's k and gamma."""
+        """A logged dg run checks k and gamma once, where its DGConfig is
+        built; its steps and logged metrics make no settings check."""
         checked, calls = dgmod.checked, []
 
         def counting(name, *args, **kwargs):
@@ -389,11 +397,11 @@ class TestTrajectories:
         monkeypatch.setattr(optimizers, "checked", counting)
 
         def checks(steps):
-            dg = DGConfig(k=3, grad_mode=grad_mode)
+            dg = DGConfig(k=3, gamma=0.05, grad_mode=grad_mode)
             cfg = OptimizerConfig(algorithm="dg", eta=0.05, dg=dg)
             calls.clear()
             run_trajectory(B3, cfg, JointPoint.of(0.5, -0.5), steps=steps,
-                           dg_metric_cfg=dg)
+                           log_dg=True)
             return len(calls)
 
-        assert checks(7) - checks(1) == 2 * 6
+        assert checks(7) - checks(1) == 0

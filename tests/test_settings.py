@@ -8,11 +8,12 @@ ValueError that starts with the setting's name.
 import math
 import re
 import sys
+from argparse import Namespace
 
 import numpy as np
 import pytest
 
-from dgopt.cli import _parse_point
+from dgopt.cli import _dg_config, _parse_point
 from dgopt.dg import AdaGradState, DGConfig, dg_metric, worst_case_responses
 from dgopt.dynamics import (classify_critical_point, dg_exact_grid,
                             dg_update_matrix_f1, dg_update_matrix_f2,
@@ -59,16 +60,18 @@ SETTINGS = [
                                 np.array([1e-6, x]))),
     ("bilinear coupling c", "nonzero", 0.0, make_bilinear),
     ("ncnc coupling c", "nonzero", 0.0, make_ncnc),
-    ("inner step count k", "at_least", 0, lambda x: DGConfig(k=x)),
+    ("inner step count k", "at_least", 0,
+     lambda x: DGConfig(k=x, gamma=0.1)),
     ("inner step size gamma", "positive", 0.0, lambda x: DGConfig(gamma=x)),
     ("inner step size gamma", "positive", 0.0,
-     lambda x: DGConfig().resolved_gamma(x)),
+     lambda x: _dg_config(Namespace(k=10, gamma=None, eta=x,
+                                    mode="envelope"))),
     ("AdaGrad diameter", "positive", 0.0,
      lambda x: AdaGradState.fresh(x, BOX)),
     ("squared-gradient sum", "at_least", 0.0,
      lambda x: AdaGradState(sum_sq=x, diameter=1.0, box=BOX)),
     ("inner step count k", "at_least", 0,
-     lambda x: dg_metric(B3, P, x, 0.1)),
+     lambda x: dg_metric(B3, P, DGConfig(k=x, gamma=0.1))),
     ("step size eta", "positive", 0.0, lambda x: OptimizerConfig(eta=x)),
     ("follower step size eta_y", "positive", 0.0,
      lambda x: OptimizerConfig(eta_y=x)),
@@ -135,15 +138,15 @@ SETTINGS = [
     ("learning rate lr", "positive", 0.0, lambda x: _mog(lr=x)),
     ("point coordinate", "finite", None, lambda x: _parse_point(f"{x},0")),
     ("finite-difference step h", "square", None,
-     lambda x: classify_critical_point(F1, ORIGIN, h=x, dg_cfg=DGConfig(k=1),
-                                       eta=0.05)),
+     lambda x: classify_critical_point(F1, ORIGIN, h=x,
+                                       dg_cfg=DGConfig(k=1, gamma=0.05))),
     ("inner step size gamma", "positive", 0.0,
-     lambda x: dg_metric(B3, P, 3, x)),
+     lambda x: dg_metric(B3, P, DGConfig(k=3, gamma=x))),
     ("inner step size gamma", "positive", 0.0,
-     lambda x: worst_case_responses(B3, P, 3, x)),
+     lambda x: worst_case_responses(B3, P, DGConfig(k=3, gamma=x))),
     ("finite-difference step h", "normal square", NORMAL_ROOT,
-     lambda x: classify_critical_point(F1, ORIGIN, h=x, dg_cfg=DGConfig(k=1),
-                                       eta=0.05)),
+     lambda x: classify_critical_point(F1, ORIGIN, h=x,
+                                       dg_cfg=DGConfig(k=1, gamma=0.05))),
 ]
 
 
