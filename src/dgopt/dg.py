@@ -200,22 +200,24 @@ def _differentiated_chain(game, p, step, k):
     H_own the player's own Hessian block and H_cross the derivative of
     its gradient w.r.t. the opponent, each step takes
     d_own <- d_own + step * H_own d_own and
-    d_opp <- d_opp + step * (H_cross + H_own d_opp) before moving x.
+    d_opp <- d_opp + step * (H_own d_opp + H_cross) before moving x, as
+    one product on the stacked D = [d_own | d_opp].
     Returns (x_k, d_own = dx_k/d start, d_opp = dx_k/d opponent).
     """
     u, v = p
     ascent = step > 0
     x = (v if ascent else u).astype(float, copy=True)
-    d_own = np.eye(x.size)
-    d_opp = np.zeros((x.size, game.dim_u if ascent else game.dim_v))
+    n = x.size
+    D = np.eye(n, n + (game.dim_u if ascent else game.dim_v))
     for _ in range(k):
         H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(
             JointPoint(u, x) if ascent else JointPoint(x, v))
         H_own, H_cross = (H_vv, H_vu) if ascent else (H_uu, H_uv)
-        d_own = d_own + step * (H_own @ d_own)
-        d_opp = d_opp + step * (H_cross + H_own @ d_opp)
+        HD = H_own @ D
+        HD[:, n:] += H_cross
+        D = D + step * HD
         x = x + step * (game.grad_v(u, x) if ascent else game.grad_u(x, v))
-    return x, d_own, d_opp
+    return x, D[:, :n], D[:, n:]
 
 
 def _unrolled_grads(game, p, k, gamma):
@@ -311,7 +313,7 @@ def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:
     gradient before any accumulation returns x and leaves the state
     untouched (the step size would be undefined).
     """
-    gsq = float(np.dot(g, g))
+    gsq = float(g.dot(g))
     if state.sum_sq == 0.0 and gsq == 0.0:
         return x
     state.sum_sq += gsq

@@ -80,12 +80,12 @@ class JointPoint(NamedTuple):
                           np.asarray(x[dim_u:], dtype=float))
 
     def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.u, self.u) + np.dot(self.v, self.v)))
+        return float(np.sqrt(self.u.dot(self.u) + self.v.dot(self.v)))
 
     def distance_to(self, other: "JointPoint") -> float:
         du = self.u - other.u
         dv = self.v - other.v
-        return float(np.sqrt(np.dot(du, du) + np.dot(dv, dv)))
+        return float(np.sqrt(du.dot(du) + dv.dot(dv)))
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class Box:
         return Box(np.full(dim, float(lo)), np.full(dim, float(hi)))
 
     def clamp(self, x: Array) -> Array:
-        return x.clip(self.lo, self.hi)
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
     def contains(self, x: Array, tol: float = 0.0) -> bool:
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))

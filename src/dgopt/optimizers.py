@@ -279,8 +279,8 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
         traj.records.append(TrajectoryRecord(
             t=t, u=p.u.copy(), v=p.v.copy(),
             value=float(game.value(p.u, p.v)),
-            grad_u_norm=float(np.linalg.norm(gu)),
-            grad_v_norm=float(np.linalg.norm(gv)),
+            grad_u_norm=float(np.sqrt(gu.dot(gu))),
+            grad_v_norm=float(np.sqrt(gv.dot(gv))),
             dg=dg_val))
 
     p = JointPoint.of(init.u, init.v)

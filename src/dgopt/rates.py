@@ -60,7 +60,7 @@ class RealizableProblem:
         return 0.5 * float(e @ self.matrices[z] @ e)
 
     def sample_grad(self, x: Array, z: int) -> Array:
-        return self.matrices[z] @ (x - self.x_star)
+        return self.matrices[z].dot(x - self.x_star)
 
     def expected_value(self, x: Array) -> float:
         e = x - self.x_star
@@ -147,21 +147,24 @@ def _repeat_errors(problem: RealizableProblem, t_list: list, seed: int,
     errors = np.zeros(len(t_list))
     running_sum = np.zeros(problem.dimension)
     state = AdaGradState.fresh(diameter, problem.box)
-    log_idx = 0
+    adagrad = step_rule == "adagrad"
+    sample_grad, clamp = problem.sample_grad, problem.box.clamp
+    log_idx, next_log = 0, t_list[0]
     for t, z in enumerate(z_draws.tolist(), start=1):
         running_sum += x
-        g = problem.sample_grad(x, z)
-        if step_rule == "adagrad":
+        g = sample_grad(x, z)
+        if adagrad:
             x = adagrad_step(state, x, g)
         else:
             eta_t = diameter / math.sqrt(t)
-            x = problem.box.clamp(x - eta_t * g)
-        if t == t_list[log_idx]:
+            x = clamp(x - eta_t * g)
+        if t == next_log:
             avg = running_sum / t
             errors[log_idx] = problem.expected_value(avg)
             log_idx += 1
             if log_idx == len(t_list):
                 break
+            next_log = t_list[log_idx]
     return errors
 
 

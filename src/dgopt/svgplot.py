@@ -19,6 +19,14 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _log10(x):
+    """log10 of max(x, 1e-300), of each entry of an array one at a time:
+    np.log10 differs from math.log10 in the last bit on some inputs."""
+    if np.ndim(x):
+        return np.array([math.log10(max(v, 1e-300)) for v in x.tolist()])
+    return math.log10(max(x, 1e-300))
+
+
 def _finite_range(values, pad_frac=0.05):
     vals = np.asarray(values, dtype=float)
     vals = vals[np.isfinite(vals)]
@@ -81,14 +89,16 @@ class Axes:
         self._ticks()
 
     def px(self, x):
+        """Pixel x of a data value, or of each entry of an array."""
         if self.xlog:
-            x = math.log10(max(x, 1e-300))
+            x = _log10(x)
         span = self.x1 - self.x0 or 1.0
         return self.left + (x - self.x0) / span * (self.right - self.left)
 
     def py(self, y):
+        """Pixel y of a data value, or of each entry of an array."""
         if self.ylog:
-            y = math.log10(max(y, 1e-300))
+            y = _log10(y)
         span = self.y1 - self.y0 or 1.0
         return self.bottom - (y - self.y0) / span * (self.bottom - self.top)
 
@@ -111,30 +121,38 @@ class Axes:
                              anchor="end")
 
     def polyline(self, xs, ys, color="#1f77b4", width=1.5):
-        pts = []
-        for x, y in zip(xs, ys):
-            if not (np.isfinite(x) and np.isfinite(y)):
-                continue
-            pts.append(f"{_fmt(self.px(x))},{_fmt(self.py(y))}")
-        if pts:
-            self.canvas.add(f'<polyline points="{" ".join(pts)}" fill="none" '
-                            f'stroke="{color}" stroke-width="{width}"/>')
+        """The points with finite x and y, pairing xs and ys as zip does."""
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        n = min(len(xs), len(ys))
+        xs, ys = xs[:n], ys[:n]
+        finite = np.isfinite(xs) & np.isfinite(ys)
+        if not finite.any():
+            return
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in
+                       zip(self.px(xs[finite]).tolist(),
+                           self.py(ys[finite]).tolist()))
+        self.canvas.add(f'<polyline points="{pts}" fill="none" '
+                        f'stroke="{color}" stroke-width="{width}"/>')
 
     def marker(self, x, y, color="#d62728", radius=4.0):
         self.canvas.add(f'<circle cx="{_fmt(self.px(x))}" cy="{_fmt(self.py(y))}" '
                         f'r="{radius}" fill="{color}"/>')
 
 
-def diverging_color(t: float) -> str:
-    """Blue -> white -> red over t in [0, 1]."""
-    t = min(max(t, 0.0), 1.0)
-    if t < 0.5:
-        s = t / 0.5
-        r, g, b = int(40 + 215 * s), int(80 + 175 * s), 255
-    else:
-        s = (t - 0.5) / 0.5
-        r, g, b = 255, int(255 - 175 * s), int(255 - 215 * s)
-    return f"#{r:02x}{g:02x}{b:02x}"
+_HEX = [f"{i:02x}" for i in range(256)]
+
+
+def _diverging_channels(t):
+    """(r, g, b) int arrays of the blue -> white -> red map over t in
+    [0, 1]; the channels are non-negative, so astype(int) truncates as
+    int() does."""
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    low = t < 0.5
+    s_low, s_high = t / 0.5, (t - 0.5) / 0.5
+    r = np.where(low, 40 + 215 * s_low, 255)
+    g = np.where(low, 80 + 175 * s_low, 255 - 175 * s_high)
+    b = np.where(low, 255, 255 - 215 * s_high)
+    return r.astype(int), g.astype(int), b.astype(int)
 
 
 def heatmap(canvas: SvgCanvas, axes: Axes, u_axis, v_axis, values,
@@ -152,19 +170,20 @@ def heatmap(canvas: SvgCanvas, axes: Axes, u_axis, v_axis, values,
     du = (u_axis[1] - u_axis[0]) if n_u > 1 else 1.0
     dv = (v_axis[1] - v_axis[0]) if n_v > 1 else 1.0
     # a column's x/width and a row's y/height are the same for every cell
-    cols = []
-    for u in u_axis:
-        x_left, x_right = axes.px(u - du / 2), axes.px(u + du / 2)
-        cols.append((_fmt(x_left), _fmt(x_right - x_left)))
-    rows = []
-    for v in v_axis:
-        y_top, y_bot = axes.py(v + dv / 2), axes.py(v - dv / 2)
-        rows.append((_fmt(y_top), _fmt(y_bot - y_top)))
-    for (x, width), col_vals in zip(cols, vals.tolist()):
-        for (y, height), val in zip(rows, col_vals):
-            t = 0.5 if not math.isfinite(val) else 0.5 + 0.5 * val / vmax
-            canvas.add(f'<rect x="{x}" y="{y}" width="{width}" '
-                       f'height="{height}" fill="{diverging_color(t)}"/>')
+    u, v = np.asarray(u_axis), np.asarray(v_axis)
+    x_left, x_right = axes.px(u - du / 2), axes.px(u + du / 2)
+    y_top, y_bot = axes.py(v + dv / 2), axes.py(v - dv / 2)
+    cols = zip(map(_fmt, x_left.tolist()),
+               map(_fmt, (x_right - x_left).tolist()))
+    rows = list(zip(map(_fmt, y_top.tolist()),
+                    map(_fmt, (y_bot - y_top).tolist())))
+    t = np.where(np.isfinite(vals), 0.5 + 0.5 * vals / vmax, 0.5)
+    r, g, b = (c.tolist() for c in _diverging_channels(t))
+    for (x, width), col_r, col_g, col_b in zip(cols, r, g, b):
+        canvas.parts.extend(
+            [f'<rect x="{x}" y="{y}" width="{width}" height="{height}" '
+             f'fill="#{_HEX[ri]}{_HEX[gi]}{_HEX[bi]}"/>'
+             for (y, height), ri, gi, bi in zip(rows, col_r, col_g, col_b)])
     if mark_argmin:
         idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
         axes.marker(u_axis[idx[0]], v_axis[idx[1]], color="#000000")
