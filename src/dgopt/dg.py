@@ -102,19 +102,29 @@ def _inner_setup(game: GameOracle, p: JointPoint, gamma: float):
 
 
 def _chain(x, grad, step, box, k, kind, p):
-    """k warm-started steps x <- x + step * grad(x) from a copy of x,
-    clamped to the box if there is one: step -gamma descends, +gamma
-    ascends (x - gamma g and x + (-gamma) g are the same float)."""
-    x = x.copy()
+    """k warm-started steps x <- x + step * grad(x), clamped to the box if
+    there is one: step -gamma descends, +gamma ascends (x - gamma g and
+    x + (-gamma) g are the same float).
+
+    x is an array, stepped from a copy, or a Python float with step and
+    grad(x) Python floats too (one coordinate, see _inner_halves); each
+    step is the same float64 multiply and add either way."""
+    floats = isinstance(x, float)
+    if not floats:
+        x = x.copy()
     for i in range(1, k + 1):
         x = x + step * grad(x)
         if box is not None:
             x = x.clip(box[0], box[1])
-        if not np.isfinite(x).all():
+        if not (math.isfinite(x) if floats else np.isfinite(x).all()):
             raise NonFiniteValueError(
                 f"inner {kind} iterate became non-finite at inner step {i}",
                 point=p)
     return x
+
+
+def _one_float64(x):
+    return getattr(x, "shape", None) == (1,) and x.dtype == np.float64
 
 
 # Per thread, the chain endpoints of the last _inner_halves call: a logged
@@ -147,27 +157,43 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     Oracles are pure, so the result is the same; the tails get copies,
     and only chains that finished are kept, so a non-finite chain raises
     every time.
+
+    A game with the float form (GameOracle) at one float64 point and no
+    box steps its chains on Python floats, the same float64 operations
+    without a 1-element array per step; each endpoint goes back into a
+    (1,) float64 array.  A float32 point keeps arrays, since numpy
+    promotes it to float64 after its first step.
     """
     gamma, u_box, v_box = _inner_setup(game, p, gamma)
     u, v = p
     key = (_point_key(u), _point_key(v), k, gamma)
     last = getattr(_last_chains, "entry", None)
     hit = last is not None and last[0]() is game and last[1] == key
+    floats = (game.float_form and u_box is None and _one_float64(u)
+              and _one_float64(v))
+    if floats:
+        x0, y0, step = float(u[0]), float(v[0]), float(gamma)
+    else:
+        x0, y0, step = u, v, gamma
+
+    def chain(start, grad, step, box, kind):
+        end = _chain(start, grad, step, box, k, kind, p)
+        return np.array([end]) if floats else end
 
     def descent():
         if hit:
             x = last[2].copy()
         else:
-            x = _chain(u, lambda x: game.grad_u(x, v), -gamma, u_box, k,
-                       "descent", p)
+            x = chain(x0, lambda x: game.grad_u(x, y0), -step, u_box,
+                      "descent")
         return x, descent_tail(x)
 
     def ascent():
         if hit:
             y = last[3].copy()
         else:
-            y = _chain(v, lambda y: game.grad_v(u, y), gamma, v_box, k,
-                       "ascent", p)
+            y = chain(y0, lambda y: game.grad_v(x0, y), step, v_box,
+                      "ascent")
         return y, ascent_tail(y)
 
     (u_k, lowered), (v_k, raised) = run_pair(descent, ascent)

@@ -19,6 +19,7 @@ import numpy as np
 from . import dg as dgmod, outputs
 from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
                     central_jacobian, checked)
+from .svgplot import finite_argmin
 
 MARGINAL_TOL = 1e-9
 
@@ -132,7 +133,12 @@ class LandscapeGrid:
     values: Array
 
     def argmin_node(self):
-        idx = np.unravel_index(int(np.argmin(self.values)), self.values.shape)
+        """(index, (u, v)) of the smallest finite value, by the heatmap
+        marker's rule (svgplot.finite_argmin)."""
+        idx = finite_argmin(self.values)
+        if idx is None:
+            raise ValueError(f"the {self.measure} grid has no finite value "
+                             f"to take the argmin of")
         return idx, (float(self.u_axis[idx[0]]), float(self.v_axis[idx[1]]))
 
     def write_csv(self, path):

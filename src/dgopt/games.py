@@ -131,7 +131,10 @@ class GameOracle:
     the gradients vectors.  The scalar catalog games also take a leading
     batch axis: u, v of one shape (..., 1) stand for a batch of points,
     value returns a (...) array and the gradients (..., 1) arrays, each
-    entry bit-identical to the per-point call.
+    entry bit-identical to the per-point call.  A game with float_form
+    set (the scalar catalog games) also takes one point as two Python
+    floats in grad_u/grad_v and returns a Python float, the same float
+    as the one entry of the (1,) call.
 
     grads(u, v) is the joint-gradient entry point, (grad_u, grad_v) at
     one point, which the step rules call once per gradient pair.  Here
@@ -147,6 +150,7 @@ class GameOracle:
     grad_v: Callable[[Array, Array], Array]
     second_order: Optional[Callable[[Array, Array], HessianBlocks]] = None
     domain: Optional[Box] = None
+    float_form: bool = False
 
     def hessian_blocks(self, p: JointPoint) -> HessianBlocks:
         """Closed-form blocks when available, FD of the gradients otherwise."""
@@ -228,6 +232,7 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
 
     u, v of shape (1,) are one point; u, v of one shape (..., 1) are a
     batch of points, with value shaped (...) and gradients (..., 1).
+    The gradients also take one point as two Python floats (float_form).
     """
 
     def _value(u, v):
@@ -236,11 +241,15 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
         return float(value(float(u[0]), float(v[0])))
 
     def _grad_u(u, v):
+        if isinstance(u, float):
+            return gx(u, v)
         if u.ndim > 1 or v.ndim > 1:
             return _over_batch(gx, u, v)[..., None]
         return np.array([gx(float(u[0]), float(v[0]))], dtype=float)
 
     def _grad_v(u, v):
+        if isinstance(u, float):
+            return gy(u, v)
         if u.ndim > 1 or v.ndim > 1:
             return _over_batch(gy, u, v)[..., None]
         return np.array([gy(float(u[0]), float(v[0]))], dtype=float)
@@ -254,7 +263,8 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
 
     return GameOracle(name=name, dim_u=1, dim_v=1, value=_value,
                       grad_u=_grad_u, grad_v=_grad_v,
-                      second_order=second_order, domain=domain)
+                      second_order=second_order, domain=domain,
+                      float_form=True)
 
 
 def make_bilinear(c: float) -> GameOracle:

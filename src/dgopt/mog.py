@@ -199,6 +199,7 @@ class MogGanGame:
         self.dim_u = G_LAYOUT.dim
         self.dim_v = D_LAYOUT.dim
         self.domain = None
+        self.float_form = False   # grad_u/grad_v take arrays only
         self.data = sample_dataset(seed, n).astype(self.dtype)
         rng = seeded_rng(seed, "mog-train-noise")
         self.noise = rng.standard_normal((n, NOISE_DIM)).astype(self.dtype)

@@ -39,6 +39,18 @@ def _finite_range(values, pad_frac=0.05):
     return lo - pad, hi + pad
 
 
+def finite_argmin(values):
+    """Index of the smallest finite entry of values (the first in C order
+    on a tie), or None when no entry is finite: NaN and +-inf cells are
+    skipped, as the heatmap's colour scale skips them."""
+    vals = np.asarray(values, dtype=float)
+    finite = np.isfinite(vals)
+    if not finite.any():
+        return None
+    return np.unravel_index(int(np.argmin(np.where(finite, vals, np.inf))),
+                            vals.shape)
+
+
 class SvgCanvas:
     def __init__(self, width=WIDTH, height=HEIGHT):
         self.width = width
@@ -160,7 +172,8 @@ def heatmap(canvas: SvgCanvas, axes: Axes, u_axis, v_axis, values,
     """Rect-cell heatmap of values[i, j] at (u_axis[i], v_axis[j]).
 
     u runs along the horizontal axis.  Cells use a symmetric diverging
-    color map centered on zero.
+    color map centered on zero.  mark_argmin marks the finite_argmin
+    cell; a grid with no finite cell gets no marker.
     """
     vals = np.asarray(values, dtype=float)
     finite = vals[np.isfinite(vals)]
@@ -184,8 +197,8 @@ def heatmap(canvas: SvgCanvas, axes: Axes, u_axis, v_axis, values,
             [f'<rect x="{x}" y="{y}" width="{width}" height="{height}" '
              f'fill="#{_HEX[ri]}{_HEX[gi]}{_HEX[bi]}"/>'
              for (y, height), ri, gi, bi in zip(rows, col_r, col_g, col_b)])
-    if mark_argmin:
-        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    idx = finite_argmin(vals) if mark_argmin else None
+    if idx is not None:
         axes.marker(u_axis[idx[0]], v_axis[idx[1]], color="#000000")
 
 

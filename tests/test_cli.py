@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from dgopt import svgplot
 from dgopt.cli import _load_config_argv, build_parser, main
 
 
@@ -610,6 +611,29 @@ class TestPlotCommand:
         assert code == 0
         assert ET.parse(f"{out}.svg").getroot().tag.endswith("svg")
         assert capsys.readouterr().out == f"rendered {out}.svg\n"
+
+    @pytest.mark.parametrize("text, cell", [
+        ("1,nan\n-5,2\n", (1, 0)),
+        ("nan,nan\nnan,nan\n", None),
+    ], ids=["nan-cell", "all-nan"])
+    def test_landscape_marker_is_the_smallest_finite_cell(self, tmp_path,
+                                                          text, cell):
+        csv = tmp_path / "grid.csv"
+        csv.write_text(text)
+        out = tmp_path / "p"
+        code = run(["plot", "--csv", str(csv), "--kind", "landscape",
+                    "--out", str(out)])
+        assert code == 0
+        circles = [el for el in ET.parse(f"{out}.svg").getroot().iter()
+                   if el.tag.endswith("circle")]
+        if cell is None:
+            assert circles == []
+            return
+        # the plot's axes run over the cell indices, 0 to 1 on both
+        axes = svgplot.Axes(svgplot.SvgCanvas(), (0, 1), (0, 1))
+        (circle,) = circles
+        assert (circle.get("cx"), circle.get("cy")) == (
+            svgplot._fmt(axes.px(cell[0])), svgplot._fmt(axes.py(cell[1])))
 
     def test_missing_csv_is_usage_error(self):
         assert run(["plot", "--csv", "/nonexistent.csv", "--out", "/tmp/z"]) == 2

@@ -9,8 +9,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dgopt.dg import DGConfig, dg_estimate, dg_metric  # noqa: E402
-from dgopt.games import JointPoint, catalog_names, make_game  # noqa: E402
+from dgopt.dg import (DGConfig, _chain, dg_estimate, dg_metric,  # noqa: E402
+                      worst_case_responses)
+from dgopt.games import (JointPoint, NonFiniteValueError,  # noqa: E402
+                         catalog_names, make_game)
+from dgopt.mog import MogGanGame  # noqa: E402
 from dgopt.optimizers import unrolled_step  # noqa: E402
 
 # largest Hessian eigenvalue of the constant-curvature games
@@ -122,3 +125,123 @@ def test_unrolled_modes_match_the_separate_loops(spec, k, gamma, x, y):
     got = unrolled_step(game, p, gamma, k)
     want = _reference_unrolled_step(game, p, gamma, k)
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+# The float form: a catalog game's chains at one float64 point without a
+# box step Python floats; every result must be the array chain's, bit for
+# bit, including where and how a diverging chain fails.
+FLOAT_FORM = {spec: game for spec, game in CATALOG.items()
+              if game.domain is None}
+FLOAT_FORM["motivation"] = replace(CATALOG["motivation"], domain=None)
+assert all(game.float_form for game in FLOAT_FORM.values())
+inner_gamma = st.one_of(st.floats(1e-3, 1.0), st.sampled_from([10.0, 1e100]))
+
+
+def _outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except (NonFiniteValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _float_and_array_chains(game, k, ascent, gamma, x, y):
+    """The outcomes of one inner chain from (x, y), stepped on floats and
+    on (1,) arrays: the ascent chain on y, or the descent chain on x."""
+    p = JointPoint.of(x, y)
+    own, other = (y, x) if ascent else (x, y)
+    step, kind = (gamma, "ascent") if ascent else (-gamma, "descent")
+
+    def grad(z, w):
+        return game.grad_v(w, z) if ascent else game.grad_u(z, w)
+
+    def floats():
+        end = _chain(own, lambda z: grad(z, other), step, None, k, kind, p)
+        return np.array([end]).tobytes()
+
+    def arrays():
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = _chain(np.array([own]),
+                         lambda z: grad(z, np.array([other])),
+                         np.float64(step), None, k, kind, p)
+        return end.tobytes()
+
+    return _outcome(floats), _outcome(arrays)
+
+
+@settings(max_examples=300)
+@given(spec=st.sampled_from(sorted(FLOAT_FORM)), k=st.integers(0, 12),
+       ascent=st.booleans(), gamma=inner_gamma, x=wide, y=wide)
+def test_float_chain_is_the_array_chain(spec, k, ascent, gamma, x, y):
+    got, want = _float_and_array_chains(FLOAT_FORM[spec], k, ascent, gamma,
+                                        x, y)
+    assert got == want
+
+
+@pytest.mark.parametrize("ascent", [False, True], ids=["descent", "ascent"])
+def test_diverging_float_chain_fails_at_the_array_chains_step(ascent):
+    got, want = _float_and_array_chains(FLOAT_FORM["f1"], 500, ascent,
+                                        1e100, 0.3, 0.2)
+    assert got == want
+    kind = "ascent" if ascent else "descent"
+    assert got[0] is NonFiniteValueError
+    assert got[1].startswith(f"inner {kind} iterate became non-finite at "
+                             f"inner step ")
+
+
+@settings(max_examples=200)
+@given(spec=st.sampled_from(sorted(FLOAT_FORM)), k=st.integers(0, 12),
+       gamma=inner_gamma, x=wide, y=wide)
+def test_float_form_estimate_is_the_array_estimate(spec, k, gamma, x, y):
+    p, cfg = JointPoint.of(x, y), DGConfig(k=k, gamma=gamma)
+
+    def estimate(game):
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = dg_estimate(game, p, cfg)
+        return (np.float64(est.value).tobytes(),
+                *(getattr(est, field).tobytes() for field in
+                  ("u_worst", "v_worst", "grad_u", "grad_v")))
+
+    game = FLOAT_FORM[spec]
+    assert (_outcome(lambda: estimate(game))
+            == _outcome(lambda: estimate(replace(game, float_form=False))))
+
+
+def _recorded(fn, seen):
+    """fn, adding the types of each call's point to seen."""
+    def record(u, v):
+        seen.add((type(u), type(v)))
+        return fn(u, v)
+    return record
+
+
+@pytest.mark.parametrize("spec", sorted(FLOAT_FORM))
+def test_one_float64_point_steps_floats(spec):
+    seen = set()
+    game = FLOAT_FORM[spec]
+    game = replace(game, grad_u=_recorded(game.grad_u, seen),
+                   grad_v=_recorded(game.grad_v, seen))
+    worst_case_responses(game, JointPoint.of(0.3, -0.2),
+                         DGConfig(k=3, gamma=0.05))
+    assert seen == {(float, float)}
+
+
+@pytest.mark.parametrize("case", ["box", "batch", "float32", "mog"])
+def test_other_points_and_games_step_arrays(case):
+    seen = set()
+    p = JointPoint.of(0.3, -0.2)
+    if case == "mog":
+        game = MogGanGame(seed=0, n=16, dtype=np.float64)
+        game.grad_u = _recorded(game.grad_u, seen)
+        game.grad_v = _recorded(game.grad_v, seen)
+        p = JointPoint(*game.init_params())
+    else:
+        game = CATALOG["motivation" if case == "box" else "f1"]
+        game = replace(game, grad_u=_recorded(game.grad_u, seen),
+                       grad_v=_recorded(game.grad_v, seen))
+        if case == "batch":
+            p = JointPoint(np.full((3, 1), 0.3), np.full((3, 1), -0.2))
+        elif case == "float32":
+            p = JointPoint(p.u.astype(np.float32), p.v.astype(np.float32))
+    worst_case_responses(game, p, DGConfig(k=3, gamma=0.05))
+    assert seen == {(np.ndarray, np.ndarray)}

@@ -243,6 +243,22 @@ class TestLandscape:
         _, node = grid.argmin_node()
         assert abs(node[0]) < 1e-12 and abs(node[1]) < 1e-12
 
+    @staticmethod
+    def hand_grid(values):
+        return LandscapeGrid(box=Box.square(-1.0, 1.0), resolution=2,
+                             measure="dg_exact", u_axis=np.array([-1.0, 1.0]),
+                             v_axis=np.array([-1.0, 1.0]),
+                             values=np.array(values))
+
+    def test_argmin_node_skips_non_finite_values(self):
+        grid = self.hand_grid([[np.nan, -np.inf], [-5.0, 2.0]])
+        assert grid.argmin_node() == ((1, 0), (1.0, -1.0))
+
+    def test_argmin_node_without_a_finite_value_raises(self):
+        grid = self.hand_grid([[np.nan, np.inf], [np.nan, np.nan]])
+        with pytest.raises(ValueError, match="no finite value"):
+            grid.argmin_node()
+
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError, match="measure must be one of"):
             landscape(make_bilinear(3.0), self.BOX, 11, "dg_unrolled")

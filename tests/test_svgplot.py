@@ -44,9 +44,13 @@ def reference_heatmap(canvas, axes, u_axis, v_axis, values,
             t = 0.5 if not math.isfinite(val) else 0.5 + 0.5 * val / vmax
             canvas.add(f'<rect x="{x}" y="{y}" width="{width}" '
                        f'height="{height}" fill="{diverging_color(t)}"/>')
-    if mark_argmin:
-        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        axes.marker(u_axis[idx[0]], v_axis[idx[1]], color="#000000")
+    # the marker: the first smallest finite cell in row order, none when
+    # no cell is finite
+    cells = [(val, i, j) for i, col_vals in enumerate(vals.tolist())
+             for j, val in enumerate(col_vals) if math.isfinite(val)]
+    if mark_argmin and cells:
+        _, i, j = min(cells)
+        axes.marker(u_axis[i], v_axis[j], color="#000000")
 
 
 def reference_polyline(axes, xs, ys, color="#1f77b4", width=1.5):
@@ -124,6 +128,30 @@ class TestHeatmap:
         values = with_non_finite(rng, (9, 6))
         assert_heatmap_matches(np.arange(9), np.arange(6), values,
                                xlim=(0, 8), ylim=(0, 5), mark_argmin=True)
+
+    def test_marker_skips_non_finite_cells(self):
+        values = np.array([[np.nan, -np.inf], [-5.0, np.inf], [2.0, -4.0]])
+        text = assert_heatmap_matches(np.arange(3.0), np.arange(2.0), values,
+                                      mark_argmin=True)
+        axes = Axes(SvgCanvas(), (-2.0, 2.0), (-2.0, 2.0))
+        assert text.count("<circle") == 1
+        assert (f'cx="{svgplot._fmt(axes.px(1.0))}" '
+                f'cy="{svgplot._fmt(axes.py(0.0))}"') in text
+
+    def test_no_finite_cell_draws_no_marker(self):
+        values = np.array([[np.nan, np.inf], [-np.inf, np.nan]])
+        text = assert_heatmap_matches(np.arange(2.0), np.arange(2.0), values,
+                                      mark_argmin=True)
+        assert "<circle" not in text
+        assert svgplot.finite_argmin(values) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_finite_argmin_of_a_finite_grid_is_argmin(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-3, 3, size=(7, 5)).astype(float)
+        values[0, 0] = -0.0
+        assert svgplot.finite_argmin(values) == np.unravel_index(
+            int(np.argmin(values)), values.shape)
 
     def test_every_shade_of_a_fine_ramp(self):
         values = np.linspace(-1.0, 1.0, 4001).reshape(1, -1)
