@@ -17,13 +17,17 @@ gradient modes are provided for the outer descent:
 Warm starting makes the estimate non-negative whenever the inner step
 size is at most 1/L on an L-smooth game, since each ascent (descent)
 step can only increase (decrease) the frozen-opponent objective.
+
+Every evaluation runs its own chains and keeps nothing.  A run that logs
+the DG value at an iterate and then takes the DG step from it shares one
+pair of chains explicitly: dg_descent_step returns the estimate's value
+with the next point, and the runners log that value.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -108,41 +112,28 @@ def _chain(x, grad, step, box, k, kind, p):
 
     x is an array, stepped from a copy, or a Python float with step and
     grad(x) Python floats too (one coordinate, see _inner_halves); each
-    step is the same float64 multiply and add either way."""
+    step is the same float64 multiply and add either way.  An overflow
+    is reported by the finiteness check alone: numpy's overflow and
+    invalid warnings are off for array steps, and float steps raise none.
+    """
     floats = isinstance(x, float)
     if not floats:
         x = x.copy()
-    for i in range(1, k + 1):
-        x = x + step * grad(x)
-        if box is not None:
-            x = x.clip(box[0], box[1])
-        if not (math.isfinite(x) if floats else np.isfinite(x).all()):
-            raise NonFiniteValueError(
-                f"inner {kind} iterate became non-finite at inner step {i}",
-                point=p)
+    with (contextlib.nullcontext() if floats
+          else np.errstate(over="ignore", invalid="ignore")):
+        for i in range(1, k + 1):
+            x = x + step * grad(x)
+            if box is not None:
+                x = x.clip(box[0], box[1])
+            if not (math.isfinite(x) if floats else np.isfinite(x).all()):
+                raise NonFiniteValueError(
+                    f"inner {kind} iterate became non-finite at inner step "
+                    f"{i}", point=p)
     return x
 
 
 def _one_float64(x):
     return getattr(x, "shape", None) == (1,) and x.dtype == np.float64
-
-
-# Per thread, the chain endpoints of the last _inner_halves call: a logged
-# DG value and the descent step from the same iterate share one pair of
-# chains.  The game is held weakly, so a dropped game (and a MoG game's
-# pass buffers) is freed, and its entry goes with it: kept past the game,
-# the small arrays pinned the heap and a MoG run's peak RSS rose ~2 MB.
-_last_chains = threading.local()
-
-
-def _forget(game_ref):
-    if getattr(_last_chains, "entry", (None,))[0] is game_ref:
-        del _last_chains.entry
-
-
-def _point_key(x):
-    x = np.asarray(x)
-    return x.tobytes(), x.shape, x.dtype.str
 
 
 def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
@@ -151,12 +142,7 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     u_k takes k descent steps on u -> M(u, p.v) from p.u, v_k k ascent
     steps on v -> M(p.u, v) from p.v.  The halves share no state, so
     they are a run_pair: descent first, on the worker when concurrent.
-
-    When the previous call on this thread had the same game, point bits,
-    k and gamma, the halves reuse its (u_k, v_k) and run only the tails.
-    Oracles are pure, so the result is the same; the tails get copies,
-    and only chains that finished are kept, so a non-finite chain raises
-    every time.
+    Every call runs both chains; nothing is kept between calls.
 
     A game with the float form (GameOracle) at one float64 point and no
     box steps its chains on Python floats, the same float64 operations
@@ -166,9 +152,6 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     """
     gamma, u_box, v_box = _inner_setup(game, p, gamma)
     u, v = p
-    key = (_point_key(u), _point_key(v), k, gamma)
-    last = getattr(_last_chains, "entry", None)
-    hit = last is not None and last[0]() is game and last[1] == key
     floats = (game.float_form and u_box is None and _one_float64(u)
               and _one_float64(v))
     if floats:
@@ -176,31 +159,15 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     else:
         x0, y0, step = u, v, gamma
 
-    def chain(start, grad, step, box, kind):
+    def chain(start, grad, step, box, kind, tail):
         end = _chain(start, grad, step, box, k, kind, p)
-        return np.array([end]) if floats else end
+        return tail(np.array([end]) if floats else end)
 
-    def descent():
-        if hit:
-            x = last[2].copy()
-        else:
-            x = chain(x0, lambda x: game.grad_u(x, y0), -step, u_box,
-                      "descent")
-        return x, descent_tail(x)
-
-    def ascent():
-        if hit:
-            y = last[3].copy()
-        else:
-            y = chain(y0, lambda y: game.grad_v(x0, y), step, v_box,
-                      "ascent")
-        return y, ascent_tail(y)
-
-    (u_k, lowered), (v_k, raised) = run_pair(descent, ascent)
-    if not hit:
-        _last_chains.entry = (weakref.ref(game, _forget), key, u_k.copy(),
-                              v_k.copy())
-    return lowered, raised
+    return run_pair(
+        lambda: chain(x0, lambda x: game.grad_u(x, y0), -step, u_box,
+                      "descent", descent_tail),
+        lambda: chain(y0, lambda y: game.grad_v(x0, y), step, v_box,
+                      "ascent", ascent_tail))
 
 
 def worst_case_responses(game: GameOracle, p: JointPoint,
@@ -349,7 +316,9 @@ def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:
 
 def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
                     step: Union[float, AdaGradState]):
-    """One outer step: both players descend the DG gradient.
+    """One outer step: both players descend the DG gradient.  Returns
+    (next point, DG value at p), the value being the estimate's, so a
+    caller that logs the value at p need not run the chains again.
 
     The type of step picks the outer rule: a float is a constant step,
     plain gradient descent on the estimate; an AdaGradState makes the
@@ -360,6 +329,7 @@ def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
     if isinstance(step, AdaGradState):
         g = np.concatenate([est.grad_u, est.grad_v])
         return JointPoint.split(adagrad_step(step, p.concat(), g),
-                                game.dim_u)
+                                game.dim_u), est.value
     eta = float(step)
-    return JointPoint(p.u - eta * est.grad_u, p.v - eta * est.grad_v)
+    return (JointPoint(p.u - eta * est.grad_u, p.v - eta * est.grad_v),
+            est.value)

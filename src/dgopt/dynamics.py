@@ -74,14 +74,16 @@ def classify_radius(rho: float, tol: float = MARGINAL_TOL) -> str:
     return "marginal"
 
 
-def linearize(step_map: Callable[[JointPoint], JointPoint],
+def linearize(step_map: Callable[[JointPoint], tuple],
               fixed_point: JointPoint, h: float = 1e-6,
               fixed_tol: float = 1e-8) -> StabilityReport:
     """Numerical Jacobian of a one-step map at a verified fixed point.
 
-    Column j comes from central differences along coordinate j of the
-    joint vector.  Eigenvalues use the closed 2x2 form when possible and
-    the QR solver otherwise.
+    step_map returns (next point, DG value or None), as the maps of
+    optimizers.make_step_map and dg.dg_descent_step do; only the point
+    is differentiated.  Column j comes from central differences along
+    coordinate j of the joint vector.  Eigenvalues use the closed 2x2
+    form when possible and the QR solver otherwise.
     """
     checked("finite-difference step", h, positive=True)
     checked("fixed-point tolerance fixed_tol", fixed_tol, at_least=0)
@@ -90,7 +92,7 @@ def linearize(step_map: Callable[[JointPoint], JointPoint],
 
     def apply(x: Array) -> Array:
         p = JointPoint.split(x, dim_u)
-        return step_map(p).concat()
+        return step_map(p)[0].concat()
 
     residual = float(np.linalg.norm(apply(x0) - x0))
     if residual > fixed_tol:

@@ -13,7 +13,6 @@ catalog, so the duality-gap machinery applies unchanged.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 import time
@@ -429,9 +428,11 @@ def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
 
     gda, eg and dg are optimizers.make_step_map's step maps; dg descends
     the envelope gradient of a dg_k-step duality-gap estimate (inner
-    step size lr).  Logging happens every log_interval steps on a fixed
-    1000-draw noise evaluation set, after which a given progress is
-    called with (iteration, iterations, seconds since the run began).
+    step size lr), and a row logs the value of the estimate its step
+    made; the other rules and the final row call dg_metric.  Logging
+    happens every log_interval steps on a fixed 1000-draw noise
+    evaluation set, after which a given progress is called with
+    (iteration, iterations, seconds since the run began).
 
     The whole run holds OpenBLAS at one thread, so no output depends on
     the host's BLAS thread count.  If it can, and the process may use two
@@ -452,15 +453,15 @@ def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
     started = time.perf_counter()
     with parallel.thread_setup() as log.thread_setup:
         if algorithm == "co":
-            step = functools.partial(_co_step, game,
-                                     eta=game.dtype.type(cfg.eta),
-                                     gamma=cfg.co_gamma)
+            eta = game.dtype.type(cfg.eta)
+            step = lambda p: (_co_step(game, p, eta, cfg.co_gamma), None)
         else:
             step = optimizers.make_step_map(game, cfg)
 
-        def log_row(it, p):
+        def log_row(it, p, dg_val=None):
             value, gu, gv = game.value_and_grads(p.u, p.v)
-            dg_val = dgmod.dg_metric(game, p, cfg.dg)
+            if dg_val is None:
+                dg_val = dgmod.dg_metric(game, p, cfg.dg)
             samples = game.eval_samples(p.u)
             fracs = mode_coverage(samples)
             disc_real = float(np.median(game.disc_outputs(p.v, game.data)))
@@ -472,14 +473,27 @@ def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
             if progress is not None:
                 progress(it, iterations, time.perf_counter() - started)
 
+        def logged_step(it, p):
+            """The step from p, with p's row logged before it, or, for dg,
+            after it with the DG value the step returns for p.  A dg step
+            that raises logs no row: dg_metric at p would fail on the
+            same chains and value terms."""
+            if algorithm != "dg":
+                log_row(it, p)
+                return step(p)[0]
+            nxt, dg_val = step(p)
+            log_row(it, p, dg_val)
+            return nxt
+
         p = JointPoint(*game.init_params())
-        log_row(0, p)
         try:
-            for it in range(1, iterations + 1):
-                p = step(p)
-                if it % log_interval == 0 or it == iterations:
-                    log_row(it, p)
+            for it in range(iterations):
+                p = (logged_step(it, p) if it % log_interval == 0
+                     else step(p)[0])
+            log_row(iterations, p)
         except NonFiniteValueError:
+            if not log.rows:    # a failing first row is not a divergence
+                raise
             log.status = "diverged"
 
         log.final_samples = game.eval_samples(p.u)

@@ -2,8 +2,9 @@
 
 All step maps are simultaneous (Jacobi) one-step updates: gradients are
 evaluated at the incoming point and both players move at once.  Every
-map is a pure function, and every map fixes points where both gradients
-vanish, since the second-order corrections all carry a gradient factor.
+map but ogda's (make_step_map) is a pure function, and every map fixes
+points where both gradients vanish, since the second-order corrections
+all carry a gradient factor.
 """
 
 from __future__ import annotations
@@ -154,37 +155,36 @@ def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
 
 
 def make_step_map(game: GameOracle, cfg: OptimizerConfig):
-    """Bind a config to a stateless callable p -> p'.
+    """Bind a config to a map p -> (p', DG value at p or None).
 
-    ogda keeps its one-step gradient memory in a closure cell; fresh
-    maps start with the gda fallback.
+    Only dg steps through a DG estimate at p, and it hands that value
+    back; every other rule returns None.  ogda is the one stateful map:
+    it keeps its previous gradients in a closure cell, and a fresh map
+    starts with the gda fallback.  That hidden state is a known defect:
+    dynamics.linearize calls one map for its residual and every
+    difference, so its ogda Jacobian belongs to no single map.
     """
-    alg = cfg.algorithm
-    if alg == "gda":
-        return lambda p: gda_step(game, p, cfg.eta)
-    if alg == "eg":
-        return lambda p: eg_step(game, p, cfg.eta)
-    if alg == "sga":
-        return lambda p: sga_step(game, p, cfg.eta, cfg.sga_lambda)
-    if alg == "co":
-        return lambda p: co_step(game, p, cfg.eta, cfg.co_gamma)
-    if alg == "unrolled":
-        return lambda p: unrolled_step(game, p, cfg.eta, cfg.unroll_k)
-    if alg == "fr":
-        return lambda p: fr_step(game, p, cfg.eta, cfg.eta_y)
-    if alg == "dg":
+    if cfg.algorithm == "dg":
         return lambda p: dgmod.dg_descent_step(game, p, cfg.dg, cfg.eta)
-    if alg == "ogda":
+    if cfg.algorithm == "ogda":
         memory = {"prev": None}
 
         def step(p):
             grads = _checked_grads(game, p)
             out = _ogda_update(p, grads, memory["prev"], cfg.eta)
             memory["prev"] = grads
-            return out
+            return out, None
 
         return step
-    raise AssertionError(alg)
+    rule = {
+        "gda": lambda p: gda_step(game, p, cfg.eta),
+        "eg": lambda p: eg_step(game, p, cfg.eta),
+        "sga": lambda p: sga_step(game, p, cfg.eta, cfg.sga_lambda),
+        "co": lambda p: co_step(game, p, cfg.eta, cfg.co_gamma),
+        "unrolled": lambda p: unrolled_step(game, p, cfg.eta, cfg.unroll_k),
+        "fr": lambda p: fr_step(game, p, cfg.eta, cfg.eta_y),
+    }[cfg.algorithm]
+    return lambda p: (rule(p), None)
 
 
 @dataclass
@@ -255,10 +255,12 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
 
     Divergence (norm above diverge_norm) truncates the run at the
     offending record; step errors keep the partial trajectory and set
-    the error field.  With log_dg, every record carries the DG metric
-    under cfg.dg; a non-finite one leaves that record's dg empty and
-    the run goes on.  Convergence means the final iterate lies within
-    tol of one of the targets.
+    the error field.  With log_dg, every record carries the DG value
+    under cfg.dg: the one the step from that iterate returns, or else
+    dg_metric's (no estimate in the rule, the last or a diverged iterate,
+    or a step that raised); a non-finite metric leaves that record's dg
+    empty and the run goes on.  Convergence means the final iterate lies
+    within tol of one of the targets.
     """
     checked("step count steps", steps, at_least=1)
     checked("convergence tolerance tol", tol, at_least=0)
@@ -268,10 +270,11 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     step_map = make_step_map(game, cfg)
     traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
 
-    def record(t, p):
+    def record(t, p, dg_val):
         gu, gv = game.grads(p.u, p.v)
-        dg_val = None
-        if log_dg:
+        if not log_dg:
+            dg_val = None
+        elif dg_val is None:
             try:
                 dg_val = dgmod.dg_metric(game, p, cfg.dg)
             except NonFiniteValueError:
@@ -283,19 +286,21 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
             grad_v_norm=float(np.sqrt(gv.dot(gv))),
             dg=dg_val))
 
+    # each iterate is recorded after the step from it, which may hand
+    # back its DG value; no step is taken from the last or a diverged one
     p = JointPoint.of(init.u, init.v)
-    record(0, p)
-    diverged = False
-    for t in range(1, steps + 1):
-        try:
-            p = step_map(p)
-        except (NonFiniteValueError, SingularHessianError) as exc:
-            traj.error = str(exc)
+    for t in range(steps + 1):
+        nxt = dg_val = None
+        diverged = t > 0 and p.norm() > diverge_norm
+        if t < steps and not diverged:
+            try:
+                nxt, dg_val = step_map(p)
+            except (NonFiniteValueError, SingularHessianError) as exc:
+                traj.error = str(exc)
+        record(t, p, dg_val)
+        if nxt is None:
             break
-        record(t, p)
-        if p.norm() > diverge_norm:
-            diverged = True
-            break
+        p = nxt
 
     if diverged:
         traj.classification = "diverged"

@@ -296,7 +296,7 @@ def test_criterion_9_k0_bit_identical_to_gda(spec):
     p_ga = JointPoint.of(0.37, -0.21)
     identical = True
     for _ in range(1000):
-        p_dg = dg_descent_step(game, p_dg, cfg, ETA)
+        p_dg, _ = dg_descent_step(game, p_dg, cfg, ETA)
         p_ga = gda_step(game, p_ga, ETA)
         if p_dg.u[0] != p_ga.u[0] or p_dg.v[0] != p_ga.v[0]:
             identical = False

@@ -313,9 +313,11 @@ class TestSharedChains:
         want = steps * (k + 2) + k + 1
         assert counts == {"grad_u": want, "grad_v": want}
 
-    def test_shared_trajectory_equals_unshared(self):
+    @pytest.mark.parametrize("grad_mode", ["envelope", "unrolled"])
+    def test_shared_trajectory_equals_unshared(self, grad_mode):
         cfg = OptimizerConfig(algorithm="dg", eta=0.05,
-                              dg=DGConfig(k=4, gamma=0.05))
+                              dg=DGConfig(k=4, gamma=0.05,
+                                          grad_mode=grad_mode))
         init = JointPoint.of(0.4, -0.3)
         logged = run_trajectory(F2, cfg, init, steps=30, log_dg=True)
         plain = run_trajectory(F2, cfg, init, steps=30)
@@ -430,7 +432,7 @@ class TestDGDescent:
                 rng = np.random.default_rng(3)
                 for _ in range(10):
                     p = JointPoint.of(*rng.uniform(-2, 2, 2))
-                    got = dg_descent_step(game, p, cfg, eta)
+                    got, _ = dg_descent_step(game, p, cfg, eta)
                     want = m @ np.array([p.u[0], p.v[0]])
                     assert got.u[0] == pytest.approx(want[0], rel=1e-12, abs=1e-14)
                     assert got.v[0] == pytest.approx(want[1], rel=1e-12, abs=1e-14)
@@ -441,7 +443,7 @@ class TestDGDescent:
         p_dg = JointPoint.of(0.31, -0.64)
         p_gda = JointPoint.of(0.31, -0.64)
         for _ in range(1000):
-            p_dg = dg_descent_step(game, p_dg, cfg, 0.05)
+            p_dg, _ = dg_descent_step(game, p_dg, cfg, 0.05)
             p_gda = gda_step(game, p_gda, 0.05)
             assert p_dg.u[0] == p_gda.u[0]
             assert p_dg.v[0] == p_gda.v[0]
@@ -450,7 +452,7 @@ class TestDGDescent:
 
     def test_equilibrium_fixed(self):
         cfg = DGConfig(k=10, gamma=0.05)
-        q = dg_descent_step(F2, JointPoint.of(0.0, 0.0), cfg, 0.05)
+        q, _ = dg_descent_step(F2, JointPoint.of(0.0, 0.0), cfg, 0.05)
         assert q.u[0] == 0.0 and q.v[0] == 0.0
 
     def test_trajectory_determinism(self):
@@ -468,7 +470,7 @@ class TestDGDescent:
         cfg = DGConfig(k=10, gamma=0.05)
         p = JointPoint.of(0.9, -0.9)
         for _ in range(400):
-            p = dg_descent_step(B3, p, cfg, state)
+            p, _ = dg_descent_step(B3, p, cfg, state)
             assert box.contains(p.concat(), tol=1e-12)
         assert p.norm() < 0.05
         assert state.sum_sq > 0.0

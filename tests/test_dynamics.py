@@ -62,7 +62,7 @@ class TestLinearize:
         assert report.classification == "stable"
 
     def test_identity_map_is_marginal(self):
-        report = linearize(lambda p: p, JointPoint.of(0.3, -0.2))
+        report = linearize(lambda p: (p, None), JointPoint.of(0.3, -0.2))
         assert report.classification == "marginal"
         assert all(ev == pytest.approx(1.0, abs=1e-9)
                    for ev in report.eigenvalues)
@@ -72,7 +72,7 @@ class TestLinearize:
 
         def step(p):
             x = m @ p.concat()
-            return JointPoint(x[:2], x[2:])
+            return JointPoint(x[:2], x[2:]), None
 
         report = linearize(step, JointPoint(np.zeros(2), np.zeros(1)))
         np.testing.assert_allclose(report.jacobian, m, atol=1e-9)
@@ -91,7 +91,8 @@ class TestLinearize:
     def test_non_finite_jacobian_entry_rejected(self):
         # fixed at the origin, infinite one finite-difference step along +u
         def step(p):
-            return p if p.u[0] <= 0.0 else JointPoint(np.array([np.inf]), p.v)
+            return (p if p.u[0] <= 0.0
+                    else JointPoint(np.array([np.inf]), p.v)), None
 
         with pytest.raises(NonFiniteValueError, match="non-finite Jacobian"):
             linearize(step, ORIGIN)

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgopt import dg as dgmod
 from dgopt import mog, optimizers, parallel
 from dgopt.dg import DGConfig, dg_estimate, dg_metric
 from dgopt.games import JointPoint, NonFiniteValueError
@@ -556,7 +555,7 @@ class TestTrainingPlumbing:
         p = JointPoint(*game.init_params())
         with parallel.thread_setup():
             for _ in range(3):
-                p = step(p)
+                p, _ = step(p)
         assert log.status == "ok"
         assert np.array_equal(log.final_u, p.u)
         assert np.array_equal(log.final_v, p.v)
@@ -752,8 +751,6 @@ class TestSharedChains:
         del game
         gc.collect()
         assert ref() is None
-        # and the chain endpoints kept for it go too
-        assert not hasattr(dgmod._last_chains, "entry")
 
 
 class TestStepRuleCalls:
@@ -771,6 +768,17 @@ class TestStepRuleCalls:
         assert game.total("grads") == 4 * per_iter
         assert game.total("value_and_grads") == len(log.rows) == 3
         assert game.total("grad_u") == game.total("grad_v") == 0
+
+    def test_dg_rows_log_the_step_chains(self, monkeypatch):
+        # dg_k=2: each step runs one pair of 2-step chains, and the rows
+        # at 0 and 2 log the value their steps return; only the last row
+        # (iteration 4) runs dg_metric's own chains: 4 * 2 + 2 calls each
+        _allow_cpus(monkeypatch, 1)
+        game = _CountedCalls(seed=1, n=200, dtype=np.float32)
+        log = train_mog("dg", game, iterations=4, log_interval=2, dg_k=2)
+        assert log.status == "ok"
+        assert [row[0] for row in log.rows] == [0, 2, 4]
+        assert game.total("grad_u") == game.total("grad_v") == 10
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_co_runs_one_finite_difference_side_on_the_worker(
@@ -832,6 +840,42 @@ class TestCoDivergence:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="iterations"):
             train_mog("gda", MogGanGame(0, n=50), iterations=-3)
+
+
+class _NanAwayFrom(MogGanGame):
+    """A MoG game whose grad_u is NaN at every u but start (at every u
+    when start is None), so a DG descent chain fails wherever it starts
+    away from start, in the step and in dg_metric alike."""
+
+    def __init__(self, start=None, **kwargs):
+        super().__init__(**kwargs)
+        self.start = start
+
+    def grad_u(self, u, v):
+        g = super().grad_u(u, v)
+        ok = self.start is not None and np.array_equal(u, self.start)
+        return g if ok else g * np.nan
+
+
+class TestDgDivergence:
+    # dg_k=1: a chain evaluates grad_u at its start only
+    def test_failing_step_drops_its_row(self, monkeypatch):
+        _allow_cpus(monkeypatch, 1)
+        u0, _ = MogGanGame(1, n=200, dtype=np.float32).init_params()
+        game = _NanAwayFrom(u0, seed=1, n=200, dtype=np.float32)
+        log = train_mog("dg", game, iterations=3, log_interval=1, dg_k=1)
+        assert log.status == "diverged"
+        # row 0 logs the first step's value; the step from the next
+        # iterate fails, as dg_metric there would, so row 1 is dropped
+        assert [int(row[0]) for row in log.rows] == [0]
+        assert not np.array_equal(log.final_u, u0)
+
+    @pytest.mark.parametrize("algorithm", ["gda", "dg"])
+    def test_failing_first_row_raises(self, monkeypatch, algorithm):
+        _allow_cpus(monkeypatch, 1)
+        game = _NanAwayFrom(seed=1, n=200, dtype=np.float32)
+        with pytest.raises(NonFiniteValueError, match="inner descent"):
+            train_mog(algorithm, game, iterations=2, dg_k=1)
 
 
 class TestAcceptanceScript:

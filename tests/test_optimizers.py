@@ -104,7 +104,7 @@ class TestOgda:
         # the step map: a gda step to (0.85, 0.8), then u' = 0.85 -
         # 2(0.1)(2.4) + 0.1(1.5), v' = 0.8 + 2(0.1)(2.55) - 0.1(3)
         step = make_step_map(B3, OptimizerConfig("ogda", eta=0.1))
-        assert_point(step(step(p0)), 0.52, 1.01)
+        assert_point(step(step(p0)[0])[0], 0.52, 1.01)
 
     def test_step_map_evaluates_each_gradient_once_per_step(self):
         calls = {"u": 0, "v": 0}
@@ -120,7 +120,7 @@ class TestOgda:
         step = make_step_map(game, OptimizerConfig("ogda", eta=0.1))
         p = P10
         for _ in range(5):
-            p = step(p)
+            p, _ = step(p)
         assert calls == {"u": 5, "v": 5}
         # the same iterates as stepping ogda_step by hand
         q, prev = P10, None
@@ -282,7 +282,7 @@ class TestFixedPointPreservation:
         cfg = OptimizerConfig(algorithm=alg, eta=0.05,
                               dg=DGConfig(gamma=0.05))
         step = make_step_map(game, cfg)
-        q = step(JointPoint.of(0.0, 0.0))
+        q, _ = step(JointPoint.of(0.0, 0.0))
         assert abs(q.u[0]) < 1e-12 and abs(q.v[0]) < 1e-12
 
 
