@@ -11,16 +11,23 @@ The eg and co baselines run on the same protocol with --algs eg,co.
 Write them to a separate --out: the criterion's runtime check sums the
 wall time of every run in its verdict.json.
 
+Each run also saves its final parameters (MogTrainingLog.final_u and
+final_v) with np.savez as <alg>_seed<N>_final.npz, next to its JSON and
+written before it.
+
 --k sets dg's inner step count (default 10, the protocol's); every
 algorithm's logged DG metric uses it too, so each <alg>_seed<N>.json
 records it as dg_k.  An existing <alg>_seed<N>.json is reused instead of
 re-run, but only if it was made with the requested iteration count and
 k; any other refuses the whole invocation (exit 2) before anything runs.
+A <alg>_seed<N>.json without its <alg>_seed<N>_final.npz counts as
+missing: the run is made again, and a verdict waits for it.
 
 verdict.json is written only when every requested algorithm has all of
 the protocol's seeds 1-5 in the output directory, and then lists those
-runs.  Otherwise the invocation prints the missing <alg>_seed<N>.json
-names and leaves any earlier verdict as it was.
+runs.  Otherwise the invocation prints the names of the missing files
+(<alg>_seed<N>.json, or <alg>_seed<N>_final.npz beside an existing
+JSON) and leaves any earlier verdict as it was.
 
 One process trains its runs one after another.  To use more CPUs, start
 one process per CPU, pinned with taskset; neither writes a verdict, and
@@ -89,6 +96,10 @@ def print_progress(alg, seed):
     return progress
 
 
+def final_params_path(out_dir, alg, seed):
+    return os.path.join(out_dir, f"{alg}_seed{seed}_final.npz")
+
+
 def run_one(alg, seed, iters, k, out_dir):
     t0 = time.time()
     log = train_mog(alg, MogGanGame(seed), iterations=iters, dg_k=k,
@@ -118,6 +129,8 @@ def run_one(alg, seed, iters, k, out_dir):
     }
     log.write_csv(os.path.join(out_dir, f"{alg}_seed{seed}.csv"))
     log.write_samples_csv(os.path.join(out_dir, f"{alg}_seed{seed}_samples.csv"))
+    np.savez(final_params_path(out_dir, alg, seed), final_u=log.final_u,
+             final_v=log.final_v)
     write_json(os.path.join(out_dir, f"{alg}_seed{seed}.json"), row)
     print(f"{alg} seed {seed}: {wall:.0f}s status={log.status} "
           f"fracs={row['final_mode_fracs']} dg {row['initial_dg_metric']:.5f}"
@@ -151,7 +164,7 @@ def main():
 
     algs = [alg for alg in ALGORITHMS if alg in algs]
     runs = [(alg, seed) for alg in algs for seed in seeds]
-    existing = {}
+    existing, unsaved = {}, set()   # unsaved: a JSON without its .npz
     for alg, seed in dict.fromkeys((alg, seed) for alg in algs
                                    for seed in (*seeds, *PROTOCOL_SEEDS)):
         marker = os.path.join(args.out, f"{alg}_seed{seed}.json")
@@ -166,7 +179,10 @@ def main():
                                f"{what.format(row.get(key))}, not the "
                                f"requested {what.format(want)}; move it "
                                f"away or use another --out\n")
-            existing[alg, seed] = row
+            if os.path.exists(final_params_path(args.out, alg, seed)):
+                existing[alg, seed] = row
+            else:
+                unsaved.add((alg, seed))
 
     t0 = time.time()
     for alg, seed in runs:
@@ -176,8 +192,9 @@ def main():
             existing[alg, seed] = run_one(alg, seed, args.iters, args.k,
                                           args.out)
     protocol = [(alg, seed) for alg in algs for seed in PROTOCOL_SEEDS]
-    missing = [f"{alg}_seed{seed}.json" for alg, seed in protocol
-               if (alg, seed) not in existing]
+    missing = [f"{alg}_seed{seed}"
+               + ("_final.npz" if (alg, seed) in unsaved else ".json")
+               for alg, seed in protocol if (alg, seed) not in existing]
     if missing:
         print(f"no verdict: missing {', '.join(missing)}")
         return

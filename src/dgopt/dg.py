@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
-                    checked)
+                    checked, float_point_ok)
 from .parallel import run_pair
 
 GRAD_MODES = ("envelope", "unrolled")
@@ -132,10 +132,6 @@ def _chain(x, grad, step, box, k, kind, p):
     return x
 
 
-def _one_float64(x):
-    return getattr(x, "shape", None) == (1,) and x.dtype == np.float64
-
-
 def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     """(descent_tail(u_k), ascent_tail(v_k)) for the two inner chains.
 
@@ -144,29 +140,24 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     they are a run_pair: descent first, on the worker when concurrent.
     Every call runs both chains; nothing is kept between calls.
 
-    A game with the float form (GameOracle) at one float64 point and no
-    box steps its chains on Python floats, the same float64 operations
-    without a 1-element array per step; each endpoint goes back into a
-    (1,) float64 array.  A float32 point keeps arrays, since numpy
-    promotes it to float64 after its first step.
+    A point of two Python floats steps its chains on floats, and so
+    does a (1,) point that games.float_point_ok allows: the same float64
+    operations without a 1-element array per step.  The tails get each
+    endpoint in the point's own form, a float or a (1,) float64 array.
     """
     gamma, u_box, v_box = _inner_setup(game, p, gamma)
-    u, v = p
-    floats = (game.float_form and u_box is None and _one_float64(u)
-              and _one_float64(v))
-    if floats:
-        x0, y0, step = float(u[0]), float(v[0]), float(gamma)
-    else:
-        x0, y0, step = u, v, gamma
+    wrap = float_point_ok(game, *p)
+    u, v = p.to_floats() if wrap else p
+    step = float(gamma) if isinstance(u, float) else gamma
 
     def chain(start, grad, step, box, kind, tail):
         end = _chain(start, grad, step, box, k, kind, p)
-        return tail(np.array([end]) if floats else end)
+        return tail(np.array([end]) if wrap else end)
 
     return run_pair(
-        lambda: chain(x0, lambda x: game.grad_u(x, y0), -step, u_box,
+        lambda: chain(u, lambda x: game.grad_u(x, v), -step, u_box,
                       "descent", descent_tail),
-        lambda: chain(y0, lambda y: game.grad_v(x0, y), step, v_box,
+        lambda: chain(v, lambda y: game.grad_v(u, y), step, v_box,
                       "ascent", ascent_tail))
 
 
@@ -258,7 +249,12 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig) -> DGEstimate:
         raise ValueError("the unrolled DG gradient takes one point, not a "
                          "batch; use the envelope mode")
     if cfg.grad_mode == "unrolled" and cfg.k > 0:
-        uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, cfg.gamma)
+        if isinstance(u, float):
+            uw, vw, grad_u, grad_v = (float(x[0]) for x in _unrolled_grads(
+                game, JointPoint.of(*p), cfg.k, cfg.gamma))
+        else:
+            uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k,
+                                                     cfg.gamma)
         value = game.value(u, vw) - game.value(uw, v)
     else:
         (uw, low, gv), (vw, high, grad_u) = _inner_halves(

@@ -62,7 +62,14 @@ def as_vector(x) -> Array:
 
 
 class JointPoint(NamedTuple):
-    """A strategy pair (u, v), each a real vector."""
+    """A strategy pair (u, v), each a real vector.
+
+    One point of a game with the float form (GameOracle) may also be two
+    Python floats, one coordinate per player; run_trajectory steps such
+    a point when float_point_ok allows it.  to_floats makes one from a
+    (1,) point and of makes a (1,) point from one; norm takes either
+    form, concat, split and distance_to take arrays.
+    """
 
     u: Array
     v: Array
@@ -70,6 +77,9 @@ class JointPoint(NamedTuple):
     @staticmethod
     def of(u, v) -> "JointPoint":
         return JointPoint(as_vector(u), as_vector(v))
+
+    def to_floats(self) -> "JointPoint":
+        return JointPoint(float(self.u[0]), float(self.v[0]))
 
     def concat(self) -> Array:
         return np.concatenate([self.u, self.v])
@@ -80,7 +90,10 @@ class JointPoint(NamedTuple):
                           np.asarray(x[dim_u:], dtype=float))
 
     def norm(self) -> float:
-        return float(np.sqrt(self.u.dot(self.u) + self.v.dot(self.v)))
+        u, v = self
+        if isinstance(u, float):
+            return math.sqrt(u * u + v * v)
+        return float(np.sqrt(u.dot(u) + v.dot(v)))
 
     def distance_to(self, other: "JointPoint") -> float:
         du = self.u - other.u
@@ -110,9 +123,6 @@ class Box:
     def clamp(self, x: Array) -> Array:
         return np.minimum(np.maximum(x, self.lo), self.hi)
 
-    def contains(self, x: Array, tol: float = 0.0) -> bool:
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
     @property
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
@@ -133,8 +143,10 @@ class GameOracle:
     value returns a (...) array and the gradients (..., 1) arrays, each
     entry bit-identical to the per-point call.  A game with float_form
     set (the scalar catalog games) also takes one point as two Python
-    floats in grad_u/grad_v and returns a Python float, the same float
-    as the one entry of the (1,) call.
+    floats: value, grad_u and grad_v return a Python float, the same
+    float as the (1,) call's one entry, and hessian_blocks returns four
+    floats, the (1, 1) blocks' entries.  Batches, boxed games, float32
+    points, the GAN and linearize's finite differences keep arrays.
 
     grads(u, v) is the joint-gradient entry point, (grad_u, grad_v) at
     one point, which the step rules call once per gradient pair.  Here
@@ -153,9 +165,14 @@ class GameOracle:
     float_form: bool = False
 
     def hessian_blocks(self, p: JointPoint) -> HessianBlocks:
-        """Closed-form blocks when available, FD of the gradients otherwise."""
+        """Closed-form blocks when available, FD of the gradients
+        otherwise; at a float point the FD blocks are computed on (1,)
+        arrays and returned as floats."""
         if self.second_order is not None:
             return self.second_order(p.u, p.v)
+        if isinstance(p.u, float):
+            return tuple(float(h[0, 0]) for h in
+                         second_order_fd(self, JointPoint.of(*p)))
         return second_order_fd(self, p)
 
     def grads(self, u: Array, v: Array):
@@ -166,6 +183,16 @@ class GameOracle:
 
     def value_and_grad_v(self, u: Array, v: Array):
         return self.value(u, v), self.grad_v(u, v)
+
+
+def float_point_ok(game, u, v) -> bool:
+    """Whether the one point (u, v) of game may be stepped as two Python
+    floats: the game has the float form and no box, and u and v each
+    hold one float64 coordinate.  A float32 point keeps arrays, since
+    numpy promotes it to float64 after its first step."""
+    return (game.float_form and game.domain is None
+            and getattr(u, "shape", None) == (1,) and u.dtype == np.float64
+            and getattr(v, "shape", None) == (1,) and v.dtype == np.float64)
 
 
 def central_difference(fn: Callable[[Array], Array], x: Array,
@@ -232,10 +259,13 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
 
     u, v of shape (1,) are one point; u, v of one shape (..., 1) are a
     batch of points, with value shaped (...) and gradients (..., 1).
-    The gradients also take one point as two Python floats (float_form).
+    value, the gradients and the Hessian blocks also take one point as
+    two Python floats (float_form).
     """
 
     def _value(u, v):
+        if isinstance(u, float):
+            return float(value(u, v))
         if u.ndim > 1 or v.ndim > 1:
             return _over_batch(value, u, v)
         return float(value(float(u[0]), float(v[0])))
@@ -257,6 +287,9 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
     second_order = None
     if second is not None:
         def second_order(u, v):
+            if isinstance(u, float):
+                huu, huv, hvv = second(u, v)
+                return huu, huv, huv, hvv
             huu, huv, hvv = second(float(u[0]), float(v[0]))
             return (np.array([[huu]]), np.array([[huv]]),
                     np.array([[huv]]), np.array([[hvv]]))
@@ -451,7 +484,3 @@ def make_game(spec) -> GameOracle:
     if extra:
         raise ValueError(f"game {spec.name!r} got unknown parameters {sorted(extra)}")
     return ctor(**{optional.get(k, k): v for k, v in params.items()})
-
-
-def catalog_names() -> list:
-    return sorted(_CATALOG)

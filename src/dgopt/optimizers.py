@@ -9,6 +9,7 @@ all carry a gradient factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import dg as dgmod, outputs
 from .games import (Array, GameOracle, JointPoint, NonFiniteValueError,
-                    SingularHessianError, checked)
+                    SingularHessianError, checked, float_point_ok)
 
 ALGORITHMS = ("gda", "ogda", "eg", "sga", "co", "unrolled", "fr", "dg")
 
@@ -47,9 +48,32 @@ class OptimizerConfig:
 
 def _checked_grads(game: GameOracle, p: JointPoint):
     gu, gv = game.grads(p.u, p.v)
-    if not (np.isfinite(gu).all() and np.isfinite(gv).all()):
+    if isinstance(p.u, float):
+        finite = math.isfinite(gu) and math.isfinite(gv)
+    else:
+        finite = np.isfinite(gu).all() and np.isfinite(gv).all()
+    if not finite:
         raise NonFiniteValueError("non-finite gradient", point=p)
     return gu, gv
+
+
+def _times(H, g):
+    """The Hessian block product H @ g; at a float point h * g + 0.0,
+    since numpy's 1x1 product adds to +0.0 and so never gives -0.0."""
+    if isinstance(g, float):
+        return H * g + 0.0
+    return H @ g
+
+
+def _solve(H, b):
+    """np.linalg.solve(H, b); at a float point the 1x1 solve is a
+    division, which gives solve's float, and a zero H raises as LAPACK's
+    zero pivot does."""
+    if isinstance(b, float):
+        if H == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return b / H
+    return np.linalg.solve(H, b)
 
 
 def gda_step(game: GameOracle, p: JointPoint, eta: float) -> JointPoint:
@@ -94,8 +118,8 @@ def sga_step(game: GameOracle, p: JointPoint, eta: float,
     gu, gv = _checked_grads(game, p)
     _, H_uv, H_vu, _ = game.hessian_blocks(p)
     gx, gy = gu, -gv
-    adj_x = gx - lam * (H_uv @ gy)
-    adj_y = lam * (H_vu @ gx) + gy
+    adj_x = gx - lam * _times(H_uv, gy)
+    adj_y = lam * _times(H_vu, gx) + gy
     return JointPoint(p.u - eta * adj_x, p.v - eta * adj_y)
 
 
@@ -109,8 +133,8 @@ def co_step(game: GameOracle, p: JointPoint, eta: float,
     """
     gu, gv = _checked_grads(game, p)
     H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(p)
-    pen_u = H_uu @ gu + H_uv @ gv
-    pen_v = H_vu @ gu + H_vv @ gv
+    pen_u = _times(H_uu, gu) + _times(H_uv, gv)
+    pen_v = _times(H_vu, gu) + _times(H_vv, gv)
     return JointPoint(p.u - eta * gu - gamma * eta * pen_u,
                       p.v + eta * gv - gamma * eta * pen_v)
 
@@ -122,15 +146,24 @@ def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
     The follower chain y_{i+1} = y_i + eta * grad_v M(u, y_i) is
     differentiated w.r.t. u by forward accumulation (S = dy/du), giving
     the leader the total derivative of u -> M(u, y_k(u)).  The follower
-    itself takes a plain ascent step at the original point.
+    itself takes a plain ascent step at the original point.  A float
+    point is stepped as (1,) arrays and returned as floats.
     """
     checked("unrolled step count k", k, at_least=1)
+    if isinstance(p.u, float):
+        return unrolled_step(game, JointPoint.of(*p), eta, k).to_floats()
     gu, gv = _checked_grads(game, p)
     u, v = p
     y, _, S = dgmod._differentiated_chain(game, p, eta, k)
     gu_y, gv_y = game.grads(u, y)
     total = gu_y + S.T @ gv_y
     return JointPoint(u - eta * total, v + eta * gv)
+
+
+def _where(p: JointPoint) -> str:
+    """p for an error message, each player as a list: u=[x], v=[y]."""
+    return (f"u={np.atleast_1d(p.u).tolist()}, "
+            f"v={np.atleast_1d(p.v).tolist()}")
 
 
 def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
@@ -142,15 +175,14 @@ def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
     gu, gv = _checked_grads(game, p)
     _, _, H_vu, H_vv = game.hessian_blocks(p)
     try:
-        correction = np.linalg.solve(H_vv, H_vu @ gu)
+        correction = _solve(H_vv, _times(H_vu, gu))
     except np.linalg.LinAlgError:
+        raise SingularHessianError(f"H_vv is singular at {_where(p)}",
+                                   point=p) from None
+    if not (math.isfinite(correction) if isinstance(correction, float)
+            else np.isfinite(correction).all()):
         raise SingularHessianError(
-            f"H_vv is singular at u={p.u.tolist()}, v={p.v.tolist()}",
-            point=p) from None
-    if not np.all(np.isfinite(correction)):
-        raise SingularHessianError(
-            f"H_vv solve produced non-finite values at u={p.u.tolist()}, "
-            f"v={p.v.tolist()}", point=p)
+            f"H_vv solve produced non-finite values at {_where(p)}", point=p)
     return JointPoint(p.u - eta_x * gu, p.v + eta_y * gv + eta_x * correction)
 
 
@@ -261,6 +293,10 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     or a step that raised); a non-finite metric leaves that record's dg
     empty and the run goes on.  Convergence means the final iterate lies
     within tol of one of the targets.
+
+    A start that games.float_point_ok allows is stepped as two Python
+    floats (JointPoint), with the same float64 operations as on (1,)
+    arrays; every record holds (1,) arrays either way.
     """
     checked("step count steps", steps, at_least=1)
     checked("convergence tolerance tol", tol, at_least=0)
@@ -271,7 +307,15 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
 
     def record(t, p, dg_val):
-        gu, gv = game.grads(p.u, p.v)
+        u, v = p
+        gu, gv = game.grads(u, v)
+        if isinstance(u, float):
+            u, v = np.array([u]), np.array([v])
+            gu_norm, gv_norm = math.sqrt(gu * gu), math.sqrt(gv * gv)
+        else:
+            u, v = u.copy(), v.copy()
+            gu_norm = float(np.sqrt(gu.dot(gu)))
+            gv_norm = float(np.sqrt(gv.dot(gv)))
         if not log_dg:
             dg_val = None
         elif dg_val is None:
@@ -280,15 +324,14 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
             except NonFiniteValueError:
                 pass
         traj.records.append(TrajectoryRecord(
-            t=t, u=p.u.copy(), v=p.v.copy(),
-            value=float(game.value(p.u, p.v)),
-            grad_u_norm=float(np.sqrt(gu.dot(gu))),
-            grad_v_norm=float(np.sqrt(gv.dot(gv))),
-            dg=dg_val))
+            t=t, u=u, v=v, value=float(game.value(p.u, p.v)),
+            grad_u_norm=gu_norm, grad_v_norm=gv_norm, dg=dg_val))
 
     # each iterate is recorded after the step from it, which may hand
     # back its DG value; no step is taken from the last or a diverged one
     p = JointPoint.of(init.u, init.v)
+    if float_point_ok(game, *p):
+        p = p.to_floats()
     for t in range(steps + 1):
         nxt = dg_val = None
         diverged = t > 0 and p.norm() > diverge_norm

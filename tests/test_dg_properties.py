@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from dgopt.dg import (DGConfig, _chain, dg_estimate, dg_metric,  # noqa: E402
                       worst_case_responses)
 from dgopt.games import (JointPoint, NonFiniteValueError,  # noqa: E402
-                         catalog_names, make_game)
+                         make_game)
 from dgopt.mog import MogGanGame  # noqa: E402
 from dgopt.optimizers import unrolled_step  # noqa: E402
+from game_helpers import catalog_names  # noqa: E402
 
 # largest Hessian eigenvalue of the constant-curvature games
 SMOOTHNESS = {"f1": 4 + 20 ** 0.5, "f2": 4 + 20 ** 0.5,

@@ -889,10 +889,13 @@ class TestAcceptanceScript:
              *flags], capture_output=True, text=True, timeout=120)
 
     @staticmethod
-    def write_artifact(out_dir, alg, iters, seed=1, dg_k=10):
+    def write_artifact(out_dir, alg, iters, seed=1, dg_k=10, params=True):
         row = {"algorithm": alg, "seed": seed, "iterations": iters,
                "dg_k": dg_k, "wall_seconds": 1.5}
         (out_dir / f"{alg}_seed{seed}.json").write_text(json.dumps(row))
+        if params:
+            np.savez(out_dir / f"{alg}_seed{seed}_final.npz",
+                     final_u=np.zeros(3), final_v=np.ones(2))
         return row
 
     def write_protocol(self, out_dir, alg, iters, seeds=(1, 2, 3, 4, 5)):
@@ -971,6 +974,34 @@ class TestAcceptanceScript:
         assert verdict["total_wall_seconds"] == pytest.approx(
             6.0 + verdict["runs"][4]["wall_seconds"])
         assert not (tmp_path / "verdict.json.tmp").exists()
+
+    def test_run_saves_its_final_parameters(self, tmp_path):
+        proc = self.run(tmp_path, 2)
+        assert proc.returncode == 0, proc.stderr
+        log = train_mog("gda", MogGanGame(1), iterations=2)
+        with np.load(tmp_path / "gda_seed1_final.npz") as saved:
+            assert sorted(saved.files) == ["final_u", "final_v"]
+            for name in ("final_u", "final_v"):
+                assert saved[name].dtype == np.float32
+                assert (saved[name].tobytes()
+                        == getattr(log, name).tobytes())
+
+    def test_artifact_without_final_parameters_is_run_again(self, tmp_path):
+        stale = self.write_artifact(tmp_path, "gda", 0, params=False)
+        proc = self.run(tmp_path, 0)
+        assert proc.returncode == 0, proc.stderr
+        assert "reusing" not in proc.stdout
+        row = json.loads((tmp_path / "gda_seed1.json").read_text())
+        assert row != stale and "manifest" in row
+        assert (tmp_path / "gda_seed1_final.npz").exists()
+
+    def test_verdict_waits_for_missing_final_parameters(self, tmp_path):
+        self.write_protocol(tmp_path, "gda", 0, seeds=(1, 2, 3, 4))
+        self.write_artifact(tmp_path, "gda", 0, seed=5, params=False)
+        proc = self.run(tmp_path, 0)
+        assert proc.returncode == 0, proc.stderr
+        assert "no verdict: missing gda_seed5_final.npz" in proc.stdout
+        assert not (tmp_path / "verdict.json").exists()
 
     def test_manifest_records_what_made_the_run(self, tmp_path):
         proc = self.run(tmp_path, 0)
