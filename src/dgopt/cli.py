@@ -137,6 +137,7 @@ def cmd_landscape(args) -> int:
     box = _parse_box(args.box)
     grid = dynamics.landscape(game, box, args.res, args.measure,
                               dg_cfg=_dg_config(args))
+    _, node = grid.argmin_node()   # a grid with no finite value writes nothing
     prefix = _out_prefix(args)
     grid.write_csv(f"{prefix}.csv")
     grid.write_sidecar(f"{prefix}.meta.json")
@@ -148,7 +149,6 @@ def cmd_landscape(args) -> int:
         svgplot.heatmap(canvas, axes, grid.u_axis, grid.v_axis, grid.values,
                         mark_argmin=True)
         canvas.save(f"{prefix}.svg")
-    _, node = grid.argmin_node()
     print(f"grid argmin at (u, v) = ({node[0]:g}, {node[1]:g}) "
           f"-> {prefix}.csv")
     return 0

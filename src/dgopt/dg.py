@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
-                    checked, float_point_ok)
+                    checked)
 from .parallel import run_pair
 
 GRAD_MODES = ("envelope", "unrolled")
@@ -140,25 +140,18 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
     they are a run_pair: descent first, on the worker when concurrent.
     Every call runs both chains; nothing is kept between calls.
 
-    A point of two Python floats steps its chains on floats, and so
-    does a (1,) point that games.float_point_ok allows: the same float64
-    operations without a 1-element array per step.  The tails get each
-    endpoint in the point's own form, a float or a (1,) float64 array.
+    The chains step the point's own form: two Python floats (a point
+    that run_trajectory steps on floats) or arrays, and the tails get
+    each endpoint in that form.
     """
     gamma, u_box, v_box = _inner_setup(game, p, gamma)
-    wrap = float_point_ok(game, *p)
-    u, v = p.to_floats() if wrap else p
+    u, v = p
     step = float(gamma) if isinstance(u, float) else gamma
-
-    def chain(start, grad, step, box, kind, tail):
-        end = _chain(start, grad, step, box, k, kind, p)
-        return tail(np.array([end]) if wrap else end)
-
     return run_pair(
-        lambda: chain(u, lambda x: game.grad_u(x, v), -step, u_box,
-                      "descent", descent_tail),
-        lambda: chain(v, lambda y: game.grad_v(u, y), step, v_box,
-                      "ascent", ascent_tail))
+        lambda: descent_tail(_chain(u, lambda x: game.grad_u(x, v), -step,
+                                    u_box, k, "descent", p)),
+        lambda: ascent_tail(_chain(v, lambda y: game.grad_v(u, y), step,
+                                   v_box, k, "ascent", p)))
 
 
 def worst_case_responses(game: GameOracle, p: JointPoint,

@@ -3,14 +3,15 @@
 The one-step update map of any optimizer is linearized numerically at a
 fixed point; the eigenvalues of that Jacobian decide local stability of
 the discrete dynamics (spectral radius below one = locally attracting).
-Jacobians are always numerical, even when closed forms exist; the
-closed forms below serve as test oracles against the numerical path.
+Jacobians are always numerical, even when closed forms exist.  The
+closed-form DG update matrices, the bilinear box DG and the two-view
+critical-point classifier are test references against these numerical
+paths; they live in tests/game_helpers.py, since no command runs them.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -203,12 +204,6 @@ def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
     return dg_fn, grid
 
 
-def bilinear_exact_dg(c: float, half_width: float, u: float, v: float) -> float:
-    """Closed-form box DG of the bilinear game on [-a, a]^2."""
-    a = float(half_width)
-    return abs(c) * a * abs(u) + abs(c) * a * abs(v)
-
-
 def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
               dg_cfg: Optional[dgmod.DGConfig] = None) -> LandscapeGrid:
     """Evaluate a scalar measure at every grid node.
@@ -236,122 +231,3 @@ def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
             u_axis, v_axis)
     return LandscapeGrid(box=box, resolution=resolution, measure=measure,
                          u_axis=u_axis, v_axis=v_axis, values=values)
-
-
-# ---------------------------------------------------------------------------
-# critical points
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CriticalPointReport:
-    point: JointPoint
-    grad_norm: float
-    minimax_eigs_u: list          # eigenvalues of H_uu
-    minimax_eigs_neg_v: list      # eigenvalues of -H_vv
-    is_local_ne: bool
-    dg_hessian: Optional[Array] = None
-    dg_eigs: Optional[list] = None
-    dg_label: Optional[str] = None
-
-
-# classify_critical_point's smallest step h: its nested central
-# differences divide by (2h)**2, a normal float from here up
-H_MIN = math.sqrt(sys.float_info.min)
-
-
-def classify_critical_point(game: GameOracle, p: JointPoint, h: float = 1e-4,
-                            dg_cfg: Optional[dgmod.DGConfig] = None,
-                            grad_tol: float = 1e-6,
-                            psd_tol: float = 1e-8) -> CriticalPointReport:
-    """Classify a stationary point in the minimax and the DG views.
-
-    Minimax view: a local equilibrium needs H_uu PSD for the minimizer
-    and -H_vv PSD for the maximizer.  DG view (when a DGConfig is
-    given): the numerical Hessian of the DG value map, the symmetrized
-    central_jacobian of its central-difference gradient, labels the
-    point min / max / saddle / degenerate.
-    """
-    checked("finite-difference step h", h, at_least=H_MIN)
-    checked("gradient tolerance grad_tol", grad_tol, positive=True)
-    checked("PSD tolerance psd_tol", psd_tol, at_least=0)
-    gnorm = float(np.linalg.norm(np.concatenate(game.grads(p.u, p.v))))
-    if gnorm >= grad_tol:
-        raise ValueError(f"not a critical point: joint gradient norm "
-                         f"{gnorm:.3e} >= {grad_tol:.1e}")
-
-    H_uu, _, _, H_vv = game.hessian_blocks(p)
-    eigs_u = sorted(float(x) for x in np.linalg.eigvalsh(H_uu))
-    eigs_nv = sorted(float(x) for x in np.linalg.eigvalsh(-H_vv))
-    is_ne = eigs_u[0] >= -psd_tol and eigs_nv[0] >= -psd_tol
-
-    report = CriticalPointReport(point=p, grad_norm=gnorm,
-                                 minimax_eigs_u=eigs_u,
-                                 minimax_eigs_neg_v=eigs_nv,
-                                 is_local_ne=is_ne)
-    if dg_cfg is None:
-        return report
-
-    def q(x: Array) -> Array:
-        est = dgmod.dg_estimate(game, JointPoint.split(x, game.dim_u),
-                                dg_cfg)
-        return np.array([est.value])
-
-    x0 = p.concat()
-    steps = np.full(x0.size, h)
-    hess = central_jacobian(lambda x: central_jacobian(q, x, steps)[0],
-                            x0, steps)
-    hess = 0.5 * (hess + hess.T)
-    dg_eigs = sorted(float(x) for x in np.linalg.eigvalsh(hess))
-    if dg_eigs[0] > psd_tol:
-        label = "min"
-    elif dg_eigs[-1] < -psd_tol:
-        label = "max"
-    elif dg_eigs[0] < -psd_tol and dg_eigs[-1] > psd_tol:
-        label = "saddle"
-    else:
-        label = "degenerate"
-    report.dg_hessian = hess
-    report.dg_eigs = dg_eigs
-    report.dg_label = label
-    return report
-
-
-# ---------------------------------------------------------------------------
-# closed-form DG update matrices (test oracles for the numerical path)
-# ---------------------------------------------------------------------------
-
-
-def dg_update_matrix_f1(eta: float) -> Array:
-    """One-step matrix of unrolled DG descent (k=1, gamma=eta) on
-    -3x^2 - y^2 + 4xy."""
-    e = float(checked("step size eta", eta, positive=True))
-    off = 64 * e * e * (2 * e + 1)
-    return np.array([[1 - 8 * e * e * (23 * e + 13), off],
-                     [off, 1 - 8 * e * e * (11 * e + 5)]])
-
-
-def dg_update_matrix_f2(eta: float) -> Array:
-    """Same map for 3x^2 + y^2 + 4xy."""
-    e = float(checked("step size eta", eta, positive=True))
-    off = 64 * e * e * (2 * e - 1)
-    return np.array([[1 + 8 * e * e * (23 * e - 13), off],
-                     [off, 1 + 8 * e * e * (11 * e - 5)]])
-
-
-def verify_dg_update_matrix(game: GameOracle, closed_form: Array, eta: float,
-                            tol: float = 1e-8) -> float:
-    """Max entrywise gap between the closed form and the linearized map.
-
-    Raises if the gap exceeds tol; returns the gap otherwise.
-    """
-    cfg = dgmod.DGConfig(k=1, gamma=eta, grad_mode="unrolled")
-    origin = JointPoint.of(0.0, 0.0)
-    report = linearize(lambda p: dgmod.dg_descent_step(game, p, cfg, eta),
-                       origin)
-    gap = float(np.max(np.abs(report.jacobian - closed_form)))
-    if gap > tol:
-        raise AssertionError(
-            f"closed-form DG update matrix disagrees with the linearized "
-            f"map by {gap:.3e} at eta={eta}")
-    return gap

@@ -68,7 +68,8 @@ class JointPoint(NamedTuple):
     Python floats, one coordinate per player; run_trajectory steps such
     a point when float_point_ok allows it.  to_floats makes one from a
     (1,) point and of makes a (1,) point from one; norm takes either
-    form, concat, split and distance_to take arrays.
+    form, concat, split and distance_to take arrays.  A norm or distance
+    past the float range is inf, with no numpy overflow warning.
     """
 
     u: Array
@@ -93,12 +94,14 @@ class JointPoint(NamedTuple):
         u, v = self
         if isinstance(u, float):
             return math.sqrt(u * u + v * v)
-        return float(np.sqrt(u.dot(u) + v.dot(v)))
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(u.dot(u) + v.dot(v)))
 
     def distance_to(self, other: "JointPoint") -> float:
         du = self.u - other.u
         dv = self.v - other.v
-        return float(np.sqrt(du.dot(du) + dv.dot(dv)))
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(du.dot(du) + dv.dot(dv)))
 
 
 @dataclass(frozen=True)
@@ -218,15 +221,17 @@ def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> Hessian
     """Central-difference Hessian blocks from the analytic gradients.
 
     The Jacobian of the joint gradient (grad_u, grad_v) over the joint
-    vector, with steps h * max(1, |x_j|).  Diagonal blocks are
-    symmetrized by averaging with their transpose; the cross blocks are
-    averaged so that H_vu == H_uv^T exactly.
+    vector, with steps h * max(1, |x_j|), or h at a non-finite x_j
+    (whose blocks come out NaN).  Diagonal blocks are symmetrized by
+    averaging with their transpose; the cross blocks are averaged so
+    that H_vu == H_uv^T exactly.
     """
     x = p.concat().astype(float)
     du = game.dim_u
+    steps = h * np.maximum(1.0, np.abs(x))
     jac = central_jacobian(
         lambda y: np.concatenate(game.grads(y[:du], y[du:])), x,
-        h * np.maximum(1.0, np.abs(x)))
+        np.where(np.isfinite(steps), steps, h))
     H_uu, H_uv = jac[:du, :du], jac[:du, du:]
     H_vu, H_vv = jac[du:, :du], jac[du:, du:]
     H_uu = 0.5 * (H_uu + H_uu.T)
@@ -240,17 +245,34 @@ def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> Hessian
 # ---------------------------------------------------------------------------
 
 
+# what a catalog formula raises where its result leaves the float range
+# (x ** 3, math.exp) or its argument leaves math's domain (math.sin of
+# +-inf); the oracles give NaN there, as float arithmetic would
+_RANGE_ERRORS = (OverflowError, ValueError)
+
+
+def _or_nan(fn, x, y):
+    try:
+        return fn(x, y)
+    except _RANGE_ERRORS:
+        return math.nan
+
+
 def _over_batch(fn, u, v) -> Array:
     """fn(x, y) at each point of a (..., 1) batch pair, as a (...) array.
 
     The scalar callable runs on each point's Python floats, so every
-    entry is bit-identical to the per-point call."""
+    entry is bit-identical to the per-point call, NaN included: a batch
+    where fn raises is redone point by point through _or_nan."""
     if u.shape != v.shape:
         raise ValueError(f"batched u and v must share one shape, got "
                          f"{u.shape} and {v.shape}")
     xs = np.ravel(u[..., 0]).tolist()
     ys = np.ravel(v[..., 0]).tolist()
-    out = [fn(x, y) for x, y in zip(xs, ys)]
+    try:
+        out = [fn(x, y) for x, y in zip(xs, ys)]
+    except _RANGE_ERRORS:
+        out = [_or_nan(fn, x, y) for x, y in zip(xs, ys)]
     return np.array(out, dtype=float).reshape(u.shape[:-1])
 
 
@@ -260,42 +282,50 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
     u, v of shape (1,) are one point; u, v of one shape (..., 1) are a
     batch of points, with value shaped (...) and gradients (..., 1).
     value, the gradients and the Hessian blocks also take one point as
-    two Python floats (float_form).
+    two Python floats (float_form).  In every form a formula that
+    overflows or leaves math's domain gives NaN.
     """
 
     def _value(u, v):
-        if isinstance(u, float):
+        if not isinstance(u, float):
+            if u.ndim > 1 or v.ndim > 1:
+                return _over_batch(value, u, v)
+            u, v = float(u[0]), float(v[0])
+        try:
             return float(value(u, v))
-        if u.ndim > 1 or v.ndim > 1:
-            return _over_batch(value, u, v)
-        return float(value(float(u[0]), float(v[0])))
+        except _RANGE_ERRORS:
+            return math.nan
 
-    def _grad_u(u, v):
-        if isinstance(u, float):
-            return gx(u, v)
-        if u.ndim > 1 or v.ndim > 1:
-            return _over_batch(gx, u, v)[..., None]
-        return np.array([gx(float(u[0]), float(v[0]))], dtype=float)
-
-    def _grad_v(u, v):
-        if isinstance(u, float):
-            return gy(u, v)
-        if u.ndim > 1 or v.ndim > 1:
-            return _over_batch(gy, u, v)[..., None]
-        return np.array([gy(float(u[0]), float(v[0]))], dtype=float)
+    def gradient(g):
+        def grad(u, v):
+            if isinstance(u, float):
+                try:
+                    return g(u, v)
+                except _RANGE_ERRORS:
+                    return math.nan
+            if u.ndim > 1 or v.ndim > 1:
+                return _over_batch(g, u, v)[..., None]
+            return np.array([_or_nan(g, float(u[0]), float(v[0]))],
+                            dtype=float)
+        return grad
 
     second_order = None
     if second is not None:
         def second_order(u, v):
-            if isinstance(u, float):
+            floats = isinstance(u, float)
+            if not floats:
+                u, v = float(u[0]), float(v[0])
+            try:
                 huu, huv, hvv = second(u, v)
+            except _RANGE_ERRORS:
+                huu = huv = hvv = math.nan
+            if floats:
                 return huu, huv, huv, hvv
-            huu, huv, hvv = second(float(u[0]), float(v[0]))
             return (np.array([[huu]]), np.array([[huv]]),
                     np.array([[huv]]), np.array([[hvv]]))
 
     return GameOracle(name=name, dim_u=1, dim_v=1, value=_value,
-                      grad_u=_grad_u, grad_v=_grad_v,
+                      grad_u=gradient(gx), grad_v=gradient(gy),
                       second_order=second_order, domain=domain,
                       float_form=True)
 

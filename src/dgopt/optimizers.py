@@ -314,8 +314,9 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
             gu_norm, gv_norm = math.sqrt(gu * gu), math.sqrt(gv * gv)
         else:
             u, v = u.copy(), v.copy()
-            gu_norm = float(np.sqrt(gu.dot(gu)))
-            gv_norm = float(np.sqrt(gv.dot(gv)))
+            with np.errstate(over="ignore"):
+                gu_norm = float(np.sqrt(gu.dot(gu)))
+                gv_norm = float(np.sqrt(gv.dot(gv)))
         if not log_dg:
             dg_val = None
         elif dg_val is None:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import outputs
 from .dg import AdaGradState, adagrad_step
-from .dynamics import grid_duality_gap
 from .games import Array, Box, checked
 from .parallel import split_runs
 
@@ -54,10 +53,6 @@ class RealizableProblem:
     @property
     def diameter(self) -> float:
         return self.box.diameter
-
-    def sample_value(self, x: Array, z: int) -> float:
-        e = x - self.x_star
-        return 0.5 * float(e @ self.matrices[z] @ e)
 
     def sample_grad(self, x: Array, z: int) -> Array:
         return self.matrices[z].dot(x - self.x_star)
@@ -219,129 +214,3 @@ def run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
     repeats=1 each rule has a CPU."""
     return _run_rates(problem, t_list, seed, repeats, ("adagrad", "sgd"),
                       start)
-
-
-# ---------------------------------------------------------------------------
-# approximate realizability on 1-D/1-D quadratic families
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticSaddle:
-    """Convex-concave 0.5 a (u-p)^2 - 0.5 b (v-q)^2 + c (u-p)(v-q)."""
-
-    a: float
-    b: float
-    c: float
-    p: float
-    q: float
-
-    def value(self, u: float, v: float) -> float:
-        du, dv = u - self.p, v - self.q
-        return 0.5 * self.a * du * du - 0.5 * self.b * dv * dv + self.c * du * dv
-
-    def box_dg(self, u: float, v: float, lo: float, hi: float) -> float:
-        """Exact box DG via the clamped 1-D optima."""
-        du = u - self.p
-        v_opt = min(max(self.q + self.c * du / self.b, lo), hi)
-        best_max = self.value(u, v_opt)
-        dv = v - self.q
-        u_opt = min(max(self.p - self.c * dv / self.a, lo), hi)
-        best_min = self.value(u_opt, v)
-        return best_max - best_min
-
-
-def make_approx_realizable_family(epsilon: float, size: int, seed: int,
-                                  lo: float = -1.0, hi: float = 1.0) -> list:
-    """Family whose members are eps-approximate equilibria of (0, 0).
-
-    Equilibrium offsets are scaled so the worst per-member DG at the
-    shared point equals epsilon; the construction is then re-verified
-    with the exact box DG and refuses to return a violating family.
-    """
-    checked("family size", size, at_least=1)
-    checked("epsilon", epsilon, at_least=0)
-    rng = seeded_rng(seed, "approx-realizable")
-    members = []
-    for _ in range(size):
-        a = rng.uniform(1.0, 2.0)
-        b = rng.uniform(1.0, 2.0)
-        c = rng.uniform(0.3, 0.8)
-        p = rng.uniform(-1.0, 1.0)
-        q = rng.uniform(-1.0, 1.0)
-        members.append(QuadraticSaddle(a=a, b=b, c=c, p=p, q=q))
-
-    if epsilon == 0.0:
-        members = [QuadraticSaddle(m.a, m.b, m.c, 0.0, 0.0) for m in members]
-    else:
-        # DG at the origin = 0.5 (a + c^2/b) p^2 + 0.5 (b + c^2/a) q^2 for
-        # interior responses; scale all offsets so the max equals epsilon
-        raw = [0.5 * (m.a + m.c ** 2 / m.b) * m.p ** 2
-               + 0.5 * (m.b + m.c ** 2 / m.a) * m.q ** 2 for m in members]
-        worst = max(raw)
-        scale = math.sqrt(epsilon / worst) if worst > 0 else 0.0
-        members = [QuadraticSaddle(m.a, m.b, m.c, scale * m.p, scale * m.q)
-                   for m in members]
-
-    verify_family_realizability(members, epsilon, lo=lo, hi=hi)
-    return members
-
-
-def verify_family_realizability(members, epsilon: float, point=(0.0, 0.0),
-                                lo: float = -1.0, hi: float = 1.0):
-    """Raise unless every member's box DG at the shared point is <= eps."""
-    for i, m in enumerate(members):
-        got = m.box_dg(point[0], point[1], lo, hi)
-        if got > epsilon + 1e-9:
-            raise RuntimeError(
-                f"approximate-realizability construction failed: member {i} "
-                f"has DG {got:.6g} > epsilon {epsilon:.6g} at the shared point")
-
-
-@dataclass
-class ApproxRealizabilityReport:
-    epsilon: float
-    minimizer: tuple
-    expected_dg_at_min: float
-    full_dg_at_min: float
-    slack: float
-    passed: bool
-
-
-def check_approx_realizability(family: Sequence[QuadraticSaddle],
-                               epsilon: float, resolution: int = 201,
-                               lo: float = -1.0, hi: float = 1.0,
-                               slack: float = 0.01) -> ApproxRealizabilityReport:
-    """Grid version of the approximate-realizability argument.
-
-    Finds the grid minimizer of the expected per-member box DG, then
-    checks the full problem's box DG there is at most epsilon plus a
-    curvature-scale grid slack.  Also verifies, node by node, that the
-    full DG never exceeds the expected per-member DG (max of an average
-    is at most the average of maxes).
-    """
-    checked("epsilon", epsilon, at_least=0)
-    checked("slack", slack, at_least=0)
-    checked("grid resolution", resolution, at_least=1)
-    axis = np.linspace(lo, hi, resolution)
-
-    # per-member value tables on the shared grid (value() broadcasts)
-    grid_u, grid_v = np.meshgrid(axis, axis, indexing="ij")
-    tables = np.stack([m.value(grid_u, grid_v) for m in family])
-
-    expected_dg = grid_duality_gap(tables).mean(axis=0)
-    full_dg = grid_duality_gap(tables.mean(axis=0))
-
-    if np.any(full_dg > expected_dg + 1e-9):
-        raise AssertionError("grid check of max-of-average <= average-of-max "
-                             "failed; the value tables are inconsistent")
-
-    i, j = np.unravel_index(int(np.argmin(expected_dg)), expected_dg.shape)
-    minimizer = (float(axis[i]), float(axis[j]))
-    exp_at_min = float(expected_dg[i, j])
-    full_at_min = float(full_dg[i, j])
-    passed = full_at_min <= epsilon + slack
-    return ApproxRealizabilityReport(epsilon=epsilon, minimizer=minimizer,
-                                     expected_dg_at_min=exp_at_min,
-                                     full_dg_at_min=full_at_min,
-                                     slack=slack, passed=passed)

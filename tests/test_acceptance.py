@@ -26,15 +26,15 @@ import numpy as np
 import pytest
 
 from dgopt.dg import DGConfig, dg_descent_step, dg_estimate, dg_metric
-from dgopt.dynamics import (dg_update_matrix_f1, dg_update_matrix_f2,
-                            linearize, verify_dg_update_matrix)
+from dgopt.dynamics import linearize
 from dgopt.games import JointPoint, make_bilinear, make_game
 from dgopt.mog import MogGanGame
 from dgopt.optimizers import OptimizerConfig, gda_step, make_step_map, run_trajectory
-from dgopt.rates import (check_approx_realizability,
-                         make_approx_realizable_family,
-                         make_realizable_quadratic, run_adagrad_rate,
+from dgopt.rates import (make_realizable_quadratic, run_adagrad_rate,
                          run_sgd_baseline, seeded_rng)
+from game_helpers import (check_approx_realizability, dg_update_matrix_f1,
+                          dg_update_matrix_f2, make_approx_realizable_family,
+                          verify_dg_update_matrix)
 
 ORIGIN = JointPoint.of(0.0, 0.0)
 INIT = JointPoint.of(0.5, 0.5)

@@ -122,6 +122,45 @@ class TestTraj:
         assert [r[:-1] for r in logged] == [r[:-1] for r in plain]
         assert [r[-1] for r in logged[1:]] == ["", ""]
 
+    # a catalog formula that leaves the float range (f3's x ** 3 above
+    # |x| ~ 5.6e102) or math's domain (sin and cos of +-inf, past the
+    # first step) gives NaN, so the run keeps its records and exits 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags, out, err", [
+        (("--game", "f3", "--init=1e100,1"), "non_convergent after 0 steps",
+         "stopped at step 1: non-finite gradient\n"),
+        (("--game", "f3", "--init=1e200,1"), "non_convergent after 0 steps",
+         "stopped at step 1: non-finite gradient\n"),
+        (("--game", "motivation", "--init=1e308,1"),
+         "non_convergent after 0 steps",
+         "stopped at step 1: non-finite gradient\n"),
+        (("--game", "ncnc:c=1,sep=1", "--init=1e308,-1e308", "--eta", "10"),
+         "diverged after 1 steps", ""),
+    ], ids=["f3-1e100", "f3-1e200", "motivation", "ncnc"])
+    def test_formula_out_of_range_keeps_the_records(self, tmp_path, capsys,
+                                                    flags, out, err):
+        prefix = tmp_path / "run"
+        code = run(["traj", "--alg", "gda", *flags, "--steps", "3",
+                    "--no-plot", "--out", str(prefix)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert out in captured.out
+        assert captured.err == err
+        rows = Path(f"{prefix}.csv").read_text().splitlines()
+        assert len(rows) == (3 if out.startswith("diverged") else 2)
+
+    def test_overflowing_norm_prints_no_warning(self, tmp_path, capsys):
+        # the first step leaves |u| ~ 5e307, so the (boxed game's) array
+        # norm overflows to inf and reads diverged without a numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["traj", "--game", "motivation", "--alg", "gda",
+                        "--init=9,9", "--eta", "1e306", "--no-plot",
+                        "--out", str(tmp_path / "run")])
+        assert [str(w.message) for w in caught] == []
+        assert code == 0
+        assert "diverged after 1 steps" in capsys.readouterr().out
+
     def test_unrolled_dg_on_boxed_game_is_usage_error(self, tmp_path, capsys):
         code = run(["traj", "--game", "motivation", "--alg", "dg", "--mode",
                     "unrolled", "--init", "1,1", "--steps", "5", "--no-plot",
@@ -218,6 +257,32 @@ class TestLandscape:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "land.csv").exists()
+
+
+    def test_overflowing_formula_gives_nan_cells(self, tmp_path, capsys):
+        # f3's x ** 3 overflows at the +-1e200 nodes; the centre is finite
+        prefix = tmp_path / "land"
+        code = run(["landscape", "--game", "f3", "--box=-1e200,1e200",
+                    "--res", "3", "--measure", "minimax_value", "--no-plot",
+                    "--out", str(prefix)])
+        assert code == 0
+        assert "argmin at (u, v) = (0, 0)" in capsys.readouterr().out
+        cells = [row.split(",") for row in
+                 Path(f"{prefix}.csv").read_text().splitlines()]
+        assert cells[1][1] == "0.0"
+        assert "nan" in cells[0]
+
+
+    def test_grid_without_finite_value_writes_nothing(self, tmp_path,
+                                                      capsys):
+        # f1 overflows to -inf or NaN at every node of this box
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run(["landscape", "--game", "f1", "--box=-1,1e308",
+                        "--res", "3", "--out", str(tmp_path / "land")])
+        assert code == 2
+        assert "no finite value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRate:

@@ -128,9 +128,9 @@ def test_unrolled_modes_match_the_separate_loops(spec, k, gamma, x, y):
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
-# The float form: a catalog game's chains at one float64 point without a
-# box step Python floats; every result must be the array chain's, bit for
-# bit, including where and how a diverging chain fails.
+# The float form: a catalog game's chains at a point of two Python floats
+# (no box) step Python floats; every result must be the (1,) array
+# chain's, bit for bit, including where and how a diverging chain fails.
 FLOAT_FORM = {spec: game for spec, game in CATALOG.items()
               if game.domain is None}
 FLOAT_FORM["motivation"] = replace(CATALOG["motivation"], domain=None)
@@ -194,18 +194,17 @@ def test_diverging_float_chain_fails_at_the_array_chains_step(ascent):
 @given(spec=st.sampled_from(sorted(FLOAT_FORM)), k=st.integers(0, 12),
        gamma=inner_gamma, x=wide, y=wide)
 def test_float_form_estimate_is_the_array_estimate(spec, k, gamma, x, y):
-    p, cfg = JointPoint.of(x, y), DGConfig(k=k, gamma=gamma)
+    # the estimate at a point of two Python floats is the (1,) estimate
+    cfg = DGConfig(k=k, gamma=gamma)
 
-    def estimate(game):
+    def estimate(p):
         with np.errstate(over="ignore", invalid="ignore"):
-            est = dg_estimate(game, p, cfg)
-        return (np.float64(est.value).tobytes(),
-                *(getattr(est, field).tobytes() for field in
-                  ("u_worst", "v_worst", "grad_u", "grad_v")))
+            est = dg_estimate(FLOAT_FORM[spec], p, cfg)
+        return tuple(np.asarray(getattr(est, field)).tobytes() for field in
+                     ("value", "u_worst", "v_worst", "grad_u", "grad_v"))
 
-    game = FLOAT_FORM[spec]
-    assert (_outcome(lambda: estimate(game))
-            == _outcome(lambda: estimate(replace(game, float_form=False))))
+    assert (_outcome(lambda: estimate(JointPoint(x, y)))
+            == _outcome(lambda: estimate(JointPoint.of(x, y))))
 
 
 def _recorded(fn, seen):
@@ -218,13 +217,16 @@ def _recorded(fn, seen):
 
 @pytest.mark.parametrize("spec", sorted(FLOAT_FORM))
 def test_one_float64_point_steps_floats(spec):
-    seen = set()
+    # the chains step the form they are handed: floats stay floats, and
+    # a (1,) float64 point stays on arrays
     game = FLOAT_FORM[spec]
-    game = replace(game, grad_u=_recorded(game.grad_u, seen),
-                   grad_v=_recorded(game.grad_v, seen))
-    worst_case_responses(game, JointPoint.of(0.3, -0.2),
-                         DGConfig(k=3, gamma=0.05))
-    assert seen == {(float, float)}
+    for p, form in ((JointPoint(0.3, -0.2), float),
+                    (JointPoint.of(0.3, -0.2), np.ndarray)):
+        seen = set()
+        recorded = replace(game, grad_u=_recorded(game.grad_u, seen),
+                           grad_v=_recorded(game.grad_v, seen))
+        worst_case_responses(recorded, p, DGConfig(k=3, gamma=0.05))
+        assert seen == {(form, form)}
 
 
 @pytest.mark.parametrize("case", ["box", "batch", "float32", "mog"])

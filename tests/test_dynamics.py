@@ -5,16 +5,15 @@ import pytest
 
 from dgopt.dg import DGConfig, dg_metric
 from dgopt.dynamics import (MEASURES, LandscapeGrid, NotAFixedPointError,
-                            StabilityReport, bilinear_exact_dg,
-                            classify_critical_point,
-                            dg_exact_grid, dg_update_matrix_f1,
-                            dg_update_matrix_f2, eigenvalues_2x2,
-                            grid_duality_gap, landscape,
-                            linearize, verify_dg_update_matrix)
+                            StabilityReport, dg_exact_grid, eigenvalues_2x2,
+                            grid_duality_gap, landscape, linearize)
 from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
                          make_bilinear, make_game, make_motivation,
                          make_quadratic_f1, make_quadratic_f2)
 from dgopt.optimizers import OptimizerConfig, make_step_map, run_trajectory
+from game_helpers import (bilinear_exact_dg, classify_critical_point,
+                          dg_update_matrix_f1, dg_update_matrix_f2,
+                          verify_dg_update_matrix)
 
 ORIGIN = JointPoint.of(0.0, 0.0)
 F1 = make_quadratic_f1()

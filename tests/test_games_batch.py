@@ -1,4 +1,8 @@
-"""Property tests: a catalog oracle on a batch equals its per-point calls."""
+"""Property tests: a catalog oracle on a batch equals its per-point calls,
+and its three forms (two floats, a (1,) point, a batch entry) agree."""
+
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dgopt.games import make_game  # noqa: E402
+from dgopt.games import JointPoint, make_game  # noqa: E402
 from test_games import ALL_GAMES  # noqa: E402
 
 GAMES = {spec: make_game(spec) for spec in ALL_GAMES}
@@ -55,3 +59,30 @@ def test_batch_shapes_must_agree():
         game.value(np.zeros((3, 1)), np.zeros((4, 1)))
     with pytest.raises(ValueError, match="one shape"):
         game.grad_u(np.zeros(1), np.zeros((2, 1)))
+
+
+# the whole float range: any float, plus the edges drawn on purpose
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308,
+         sys.float_info.max, -sys.float_info.max]
+any_float = st.one_of(st.sampled_from(EDGES), st.floats())
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=500)
+@given(spec=st.sampled_from(ALL_GAMES), x=any_float, y=any_float)
+def test_three_forms_agree_and_never_raise(spec, x, y):
+    # a formula that overflows or leaves math's domain gives NaN, in
+    # every form; entry 1 of the batch is the point
+    game = GAMES[spec]
+    u, v = np.array([x]), np.array([y])
+    batch_u, batch_v = np.array([[0.5], [x], [-1.5]]), np.array([[2.0], [y], [0.25]])
+    with np.errstate(all="ignore"):
+        for oracle in (game.value, game.grad_u, game.grad_v):
+            assert (_bytes(oracle(x, y)) == _bytes(oracle(u, v))
+                    == _bytes(oracle(batch_u, batch_v)[1]))
+        at_floats = game.hessian_blocks(JointPoint(x, y))
+        at_point = game.hessian_blocks(JointPoint(u, v))
+    assert [_bytes(h) for h in at_floats] == [_bytes(h) for h in at_point]

@@ -10,12 +10,13 @@ import pytest
 
 from dgopt import rates
 from dgopt.dg import AdaGradState, adagrad_step
-from dgopt.rates import (QuadraticSaddle, RateResult,
-                         check_approx_realizability,
-                         make_approx_realizable_family,
-                         make_realizable_quadratic, run_adagrad_rate,
-                         run_rates, run_sgd_baseline, seeded_rng)
-from game_helpers import box_contains
+from dgopt.rates import (RateResult, make_realizable_quadratic,
+                         run_adagrad_rate, run_rates, run_sgd_baseline,
+                         seeded_rng)
+from game_helpers import (QuadraticSaddle, box_contains,
+                          check_approx_realizability,
+                          make_approx_realizable_family, sample_value,
+                          verify_family_realizability)
 
 
 class TestConstruction:
@@ -24,7 +25,7 @@ class TestConstruction:
         for z in range(prob.family_size):
             g = prob.sample_grad(prob.x_star, z)
             assert np.all(g == 0.0)
-            assert prob.sample_value(prob.x_star, z) == 0.0
+            assert sample_value(prob, prob.x_star, z) == 0.0
 
     def test_values_nonnegative_psd(self):
         prob = make_realizable_quadratic(6, 10, seed=5)
@@ -32,7 +33,7 @@ class TestConstruction:
         for _ in range(200):
             x = rng.uniform(-1, 1, 6)
             z = rng.integers(0, prob.family_size)
-            assert prob.sample_value(x, int(z)) >= 0.0
+            assert sample_value(prob, x, int(z)) >= 0.0
 
     def test_matrices_symmetric_psd(self):
         prob = make_realizable_quadratic(5, 8, seed=11)
@@ -50,7 +51,7 @@ class TestConstruction:
                 x = rng.uniform(-1, 1, 7)
                 z = int(rng.integers(0, prob.family_size))
                 g = prob.sample_grad(x, z)
-                q = prob.sample_value(x, z)
+                q = sample_value(prob, x, z)
                 assert g @ g <= 2 * big_l * q + 1e-9
 
 
@@ -314,7 +315,6 @@ class TestApproxRealizability:
         assert report.full_dg_at_min <= report.expected_dg_at_min + 1e-9
 
     def test_violated_family_never_passes_silently(self):
-        from dgopt.rates import verify_family_realizability
         bad = [QuadraticSaddle(a=1.0, b=1.0, c=0.5, p=0.8, q=0.8)]
         assert bad[0].box_dg(0.0, 0.0, -1.0, 1.0) > 0.01
         with pytest.raises(RuntimeError, match="construction failed"):

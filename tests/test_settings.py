@@ -15,18 +15,17 @@ import pytest
 
 from dgopt.cli import _dg_config, _parse_point
 from dgopt.dg import AdaGradState, DGConfig, dg_metric, worst_case_responses
-from dgopt.dynamics import (classify_critical_point, dg_exact_grid,
-                            dg_update_matrix_f1, dg_update_matrix_f2,
-                            landscape, linearize)
+from dgopt.dynamics import dg_exact_grid, landscape, linearize
 from dgopt.games import (Box, JointPoint, central_jacobian, checked,
                          make_bilinear, make_game, make_ncnc,
                          make_quadratic_f1)
 from dgopt.mog import MogGanGame, mode_coverage, train_mog
 from dgopt.optimizers import (OptimizerConfig, make_step_map, run_trajectory,
                               unrolled_step)
-from dgopt.rates import (check_approx_realizability,
-                         make_approx_realizable_family,
-                         make_realizable_quadratic, run_adagrad_rate)
+from dgopt.rates import make_realizable_quadratic, run_adagrad_rate
+from game_helpers import (check_approx_realizability, classify_critical_point,
+                          dg_update_matrix_f1, dg_update_matrix_f2,
+                          make_approx_realizable_family)
 
 TINY = math.nextafter(0.0, 1.0)
 NAN, INF = float("nan"), float("inf")
