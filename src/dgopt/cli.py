@@ -11,11 +11,15 @@ duality-gap evaluation concurrently when the process may use two or
 more CPUs, e.g. under taskset, with the same outputs either way.  A rate
 run splits its runs over a forked worker process on the same condition
 (see parallel.split_runs).
+
+One argument parser, built on the first main call and not at import,
+serves every later call of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -106,11 +110,9 @@ def _plot_trajectory(game, traj, path):
     canvas = svgplot.SvgCanvas()
     axes = svgplot.Axes(canvas, (-span, span), (-span, span), xlabel="u",
                         ylabel="v", title=f"{traj.algorithm} on {traj.game}")
-    res = 41
-    u_axis = np.linspace(-span, span, res)
-    v_axis = np.linspace(-span, span, res)
-    svgplot.heatmap(canvas, axes, u_axis, v_axis,
-                    dynamics.value_grid(game.value, u_axis, v_axis))
+    axis = np.linspace(-span, span, 41)
+    svgplot.heatmap(canvas, axes, axis, axis,
+                    dynamics.value_grid(game.value, axis, axis))
     axes.polyline(pts[:, 0], pts[:, 1], color="#000000")
     axes.marker(pts[0, 0], pts[0, 1], color="#2ca02c")
     axes.marker(pts[-1, 0], pts[-1, 1], color="#d62728")
@@ -293,7 +295,9 @@ def _add_optimizer_flags(sub):
     sub.add_argument("--unroll-k", dest="unroll_k", type=int, default=10)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dgopt parser, built on first use and shared by every parse."""
     parser = argparse.ArgumentParser(
         prog="dgopt", allow_abbrev=False,
         description="duality-gap optimization toolkit for two-player games")
@@ -360,15 +364,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    """The pre-parser that finds --config, built once like build_parser."""
+    pre = argparse.ArgumentParser(prog="dgopt", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _load_config_argv(argv):
     """Translate a key=value config file, given as --config FILE or
     --config=FILE, into argv entries inserted after the subcommand, so
     explicit flags still win.  Any other flag before the subcommand is
     refused by name (argparse would take its value for the subcommand)."""
-    pre = argparse.ArgumentParser(prog="dgopt", add_help=False,
-                                  allow_abbrev=False)
-    pre.add_argument("--config")
-    found, rest = pre.parse_known_args(argv)
+    found, rest = _config_parser().parse_known_args(argv)
     if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):
         raise ValueError(f"unrecognized argument before the subcommand: "
                          f"{rest[0]}")

@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
-                    checked)
+                    checked, matvec)
 from .parallel import run_pair
 
 GRAD_MODES = ("envelope", "unrolled")
@@ -177,31 +177,43 @@ def _differentiated_chain(game, p, step, k):
     H_own the player's own Hessian block and H_cross the derivative of
     its gradient w.r.t. the opponent, each step takes
     d_own <- d_own + step * H_own d_own and
-    d_opp <- d_opp + step * (H_own d_opp + H_cross) before moving x, as
-    one product on the stacked D = [d_own | d_opp].
-    Returns (x_k, d_own = dx_k/d start, d_opp = dx_k/d opponent).
+    d_opp <- d_opp + step * (H_own d_opp + H_cross) before moving x: as
+    one product on the stacked D = [d_own | d_opp], or on Python floats
+    at a float point (see _inner_halves).  Returns (x_k, d_own^T, d_opp^T)
+    for d_own = dx_k/d start and d_opp = dx_k/d opponent.
     """
     u, v = p
     ascent = step > 0
-    x = (v if ascent else u).astype(float, copy=True)
-    n = x.size
-    D = np.eye(n, n + (game.dim_u if ascent else game.dim_v))
+    x = v if ascent else u
+    floats = isinstance(x, float)
+    if floats:
+        d_own, d_opp = 1.0, 0.0
+    else:
+        x = x.astype(float, copy=True)
+        n = x.size
+        D = np.eye(n, n + (game.dim_u if ascent else game.dim_v))
     for _ in range(k):
         H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(
             JointPoint(u, x) if ascent else JointPoint(x, v))
         H_own, H_cross = (H_vv, H_vu) if ascent else (H_uu, H_uv)
-        HD = H_own @ D
-        HD[:, n:] += H_cross
-        D = D + step * HD
+        if floats:
+            d_own, d_opp = (d_own + step * matvec(H_own, d_own),
+                            d_opp + step * (matvec(H_own, d_opp) + H_cross))
+        else:
+            HD = H_own @ D
+            HD[:, n:] += H_cross
+            D = D + step * HD
         x = x + step * (game.grad_v(u, x) if ascent else game.grad_u(x, v))
-    return x, D[:, :n], D[:, n:]
+    if floats:
+        return x, d_own, d_opp
+    return x, D[:, :n].T, D[:, n:].T
 
 
 def _unrolled_grads(game, p, k, gamma):
     """Total derivative of M(u, v_k) - M(u_k, v) through both inner chains.
 
     The ascent chain gives A = dv_k/du and B = dv_k/dv, the descent
-    chain C = du_k/du and D = du_k/dv (_differentiated_chain).
+    chain C = du_k/du and D = du_k/dv, each transposed (_differentiated_chain).
     Differentiating through a box projection needs its (discontinuous)
     Jacobian, so a game with a box domain is rejected rather than
     differentiated as if unbounded.
@@ -211,14 +223,14 @@ def _unrolled_grads(game, p, k, gamma):
                          f"through the box domain of {game.name}; use the "
                          f"envelope mode")
     u, v = p
-    y, B, A = _differentiated_chain(game, p, gamma, k)
-    x, C, D = _differentiated_chain(game, p, -gamma, k)
+    y, B_t, A_t = _differentiated_chain(game, p, gamma, k)
+    x, C_t, D_t = _differentiated_chain(game, p, -gamma, k)
 
     gu_first, gv_first = game.grads(u, y)
     gu_second, gv_second = game.grads(x, v)
 
-    grad_u = gu_first + A.T @ gv_first - C.T @ gu_second
-    grad_v = B.T @ gv_first - gv_second - D.T @ gu_second
+    grad_u = gu_first + matvec(A_t, gv_first) - matvec(C_t, gu_second)
+    grad_v = matvec(B_t, gv_first) - gv_second - matvec(D_t, gu_second)
     return x, y, grad_u, grad_v
 
 
@@ -242,12 +254,7 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig) -> DGEstimate:
         raise ValueError("the unrolled DG gradient takes one point, not a "
                          "batch; use the envelope mode")
     if cfg.grad_mode == "unrolled" and cfg.k > 0:
-        if isinstance(u, float):
-            uw, vw, grad_u, grad_v = (float(x[0]) for x in _unrolled_grads(
-                game, JointPoint.of(*p), cfg.k, cfg.gamma))
-        else:
-            uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k,
-                                                     cfg.gamma)
+        uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, cfg.gamma)
         value = game.value(u, vw) - game.value(uw, v)
     else:
         (uw, low, gv), (vw, high, grad_u) = _inner_halves(

@@ -66,10 +66,10 @@ class JointPoint(NamedTuple):
 
     One point of a game with the float form (GameOracle) may also be two
     Python floats, one coordinate per player; run_trajectory steps such
-    a point when float_point_ok allows it.  to_floats makes one from a
-    (1,) point and of makes a (1,) point from one; norm takes either
-    form, concat, split and distance_to take arrays.  A norm or distance
-    past the float range is inf, with no numpy overflow warning.
+    a point when float_point_ok allows it.  of makes a (1,) point from
+    one; norm takes either form, concat, split and distance_to take
+    arrays.  A norm or distance past the float range is inf, with no
+    numpy overflow warning.
     """
 
     u: Array
@@ -78,9 +78,6 @@ class JointPoint(NamedTuple):
     @staticmethod
     def of(u, v) -> "JointPoint":
         return JointPoint(as_vector(u), as_vector(v))
-
-    def to_floats(self) -> "JointPoint":
-        return JointPoint(float(self.u[0]), float(self.v[0]))
 
     def concat(self) -> Array:
         return np.concatenate([self.u, self.v])
@@ -148,8 +145,9 @@ class GameOracle:
     set (the scalar catalog games) also takes one point as two Python
     floats: value, grad_u and grad_v return a Python float, the same
     float as the (1,) call's one entry, and hessian_blocks returns four
-    floats, the (1, 1) blocks' entries.  Batches, boxed games, float32
-    points, the GAN and linearize's finite differences keep arrays.
+    floats, the (1, 1) blocks' entries.  Every step rule steps such a
+    point on floats; batches, boxed games, float32 points, the GAN and
+    linearize's finite differences keep arrays.
 
     grads(u, v) is the joint-gradient entry point, (grad_u, grad_v) at
     one point, which the step rules call once per gradient pair.  Here
@@ -196,6 +194,14 @@ def float_point_ok(game, u, v) -> bool:
     return (game.float_form and game.domain is None
             and getattr(u, "shape", None) == (1,) and u.dtype == np.float64
             and getattr(v, "shape", None) == (1,) and v.dtype == np.float64)
+
+
+def matvec(H, g):
+    """The Hessian block product H @ g; at a float point h * g + 0.0,
+    since numpy's 1x1 product adds to +0.0 and so never gives -0.0."""
+    if isinstance(g, float):
+        return H * g + 0.0
+    return H @ g
 
 
 def central_difference(fn: Callable[[Array], Array], x: Array,

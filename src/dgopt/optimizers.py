@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dg as dgmod, outputs
 from .games import (Array, GameOracle, JointPoint, NonFiniteValueError,
-                    SingularHessianError, checked, float_point_ok)
+                    SingularHessianError, checked, float_point_ok, matvec)
 
 ALGORITHMS = ("gda", "ogda", "eg", "sga", "co", "unrolled", "fr", "dg")
 
@@ -55,14 +55,6 @@ def _checked_grads(game: GameOracle, p: JointPoint):
     if not finite:
         raise NonFiniteValueError("non-finite gradient", point=p)
     return gu, gv
-
-
-def _times(H, g):
-    """The Hessian block product H @ g; at a float point h * g + 0.0,
-    since numpy's 1x1 product adds to +0.0 and so never gives -0.0."""
-    if isinstance(g, float):
-        return H * g + 0.0
-    return H @ g
 
 
 def _solve(H, b):
@@ -118,8 +110,8 @@ def sga_step(game: GameOracle, p: JointPoint, eta: float,
     gu, gv = _checked_grads(game, p)
     _, H_uv, H_vu, _ = game.hessian_blocks(p)
     gx, gy = gu, -gv
-    adj_x = gx - lam * _times(H_uv, gy)
-    adj_y = lam * _times(H_vu, gx) + gy
+    adj_x = gx - lam * matvec(H_uv, gy)
+    adj_y = lam * matvec(H_vu, gx) + gy
     return JointPoint(p.u - eta * adj_x, p.v - eta * adj_y)
 
 
@@ -133,8 +125,8 @@ def co_step(game: GameOracle, p: JointPoint, eta: float,
     """
     gu, gv = _checked_grads(game, p)
     H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(p)
-    pen_u = _times(H_uu, gu) + _times(H_uv, gv)
-    pen_v = _times(H_vu, gu) + _times(H_vv, gv)
+    pen_u = matvec(H_uu, gu) + matvec(H_uv, gv)
+    pen_v = matvec(H_vu, gu) + matvec(H_vv, gv)
     return JointPoint(p.u - eta * gu - gamma * eta * pen_u,
                       p.v + eta * gv - gamma * eta * pen_v)
 
@@ -147,16 +139,14 @@ def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
     differentiated w.r.t. u by forward accumulation (S = dy/du), giving
     the leader the total derivative of u -> M(u, y_k(u)).  The follower
     itself takes a plain ascent step at the original point.  A float
-    point is stepped as (1,) arrays and returned as floats.
+    point steps the chain and S on Python floats.
     """
     checked("unrolled step count k", k, at_least=1)
-    if isinstance(p.u, float):
-        return unrolled_step(game, JointPoint.of(*p), eta, k).to_floats()
     gu, gv = _checked_grads(game, p)
     u, v = p
-    y, _, S = dgmod._differentiated_chain(game, p, eta, k)
+    y, _, S_t = dgmod._differentiated_chain(game, p, eta, k)
     gu_y, gv_y = game.grads(u, y)
-    total = gu_y + S.T @ gv_y
+    total = gu_y + matvec(S_t, gv_y)
     return JointPoint(u - eta * total, v + eta * gv)
 
 
@@ -175,7 +165,7 @@ def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
     gu, gv = _checked_grads(game, p)
     _, _, H_vu, H_vv = game.hessian_blocks(p)
     try:
-        correction = _solve(H_vv, _times(H_vu, gu))
+        correction = _solve(H_vv, matvec(H_vu, gu))
     except np.linalg.LinAlgError:
         raise SingularHessianError(f"H_vv is singular at {_where(p)}",
                                    point=p) from None
@@ -252,7 +242,9 @@ class Trajectory:
         return JointPoint(r.u, r.v)
 
     def points(self) -> np.ndarray:
-        return np.array([np.concatenate([r.u, r.v]) for r in self.records])
+        """One row [u | v] per record."""
+        return np.hstack([np.array([r.u for r in self.records]),
+                          np.array([r.v for r in self.records])])
 
     def write_csv(self, path):
         r0 = self.records[0]
@@ -260,8 +252,8 @@ class Trajectory:
             path, ["t", *(f"u{i}" for i in range(len(r0.u))),
                    *(f"v{i}" for i in range(len(r0.v))),
                    "value", "grad_u_norm", "grad_v_norm", "dg"],
-            ([r.t, *r.u, *r.v, r.value, r.grad_u_norm, r.grad_v_norm, r.dg]
-             for r in self.records))
+            ([r.t, *uv, r.value, r.grad_u_norm, r.grad_v_norm, r.dg]
+             for r, uv in zip(self.records, self.points().tolist())))
 
     def summary(self) -> dict:
         final = self.records[-1]
@@ -332,7 +324,7 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     # back its DG value; no step is taken from the last or a diverged one
     p = JointPoint.of(init.u, init.v)
     if float_point_ok(game, *p):
-        p = p.to_floats()
+        p = JointPoint(float(p.u[0]), float(p.v[0]))
     for t in range(steps + 1):
         nxt = dg_val = None
         diverged = t > 0 and p.norm() > diverge_norm

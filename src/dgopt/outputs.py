@@ -18,13 +18,14 @@ def _cell(x) -> str:
 
 
 def write_csv(path, header, rows):
-    """One line per row of cells, after the header unless it is None."""
+    """One line per row of cells, after the header unless it is None,
+    written to the file in one call."""
+    lines = [] if header is None else [",".join(header)]
+    # Python float cells, the bulk, skip the _cell call
+    lines.extend(",".join([repr(x) if type(x) is float else _cell(x)
+                           for x in row]) for row in rows)
     with open(path, "w") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in rows:    # float cells, the bulk, skip the _cell call
-            fh.write(",".join([repr(float(x)) if isinstance(x, float)
-                               else _cell(x) for x in row]) + "\n")
+        fh.write("".join([line + "\n" for line in lines]))
 
 
 def write_json(path, obj):

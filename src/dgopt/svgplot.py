@@ -101,18 +101,21 @@ class Axes:
         self._ticks()
 
     def px(self, x):
-        """Pixel x of a data value, or of each entry of an array."""
+        """Pixel x of a data value, or of each entry of an array: inf or
+        NaN, with no numpy warning, where the arithmetic overflows."""
         if self.xlog:
             x = _log10(x)
         span = self.x1 - self.x0 or 1.0
-        return self.left + (x - self.x0) / span * (self.right - self.left)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.left + (x - self.x0) / span * (self.right - self.left)
 
     def py(self, y):
-        """Pixel y of a data value, or of each entry of an array."""
+        """Pixel y of a data value, or of each entry of an array, as px."""
         if self.ylog:
             y = _log10(y)
         span = self.y1 - self.y0 or 1.0
-        return self.bottom - (y - self.y0) / span * (self.bottom - self.top)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.bottom - (y - self.y0) / span * (self.bottom - self.top)
 
     def _ticks(self, count=5):
         for i in range(count):
@@ -133,22 +136,26 @@ class Axes:
                              anchor="end")
 
     def polyline(self, xs, ys, color="#1f77b4", width=1.5):
-        """The points with finite x and y, pairing xs and ys as zip does."""
-        xs, ys = np.asarray(xs), np.asarray(ys)
+        """The points with finite x and y and finite pixels, pairing xs
+        and ys as zip does."""
         n = min(len(xs), len(ys))
-        xs, ys = xs[:n], ys[:n]
+        xs, ys = np.asarray(xs)[:n], np.asarray(ys)[:n]
         finite = np.isfinite(xs) & np.isfinite(ys)
-        if not finite.any():
+        px, py = self.px(xs[finite]), self.py(ys[finite])
+        drawn = np.isfinite(px) & np.isfinite(py)
+        if not drawn.any():
             return
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in
-                       zip(self.px(xs[finite]).tolist(),
-                           self.py(ys[finite]).tolist()))
+                       zip(px[drawn].tolist(), py[drawn].tolist()))
         self.canvas.add(f'<polyline points="{pts}" fill="none" '
                         f'stroke="{color}" stroke-width="{width}"/>')
 
     def marker(self, x, y, color="#d62728", radius=4.0):
-        self.canvas.add(f'<circle cx="{_fmt(self.px(x))}" cy="{_fmt(self.py(y))}" '
-                        f'r="{radius}" fill="{color}"/>')
+        """A dot at (x, y), or nothing where a pixel is not finite."""
+        cx, cy = self.px(x), self.py(y)
+        if math.isfinite(cx) and math.isfinite(cy):
+            self.canvas.add(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                            f'r="{radius}" fill="{color}"/>')
 
 
 _HEX = [f"{i:02x}" for i in range(256)]

@@ -1,6 +1,7 @@
 """CLI subcommands: files, exit codes, determinism, SVG well-formedness."""
 
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -160,6 +161,25 @@ class TestTraj:
         assert [str(w.message) for w in caught] == []
         assert code == 0
         assert "diverged after 1 steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--game", "bilinear:c=1", "--init=1e306,1e306", "--eta", "100",
+         "--steps", "3"],
+        ["--game", "motivation", "--init=9,9", "--eta", "1e306"],
+    ], ids=["bilinear", "motivation"])
+    def test_overflowing_pixels_print_no_warning(self, tmp_path, capsys,
+                                                 argv):
+        # the last point's pixels overflow; the figure leaves them out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["traj", "--alg", "gda", *argv,
+                        "--out", str(tmp_path / "run")])
+        assert [str(w.message) for w in caught] == []
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        svg = (tmp_path / "run.svg").read_text()
+        assert "inf" not in svg and "nan" not in svg
+        ET.fromstring(svg)
 
     def test_unrolled_dg_on_boxed_game_is_usage_error(self, tmp_path, capsys):
         code = run(["traj", "--game", "motivation", "--alg", "dg", "--mode",
@@ -653,6 +673,51 @@ class TestConfigFile:
         cfg.write_text("steps=7\n")
         assert run([arg.format(cfg) for arg in argv]) == 2
         assert message in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main builds one parser per process; no call may leave state in it
+    that the next call sees."""
+
+    TRAJ = ["traj", "--game", "f1", "--alg", "gda", "--init", "1,1",
+            "--steps", "3", "--no-plot"]
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_target_does_not_carry_over(self, tmp_path):
+        # the append action copies its default list on each parse
+        out = tmp_path / "run"
+        assert run([*self.TRAJ, "--target=1,1", "--out", str(out)]) == 0
+        first = json.loads(out.with_suffix(".json").read_text())
+        assert run([*self.TRAJ, "--out", str(out)]) == 0
+        second = json.loads(out.with_suffix(".json").read_text())
+        assert first["final_point"] == second["final_point"]
+        u, v = second["final_point"]
+        assert second["final_distance"] == pytest.approx(math.hypot(u, v))
+        assert first["final_distance"] == pytest.approx(
+            math.hypot(u - 1, v - 1))
+        assert build_parser().parse_args(self.TRAJ).target == []
+
+    def test_usage_error_then_good_call(self, tmp_path, capsys):
+        assert run(["traj", "--game", "f1", "--init", "0,0"]) == 2
+        assert "--alg" in capsys.readouterr().err
+        out = tmp_path / "run"
+        assert run([*self.TRAJ, "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["steps"] == 3
+
+    def test_config_leaves_no_defaults(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=7\neta=0.01\n")
+        out = tmp_path / "run"
+        argv = ["traj", "--game", "f2", "--alg", "gda", "--init", "1,1",
+                "--no-plot", "--out", str(out)]
+        summaries = []
+        for config in (["--config", str(cfg)], []):
+            assert run([*config, *argv]) == 0
+            summary = json.loads(out.with_suffix(".json").read_text())
+            summaries.append((summary["steps"], summary["eta"]))
+        assert summaries == [(7, 0.01), (5000, 0.05)]
 
 
 class TestPlotCommand:

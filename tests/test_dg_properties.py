@@ -9,7 +9,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dgopt.dg import (DGConfig, _chain, dg_estimate, dg_metric,  # noqa: E402
+from dgopt.dg import (DGConfig, _chain,  # noqa: E402
+                      _differentiated_chain, dg_estimate, dg_metric,
                       worst_case_responses)
 from dgopt.games import (JointPoint, NonFiniteValueError,  # noqa: E402
                          make_game)
@@ -126,6 +127,34 @@ def test_unrolled_modes_match_the_separate_loops(spec, k, gamma, x, y):
     got = unrolled_step(game, p, gamma, k)
     want = _reference_unrolled_step(game, p, gamma, k)
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+# At a float point the differentiated chain, the unrolled-GAN step and the
+# unrolled DG estimate step Python floats, with no (1,) array round trip;
+# each result must be the (1,) call's one entry, bit for bit, signed
+# zeros included.
+UNROLLED_FLOATS = ("bilinear:c=3", "f1", "f2", "f3", "ncnc:c=3")
+signed_coord = st.one_of(st.sampled_from([0.0, -0.0]), wide)
+
+
+@settings(max_examples=300)
+@given(spec=st.sampled_from(UNROLLED_FLOATS), k=st.integers(1, 10),
+       gamma=st.floats(1e-3, 0.7), ascent=st.booleans(), x=signed_coord,
+       y=signed_coord)
+def test_float_unrolled_path_is_the_array_path(spec, k, gamma, ascent, x, y):
+    game, cfg = CATALOG[spec], DGConfig(k=k, gamma=gamma,
+                                        grad_mode="unrolled")
+    results = []
+    for p in (JointPoint(x, y), JointPoint.of(x, y)):
+        est = dg_estimate(game, p, cfg)
+        results.append([
+            *_differentiated_chain(game, p, gamma if ascent else -gamma, k),
+            *unrolled_step(game, p, gamma, k), est.value, est.u_worst,
+            est.v_worst, est.grad_u, est.grad_v])
+    floats, arrays = results
+    assert all(type(r) is float for r in floats)
+    assert ([np.float64(r).tobytes() for r in floats]
+            == [np.asarray(r, dtype=np.float64).tobytes() for r in arrays])
 
 
 # The float form: a catalog game's chains at a point of two Python floats

@@ -72,6 +72,23 @@ def test_float_trajectory_is_the_array_trajectory(spec, rule, eta, x, y,
     assert got == want
 
 
+UNROLLED_RULES = [("unrolled", "envelope"), ("dg", "unrolled")]
+
+
+@settings(max_examples=200)
+@given(spec=st.sampled_from(sorted(GAMES)),
+       rule=st.sampled_from(UNROLLED_RULES),
+       eta=st.sampled_from([0.01, 0.05, 0.2, 0.7]), x=coord, y=coord,
+       steps=st.integers(1, 12), log_dg=st.booleans(), k=st.integers(1, 10))
+def test_unrolled_float_trajectory_is_the_array_trajectory(spec, rule, eta, x,
+                                                           y, steps, log_dg,
+                                                           k):
+    # k and unroll_k up to 10, the CLI default
+    got, want = _floats_and_arrays(spec, rule, eta, (x, y), steps,
+                                   log_dg=log_dg, k=k)
+    assert got == want
+
+
 # starts where a Hessian block product is -0.0: a float product without
 # numpy's + 0.0 would move a signed zero in the records
 @pytest.mark.parametrize("spec,alg,start", [
