@@ -5,12 +5,11 @@ Every subcommand writes CSV/JSON data files (and SVG figures unless
 through named streams, so fixed arguments reproduce byte-identical
 outputs.
 
---threads is accepted and changes nothing.  A mog run decides its own
-threads (see parallel.thread_setup): it runs the two halves of each
-duality-gap evaluation concurrently when the process may use two or
-more CPUs, e.g. under taskset, with the same outputs either way.  A rate
-run splits its runs over a forked worker process on the same condition
-(see parallel.split_runs).
+A mog run decides its own threads (see parallel.thread_setup): it runs
+the two halves of each duality-gap evaluation concurrently when the
+process may use two or more CPUs, e.g. under taskset, with the same
+outputs either way.  A rate run splits its runs over a forked worker
+process on the same condition (see parallel.split_runs).
 
 One argument parser, built on the first main call and not at import,
 serves every later call of the process.
@@ -266,9 +265,6 @@ def cmd_plot(args) -> int:
 def _add_common(sub, with_game=True):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", type=str, default="out")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored: mog picks its threads "
-                          "from the CPUs the process may use")
     sub.add_argument("--no-plot", action="store_true")
     if with_game:
         sub.add_argument("--game", type=str, required=True,

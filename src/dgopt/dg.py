@@ -22,11 +22,16 @@ Every evaluation runs its own chains and keeps nothing.  A run that logs
 the DG value at an iterate and then takes the DG step from it shares one
 pair of chains explicitly: dg_descent_step returns the estimate's value
 with the next point, and the runners log that value.
+
+Each chain calls the oracle's grad_u or grad_v itself, and each half's
+tail is an oracle method (value_and_grad_v, value_and_grad_u or value),
+so a step at a point of two Python floats pays for its oracle calls and
+float arithmetic, with no wrapper, context manager or array check around
+them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -95,45 +100,59 @@ class AdaGradState:
 
 
 def _inner_setup(game: GameOracle, p: JointPoint, gamma: float):
-    """The inner step in the iterates' dtype and each player's box (None
-    when the game is unbounded)."""
-    if hasattr(p.u, "dtype"):
-        gamma = p.u.dtype.type(gamma)
+    """The inner step in the iterates' form and each player's box (None
+    when the game is unbounded): a Python float at a float point, which
+    has no box (games.float_point_ok), else a scalar of the arrays'
+    dtype."""
+    if isinstance(p.u, float):
+        return float(gamma), None, None
+    gamma = p.u.dtype.type(gamma)
     if game.domain is None:
         return gamma, None, None
     lo, hi, du = game.domain.lo, game.domain.hi, game.dim_u
     return gamma, (lo[:du], hi[:du]), (lo[du:], hi[du:])
 
 
-def _chain(x, grad, step, box, k, kind, p):
-    """k warm-started steps x <- x + step * grad(x), clamped to the box if
-    there is one: step -gamma descends, +gamma ascends (x - gamma g and
-    x + (-gamma) g are the same float).
+def _chain(grad, x, opp, ascent, gamma, box, k, p):
+    """k warm-started steps of one player against the frozen opponent
+    opp, clamped to the box if there is one: x <- x + gamma * grad(opp, x)
+    ascends, x <- x + (-gamma) * grad(x, opp) descends (the same float as
+    x - gamma * grad(x, opp)).
 
-    x is an array, stepped from a copy, or a Python float with step and
-    grad(x) Python floats too (one coordinate, see _inner_halves); each
-    step is the same float64 multiply and add either way.  An overflow
-    is reported by the finiteness check alone: numpy's overflow and
-    invalid warnings are off for array steps, and float steps raise none.
+    x is an array, stepped from a copy, or a Python float with gamma and
+    the gradients Python floats too (one coordinate, see _inner_halves);
+    each step is the same float64 multiply and add either way.  An
+    overflow is reported by the finiteness check alone: numpy's overflow
+    and invalid warnings are off for array steps, and float steps raise
+    none.
     """
-    floats = isinstance(x, float)
-    if not floats:
-        x = x.copy()
-    with (contextlib.nullcontext() if floats
-          else np.errstate(over="ignore", invalid="ignore")):
+    step = gamma if ascent else -gamma
+    if isinstance(x, float):
         for i in range(1, k + 1):
-            x = x + step * grad(x)
+            x = x + step * (grad(opp, x) if ascent else grad(x, opp))
+            if not math.isfinite(x):
+                raise _inner_error(ascent, i, p)
+        return x
+    x = x.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, k + 1):
+            x = x + step * (grad(opp, x) if ascent else grad(x, opp))
             if box is not None:
                 x = x.clip(box[0], box[1])
-            if not (math.isfinite(x) if floats else np.isfinite(x).all()):
-                raise NonFiniteValueError(
-                    f"inner {kind} iterate became non-finite at inner step "
-                    f"{i}", point=p)
+            if not np.isfinite(x).all():
+                raise _inner_error(ascent, i, p)
     return x
 
 
-def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
-    """(descent_tail(u_k), ascent_tail(v_k)) for the two inner chains.
+def _inner_error(ascent, i, p):
+    return NonFiniteValueError(
+        f"inner {'ascent' if ascent else 'descent'} iterate became "
+        f"non-finite at inner step {i}", point=p)
+
+
+def _inner_halves(game, p, k, gamma, descent_tail=None, ascent_tail=None):
+    """(u_k, descent_tail(u_k, p.v)) and (v_k, ascent_tail(p.u, v_k)) for
+    the two inner chains, or a bare endpoint for a half with no tail.
 
     u_k takes k descent steps on u -> M(u, p.v) from p.u, v_k k ascent
     steps on v -> M(p.u, v) from p.v.  The halves share no state, so
@@ -142,16 +161,21 @@ def _inner_halves(game, p, k, gamma, descent_tail, ascent_tail):
 
     The chains step the point's own form: two Python floats (a point
     that run_trajectory steps on floats) or arrays, and the tails get
-    each endpoint in that form.
+    each endpoint in that form.  The tails are oracle methods, called
+    with the frozen opponent in its own argument place.
     """
     gamma, u_box, v_box = _inner_setup(game, p, gamma)
     u, v = p
-    step = float(gamma) if isinstance(u, float) else gamma
-    return run_pair(
-        lambda: descent_tail(_chain(u, lambda x: game.grad_u(x, v), -step,
-                                    u_box, k, "descent", p)),
-        lambda: ascent_tail(_chain(v, lambda y: game.grad_v(u, y), step,
-                                   v_box, k, "ascent", p)))
+
+    def descent():
+        uk = _chain(game.grad_u, u, v, False, gamma, u_box, k, p)
+        return uk if descent_tail is None else (uk, descent_tail(uk, v))
+
+    def ascent():
+        vk = _chain(game.grad_v, v, u, True, gamma, v_box, k, p)
+        return vk if ascent_tail is None else (vk, ascent_tail(u, vk))
+
+    return run_pair(descent, ascent)
 
 
 def worst_case_responses(game: GameOracle, p: JointPoint,
@@ -164,8 +188,7 @@ def worst_case_responses(game: GameOracle, p: JointPoint,
     carries a box domain the inner iterates are clamped to it, which
     keeps the estimate below the exact box duality gap.
     """
-    return _inner_halves(game, p, cfg.k, cfg.gamma, lambda uw: uw,
-                         lambda vw: vw)
+    return _inner_halves(game, p, cfg.k, cfg.gamma)
 
 
 def _differentiated_chain(game, p, step, k):
@@ -257,10 +280,9 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig) -> DGEstimate:
         uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, cfg.gamma)
         value = game.value(u, vw) - game.value(uw, v)
     else:
-        (uw, low, gv), (vw, high, grad_u) = _inner_halves(
-            game, p, cfg.k, cfg.gamma,
-            lambda uw: (uw, *game.value_and_grad_v(uw, v)),
-            lambda vw: (vw, *game.value_and_grad_u(u, vw)))
+        (uw, (low, gv)), (vw, (high, grad_u)) = _inner_halves(
+            game, p, cfg.k, cfg.gamma, game.value_and_grad_v,
+            game.value_and_grad_u)
         value = high - low
         grad_v = -gv
 
@@ -271,7 +293,9 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig) -> DGEstimate:
 def _finite(value, what, p):
     """value as a float, or as an array over a batched point; raises if
     any entry is non-finite."""
-    if np.ndim(value):
+    if type(value) is float:
+        finite = math.isfinite(value)
+    elif np.ndim(value):
         finite = np.all(np.isfinite(value))
     else:
         finite = math.isfinite(value)
@@ -288,9 +312,8 @@ def dg_metric(game: GameOracle, p: JointPoint, cfg: DGConfig) -> float:
     a game that takes one (see GameOracle), the chains step every point
     at once and the metric is an array over the batch; it raises if any
     entry is non-finite."""
-    low, high = _inner_halves(game, p, cfg.k, cfg.gamma,
-                              lambda uw: game.value(uw, p.v),
-                              lambda vw: game.value(p.u, vw))
+    (_, low), (_, high) = _inner_halves(game, p, cfg.k, cfg.gamma,
+                                        game.value, game.value)
     return _finite(high - low, "duality-gap metric", p)
 
 

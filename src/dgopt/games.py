@@ -5,6 +5,11 @@ v-player maximizes.  Every catalog game ships hand-coded gradients (no
 symbolic differentiation anywhere) and, where cheap, closed-form Hessian
 blocks.  Games without closed-form second-order information fall back to
 central finite differences of their analytic gradients.
+
+A catalog oracle takes a batch of points too.  The arithmetic games (f1,
+f2, bilinear), whose formulas use only +, - and *, evaluate a batch as
+whole float64 arrays; the others run their scalar formula point by
+point.  Either way each entry is bit-identical to the per-point call.
 """
 
 from __future__ import annotations
@@ -264,17 +269,33 @@ def _or_nan(fn, x, y):
         return math.nan
 
 
+def _batch_coords(u, v):
+    """The (...) coordinate arrays of a (..., 1) batch pair."""
+    if u.shape != v.shape:
+        raise ValueError(f"batched u and v must share one shape, got "
+                         f"{u.shape} and {v.shape}")
+    return u[..., 0], v[..., 0]
+
+
+def _over_arrays(fn, u, v) -> Array:
+    """fn(x, y) on the batch's float64 coordinate arrays, as a (...)
+    array.  For a formula of +, - and * only, numpy takes the float
+    operations of the per-point call entry by entry, so every entry is
+    bit-identical to it, overflow to inf and NaN included."""
+    xs, ys = _batch_coords(u, v)
+    with np.errstate(all="ignore"):
+        return fn(xs.astype(float), ys.astype(float))
+
+
 def _over_batch(fn, u, v) -> Array:
     """fn(x, y) at each point of a (..., 1) batch pair, as a (...) array.
 
     The scalar callable runs on each point's Python floats, so every
     entry is bit-identical to the per-point call, NaN included: a batch
     where fn raises is redone point by point through _or_nan."""
-    if u.shape != v.shape:
-        raise ValueError(f"batched u and v must share one shape, got "
-                         f"{u.shape} and {v.shape}")
-    xs = np.ravel(u[..., 0]).tolist()
-    ys = np.ravel(v[..., 0]).tolist()
+    xs, ys = _batch_coords(u, v)
+    xs = np.ravel(xs).tolist()
+    ys = np.ravel(ys).tolist()
     try:
         out = [fn(x, y) for x, y in zip(xs, ys)]
     except _RANGE_ERRORS:
@@ -282,20 +303,24 @@ def _over_batch(fn, u, v) -> Array:
     return np.array(out, dtype=float).reshape(u.shape[:-1])
 
 
-def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
+def _scalar_game(name, value, gx, gy, second=None, domain=None,
+                 arithmetic=False) -> GameOracle:
     """Wrap scalar callables f(x, y) into a 1-D/1-D oracle.
 
     u, v of shape (1,) are one point; u, v of one shape (..., 1) are a
     batch of points, with value shaped (...) and gradients (..., 1).
     value, the gradients and the Hessian blocks also take one point as
     two Python floats (float_form).  In every form a formula that
-    overflows or leaves math's domain gives NaN.
+    overflows or leaves math's domain gives NaN.  arithmetic says that
+    value, gx and gy use +, - and * only, so a batch is evaluated on
+    whole arrays (_over_arrays); otherwise point by point (_over_batch).
     """
+    over_batch = _over_arrays if arithmetic else _over_batch
 
     def _value(u, v):
         if not isinstance(u, float):
             if u.ndim > 1 or v.ndim > 1:
-                return _over_batch(value, u, v)
+                return over_batch(value, u, v)
             u, v = float(u[0]), float(v[0])
         try:
             return float(value(u, v))
@@ -310,7 +335,7 @@ def _scalar_game(name, value, gx, gy, second=None, domain=None) -> GameOracle:
                 except _RANGE_ERRORS:
                     return math.nan
             if u.ndim > 1 or v.ndim > 1:
-                return _over_batch(g, u, v)[..., None]
+                return over_batch(g, u, v)[..., None]
             return np.array([_or_nan(g, float(u[0]), float(v[0]))],
                             dtype=float)
         return grad
@@ -345,6 +370,7 @@ def make_bilinear(c: float) -> GameOracle:
         gx=lambda x, y: c * y,
         gy=lambda x, y: c * x,
         second=lambda x, y: (0.0, c, 0.0),
+        arithmetic=True,
     )
 
 
@@ -357,6 +383,7 @@ def make_quadratic_f1() -> GameOracle:
         gx=lambda x, y: -6 * x + 4 * y,
         gy=lambda x, y: -2 * y + 4 * x,
         second=lambda x, y: (-6.0, 4.0, -2.0),
+        arithmetic=True,
     )
 
 
@@ -369,6 +396,7 @@ def make_quadratic_f2() -> GameOracle:
         gx=lambda x, y: 6 * x + 4 * y,
         gy=lambda x, y: 2 * y + 4 * x,
         second=lambda x, y: (6.0, 4.0, 2.0),
+        arithmetic=True,
     )
 
 

@@ -5,6 +5,9 @@ evaluated at the incoming point and both players move at once.  Every
 map but ogda's (make_step_map) is a pure function, and every map fixes
 points where both gradients vanish, since the second-order corrections
 all carry a gradient factor.
+
+run_trajectory keeps a trajectory's iterates as one array, built after
+its loop; the records, points() and the outputs all read that array.
 """
 
 from __future__ import annotations
@@ -226,6 +229,9 @@ class Trajectory:
 
     classification is one of converged / diverged / non_convergent,
     judged against the supplied target points and divergence norm.
+    iterates is the array of points() when run_trajectory built the
+    records, whose u and v are then views of its rows; a trajectory
+    built from records alone leaves it None.
     """
 
     game: str
@@ -235,6 +241,7 @@ class Trajectory:
     classification: str = "non_convergent"
     final_distance: Optional[float] = None
     error: Optional[str] = None
+    iterates: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def final_point(self) -> JointPoint:
@@ -243,6 +250,8 @@ class Trajectory:
 
     def points(self) -> np.ndarray:
         """One row [u | v] per record."""
+        if self.iterates is not None:
+            return self.iterates
         return np.hstack([np.array([r.u for r in self.records]),
                           np.array([r.v for r in self.records])])
 
@@ -288,7 +297,8 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
 
     A start that games.float_point_ok allows is stepped as two Python
     floats (JointPoint), with the same float64 operations as on (1,)
-    arrays; every record holds (1,) arrays either way.
+    arrays.  The iterates become one array after the loop, and every
+    record holds views of its row, (1,) arrays for a float start.
     """
     checked("step count steps", steps, at_least=1)
     checked("convergence tolerance tol", tol, at_least=0)
@@ -297,15 +307,14 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
         raise ValueError("log_dg needs a DGConfig in cfg.dg")
     step_map = make_step_map(game, cfg)
     traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
+    us, vs, rows = [], [], []
 
     def record(t, p, dg_val):
         u, v = p
         gu, gv = game.grads(u, v)
         if isinstance(u, float):
-            u, v = np.array([u]), np.array([v])
             gu_norm, gv_norm = math.sqrt(gu * gu), math.sqrt(gv * gv)
         else:
-            u, v = u.copy(), v.copy()
             with np.errstate(over="ignore"):
                 gu_norm = float(np.sqrt(gu.dot(gu)))
                 gv_norm = float(np.sqrt(gv.dot(gv)))
@@ -316,9 +325,9 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
                 dg_val = dgmod.dg_metric(game, p, cfg.dg)
             except NonFiniteValueError:
                 pass
-        traj.records.append(TrajectoryRecord(
-            t=t, u=u, v=v, value=float(game.value(p.u, p.v)),
-            grad_u_norm=gu_norm, grad_v_norm=gv_norm, dg=dg_val))
+        us.append(u)
+        vs.append(v)
+        rows.append((t, float(game.value(u, v)), gu_norm, gv_norm, dg_val))
 
     # each iterate is recorded after the step from it, which may hand
     # back its DG value; no step is taken from the last or a diverged one
@@ -337,6 +346,15 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
         if nxt is None:
             break
         p = nxt
+
+    n = len(rows)
+    u_cols = np.reshape(us, (n, -1))
+    du = u_cols.shape[1]
+    traj.iterates = np.hstack([u_cols, np.reshape(vs, (n, -1))])
+    traj.records = [
+        TrajectoryRecord(t, u, v, value, gu_norm, gv_norm, dg_val)
+        for (t, value, gu_norm, gv_norm, dg_val), u, v in zip(
+            rows, traj.iterates[:, :du], traj.iterates[:, du:])]
 
     if diverged:
         traj.classification = "diverged"

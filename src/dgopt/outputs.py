@@ -11,9 +11,12 @@ import json
 import numpy as np
 
 
+# the cell types whose repr is their cell text
+_REPR_CELLS = (float, int)
+
+
 def _cell(x) -> str:
-    if x is None:
-        return ""
+    """The cell of a number of another type, e.g. a numpy scalar."""
     return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
 
 
@@ -21,14 +24,15 @@ def write_csv(path, header, rows):
     """One line per row of cells, after the header unless it is None,
     written to the file in one call."""
     lines = [] if header is None else [",".join(header)]
-    # Python float cells, the bulk, skip the _cell call
-    lines.extend(",".join([repr(x) if type(x) is float else _cell(x)
+    # Python float, int and None cells, the bulk, skip the _cell call
+    lines.extend(",".join([repr(x) if type(x) in _REPR_CELLS
+                           else "" if x is None else _cell(x)
                            for x in row]) for row in rows)
     with open(path, "w") as fh:
         fh.write("".join([line + "\n" for line in lines]))
 
 
 def write_json(path, obj):
+    """obj as JSON text, written to the file in one call."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -23,8 +23,15 @@ def cpu_mask() -> list:
                   else range(os.cpu_count() or 1))
 
 
-# Per thread, the worker of the innermost open concurrent_halves() scope
-_halves = threading.local()
+class _Halves(threading.local):
+    """Per thread, the worker of the innermost open concurrent_halves()
+    scope.  The class default stands for no scope, so a thread that never
+    opened one reads None without a failed attribute lookup."""
+
+    pool = None
+
+
+_halves = _Halves()
 
 
 @contextlib.contextmanager
@@ -33,7 +40,7 @@ def concurrent_halves():
     thunk on one worker thread beside the second, with the same results;
     only this starts the worker (and imports concurrent.futures)."""
     from concurrent.futures import ThreadPoolExecutor
-    before = getattr(_halves, "pool", None)
+    before = _halves.pool
     try:
         with ThreadPoolExecutor(1, "dg-descent") as _halves.pool:
             yield
@@ -50,7 +57,7 @@ def run_pair(first, second):
     the worker opens no scope, and this thread's is closed while second
     runs, so neither waits for the busy worker.
     """
-    pool = getattr(_halves, "pool", None)
+    pool = _halves.pool
     if pool is None:
         return first(), second()
     future = pool.submit(first)

@@ -15,8 +15,14 @@ WIDTH = 640.0
 HEIGHT = 480.0
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+# the pixel format: _fmt formats one coordinate, _fmt_point an "x,y" pair
+_PIXEL = "{:.2f}"
+_fmt = _PIXEL.format
+_fmt_point = f"{_PIXEL},{_PIXEL}".format
+
+# a pixel this far out is dropped like a non-finite one: its text would
+# be hundreds of digits long, and a drawn point lies far off the figure
+PIXEL_LIMIT = 1e9
 
 
 def _log10(x):
@@ -35,6 +41,11 @@ def _finite_range(values, pad_frac=0.05):
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    elif not math.isfinite(hi - lo):
+        # a width past the float range shrinks to a sixteenth about the
+        # midpoint: the padded width times Axes' tick count then fits too
+        mid, half = lo / 2 + hi / 2, (hi / 2 - lo / 2) / 16
+        lo, hi = mid - half, mid + half
     pad = (hi - lo) * pad_frac
     return lo - pad, hi + pad
 
@@ -70,8 +81,10 @@ class SvgCanvas:
                  f'{label}</text>')
 
     def save(self, path):
+        # two writes, so a large figure's text is not copied once more
         with open(path, "w") as fh:
-            fh.write("\n".join(self.parts) + "\n</svg>\n")
+            fh.write("\n".join(self.parts))
+            fh.write("\n</svg>\n")
 
 
 class Axes:
@@ -136,24 +149,25 @@ class Axes:
                              anchor="end")
 
     def polyline(self, xs, ys, color="#1f77b4", width=1.5):
-        """The points with finite x and y and finite pixels, pairing xs
-        and ys as zip does."""
+        """The points with finite x and y and pixels within PIXEL_LIMIT,
+        pairing xs and ys as zip does."""
         n = min(len(xs), len(ys))
         xs, ys = np.asarray(xs)[:n], np.asarray(ys)[:n]
         finite = np.isfinite(xs) & np.isfinite(ys)
         px, py = self.px(xs[finite]), self.py(ys[finite])
-        drawn = np.isfinite(px) & np.isfinite(py)
+        drawn = (np.abs(px) <= PIXEL_LIMIT) & (np.abs(py) <= PIXEL_LIMIT)
         if not drawn.any():
             return
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in
-                       zip(px[drawn].tolist(), py[drawn].tolist()))
+        pts = " ".join(map(_fmt_point, px[drawn].tolist(),
+                           py[drawn].tolist()))
         self.canvas.add(f'<polyline points="{pts}" fill="none" '
                         f'stroke="{color}" stroke-width="{width}"/>')
 
     def marker(self, x, y, color="#d62728", radius=4.0):
-        """A dot at (x, y), or nothing where a pixel is not finite."""
+        """A dot at (x, y), or nothing where a pixel is not finite or lies
+        beyond PIXEL_LIMIT."""
         cx, cy = self.px(x), self.py(y)
-        if math.isfinite(cx) and math.isfinite(cy):
+        if abs(cx) <= PIXEL_LIMIT and abs(cy) <= PIXEL_LIMIT:
             self.canvas.add(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                             f'r="{radius}" fill="{color}"/>')
 
@@ -193,17 +207,21 @@ def heatmap(canvas: SvgCanvas, axes: Axes, u_axis, v_axis, values,
     u, v = np.asarray(u_axis), np.asarray(v_axis)
     x_left, x_right = axes.px(u - du / 2), axes.px(u + du / 2)
     y_top, y_bot = axes.py(v + dv / 2), axes.py(v - dv / 2)
-    cols = zip(map(_fmt, x_left.tolist()),
-               map(_fmt, (x_right - x_left).tolist()))
-    rows = list(zip(map(_fmt, y_top.tolist()),
-                    map(_fmt, (y_bot - y_top).tolist())))
+    # each rect is <rect x="X" y="Y" width="W" height="H" fill="#RGB"/>,
+    # joined from its column's two pieces, its row's two and its colour;
+    # a column's rects are one canvas part, joined by newlines as save
+    # joins parts, so a large grid holds no string per cell
+    col_x = [f'<rect x="{x}" y="' for x in map(_fmt, x_left.tolist())]
+    col_w = [f'" width="{w}" height="'
+             for w in map(_fmt, (x_right - x_left).tolist())]
+    rows = [(y, f'{h}" fill="#') for y, h in zip(
+        map(_fmt, y_top.tolist()), map(_fmt, (y_bot - y_top).tolist()))]
     t = np.where(np.isfinite(vals), 0.5 + 0.5 * vals / vmax, 0.5)
     r, g, b = (c.tolist() for c in _diverging_channels(t))
-    for (x, width), col_r, col_g, col_b in zip(cols, r, g, b):
-        canvas.parts.extend(
-            [f'<rect x="{x}" y="{y}" width="{width}" height="{height}" '
-             f'fill="#{_HEX[ri]}{_HEX[gi]}{_HEX[bi]}"/>'
-             for (y, height), ri, gi, bi in zip(rows, col_r, col_g, col_b)])
+    for x, w, col_r, col_g, col_b in zip(col_x, col_w, r, g, b):
+        canvas.add("\n".join(
+            [f'{x}{y}{w}{h}{_HEX[ri]}{_HEX[gi]}{_HEX[bi]}"/>'
+             for (y, h), ri, gi, bi in zip(rows, col_r, col_g, col_b)]))
     idx = finite_argmin(vals) if mark_argmin else None
     if idx is not None:
         axes.marker(u_axis[idx[0]], v_axis[idx[1]], color="#000000")

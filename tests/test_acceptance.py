@@ -458,19 +458,24 @@ def test_criterion_11_unrolled_dg_gradient():
 # -- criterion 12: CLI determinism --------------------------------------------
 
 def test_criterion_12_cli_byte_identical(tmp_path):
+    # the same run under a one-CPU affinity mask and under the full one
+    full = os.sched_getaffinity(0)
     blobs = []
-    for threads, sub in (("1", "a"), ("8", "b")):
+    for cpus, sub in (({min(full)}, "a"), (full, "b")):
         out_dir = tmp_path / sub
         out_dir.mkdir()
         cmd = [sys.executable, "-m", "dgopt.cli", "traj", "--game",
                "bilinear:c=3", "--alg", "dg", "--eta", "0.05", "--k", "10",
                "--init", "0.5,0.5", "--steps", "500", "--seed", "42",
-               "--threads", threads, "--out", str(out_dir / "run")]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+               "--out", str(out_dir / "run")]
+        proc = subprocess.run(
+            cmd, capture_output=True, text=True,
+            preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus))
         assert proc.returncode == 0, proc.stderr
         blobs.append(tuple((out_dir / f"run{ext}").read_bytes()
                            for ext in (".csv", ".json", ".svg")))
     ok = blobs[0] == blobs[1]
     assert report("12", ok,
-                  "repeated CLI invocations with --threads 1 vs 8 produced "
-                  f"byte-identical csv/json/svg: {ok}")
+                  f"repeated CLI invocations under a one-CPU mask vs "
+                  f"{len(full)} CPUs produced byte-identical csv/json/svg: "
+                  f"{ok}")

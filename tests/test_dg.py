@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dgopt import parallel
+from dgopt import games, parallel
 from dgopt.cli import _dg_config
 from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, dg_descent_step,
                       dg_estimate, dg_metric, worst_case_responses)
@@ -417,6 +417,81 @@ class TestSharedChains:
         for i, runs in enumerate(got):
             assert len(runs) == 200
             assert all(run == want[i] for run in runs)
+
+
+def _recording(game):
+    """game with value/grad_u/grad_v wrapped to log each call as (name,
+    u bytes, v bytes), a float and a (1,) array logging alike, and the
+    log."""
+    log = []
+
+    def recorded(name, fn):
+        def g(u, v):
+            log.append((name, np.float64(u).tobytes(),
+                        np.float64(v).tobytes()))
+            return fn(u, v)
+        return g
+
+    return replace(game, value=recorded("value", game.value),
+                   grad_u=recorded("grad_u", game.grad_u),
+                   grad_v=recorded("grad_v", game.grad_v)), log
+
+
+def _envelope_calls(game, x, y, k, gamma):
+    """The oracle calls of one envelope DG step at (x, y), written out:
+    the descent chain, M and grad_v at (u_k, y), the ascent chain, then
+    M and grad_u at (x, v_k); and the error a non-finite inner iterate
+    raises (None when none does)."""
+    calls, u, v = [], x, y
+    error = "inner {} iterate became non-finite at inner step {}"
+    for i in range(1, k + 1):
+        calls.append(("grad_u", u, y))
+        u = u + (-gamma) * game.grad_u(u, y)
+        if not np.isfinite(u):
+            return calls, error.format("descent", i)
+    calls += [("value", u, y), ("grad_v", u, y)]
+    for i in range(1, k + 1):
+        calls.append(("grad_v", x, v))
+        v = v + gamma * game.grad_v(x, v)
+        if not np.isfinite(v):
+            return calls, error.format("ascent", i)
+    return calls + [("value", x, v), ("grad_u", x, v)], None
+
+
+class TestFloatStepCalls:
+    """A DG step at a float point calls the oracle as the step at the (1,)
+    point does, in the same order and at the same arguments, and fails
+    at the same inner step with the same text."""
+
+    # grad_u is 0 and grad_v is v: only the ascent chain can blow up
+    V_SQUARED = games._scalar_game("v^2/2", value=lambda x, y: 0.5 * y * y,
+                                   gx=lambda x, y: 0.0 * x,
+                                   gy=lambda x, y: y)
+
+    @pytest.mark.parametrize("game,k,gamma,x,y", [
+        (make_bilinear(1.0), 1, 0.05, 0.3, -0.2),
+        (F1, 10, 0.05, 0.3, -0.2),
+        (F2, 3, 0.01, -0.0, 0.7),
+        (F1, 500, 1e100, 0.3, 0.2),          # the descent chain blows up
+        (V_SQUARED, 500, 1e100, 0.3, 0.2),   # the ascent chain blows up
+    ], ids=["bilinear-k1", "f1-k10", "f2-k3", "descent-fails",
+            "ascent-fails"])
+    def test_call_sequence_and_error_text(self, game, k, gamma, x, y):
+        calls, error = _envelope_calls(game, x, y, k, gamma)
+        want = [(name, np.float64(u).tobytes(), np.float64(v).tobytes())
+                for name, u, v in calls]
+        for p in (JointPoint(x, y), JointPoint.of(x, y)):
+            recording, log = _recording(game)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if error is None:
+                    dg_descent_step(recording, p, DGConfig(k=k, gamma=gamma),
+                                    gamma)
+                else:
+                    with pytest.raises(NonFiniteValueError) as exc:
+                        dg_descent_step(recording, p,
+                                        DGConfig(k=k, gamma=gamma), gamma)
+                    assert str(exc.value) == error
+            assert log == want
 
 
 class TestDGDescent:

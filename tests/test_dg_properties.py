@@ -180,20 +180,16 @@ def _float_and_array_chains(game, k, ascent, gamma, x, y):
     on (1,) arrays: the ascent chain on y, or the descent chain on x."""
     p = JointPoint.of(x, y)
     own, other = (y, x) if ascent else (x, y)
-    step, kind = (gamma, "ascent") if ascent else (-gamma, "descent")
-
-    def grad(z, w):
-        return game.grad_v(w, z) if ascent else game.grad_u(z, w)
+    grad = game.grad_v if ascent else game.grad_u
 
     def floats():
-        end = _chain(own, lambda z: grad(z, other), step, None, k, kind, p)
+        end = _chain(grad, own, other, ascent, gamma, None, k, p)
         return np.array([end]).tobytes()
 
     def arrays():
         with np.errstate(over="ignore", invalid="ignore"):
-            end = _chain(np.array([own]),
-                         lambda z: grad(z, np.array([other])),
-                         np.float64(step), None, k, kind, p)
+            end = _chain(grad, np.array([own]), np.array([other]), ascent,
+                         np.float64(gamma), None, k, p)
         return end.tobytes()
 
     return _outcome(floats), _outcome(arrays)

@@ -86,3 +86,37 @@ def test_three_forms_agree_and_never_raise(spec, x, y):
         at_floats = game.hessian_blocks(JointPoint(x, y))
         at_point = game.hessian_blocks(JointPoint(u, v))
     assert [_bytes(h) for h in at_floats] == [_bytes(h) for h in at_point]
+
+
+# f1, f2 and bilinear evaluate a batch as whole arrays, the others point
+# by point; either way each entry is the point's float call, byte for
+# byte, over the whole float range: signed zeros, infinities, NaNs with
+# any payload, subnormals and values whose products overflow
+ARITHMETIC = ("f1", "f2", "bilinear:c=1", "bilinear:c=3", "bilinear:c=10")
+POINTWISE = ("motivation", "f3", "ncnc:c=3", "ncnc:c=3,sep=1")
+BATCH_GAMES = {spec: make_game(spec) for spec in ARITHMETIC + POINTWISE}
+SUBNORMAL_AND_HUGE = [5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                      1e160, -1e160, 1e200, -1e200, 1e300]
+any_bits = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+full_range = st.one_of(st.sampled_from(EDGES + SUBNORMAL_AND_HUGE),
+                       st.floats(), any_bits)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(spec=st.sampled_from(ARITHMETIC + POINTWISE),
+       points=st.lists(st.tuples(full_range, full_range), min_size=1,
+                       max_size=40),
+       as_mesh=st.booleans())
+def test_batch_is_the_float_calls_byte_for_byte(spec, points, as_mesh):
+    game = BATCH_GAMES[spec]
+    xs, ys = (np.array([p[i] for p in points]) for i in (0, 1))
+    if as_mesh and len(points) % 2 == 0:
+        xs, ys = xs.reshape(2, -1), ys.reshape(2, -1)
+    for oracle in (game.value, game.grad_u, game.grad_v):
+        batch = np.asarray(oracle(xs[..., None], ys[..., None]))
+        per_point = [oracle(x, y) for x, y in zip(xs.ravel().tolist(),
+                                                  ys.ravel().tolist())]
+        assert batch.dtype == np.float64
+        assert batch.size == xs.size
+        assert batch.tobytes() == np.array(per_point).tobytes()

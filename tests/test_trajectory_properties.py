@@ -14,7 +14,7 @@ from dgopt import games  # noqa: E402
 from dgopt.dg import DGConfig  # noqa: E402
 from dgopt.games import JointPoint, make_game  # noqa: E402
 from dgopt.optimizers import (ALGORITHMS, OptimizerConfig,  # noqa: E402
-                              run_trajectory)
+                              make_step_map, run_trajectory)
 
 GAMES = {spec: make_game(spec) for spec in
          ("f1", "f2", "f3", "bilinear:c=3", "ncnc:c=3", "ncnc:c=3,sep=1")}
@@ -163,3 +163,53 @@ def test_only_one_float64_point_of_an_unboxed_float_form_game_is_floats():
     assert not games.float_point_ok(f1, np.full((3, 1), 0.3),
                                     np.full((3, 1), -0.2))
     assert not games.float_point_ok(f1, 0.3, -0.2)
+
+
+def _record_build(traj):
+    """points() as built record by record."""
+    return np.hstack([np.array([r.u for r in traj.records]),
+                      np.array([r.v for r in traj.records])])
+
+
+@pytest.mark.parametrize("alg", ["gda", "eg", "dg"])
+def test_float_records_are_the_stepped_floats(alg):
+    game = GAMES["f1"]
+    cfg = OptimizerConfig(alg, eta=0.05, dg=DGConfig(k=3, gamma=0.05))
+    traj = run_trajectory(game, cfg, JointPoint.of(0.3, -0.2), steps=40)
+    step, p = make_step_map(game, cfg), JointPoint(0.3, -0.2)
+    for rec in traj.records:
+        assert rec.u.shape == rec.v.shape == (1,)
+        assert rec.u.dtype == rec.v.dtype == np.float64
+        assert (rec.u.tobytes(), rec.v.tobytes()) == (
+            np.float64(p.u).tobytes(), np.float64(p.v).tobytes())
+        p, _ = step(p)
+    assert np.array_equal(traj.points(), _record_build(traj))
+    assert traj.points().dtype == np.float64
+
+
+def _quadratic_2x1():
+    """M(u, v) = u0^2 + u0 u1 - v0^2 + u1 v0, one 2-D and one 1-D player."""
+    return games.GameOracle(
+        name="quad2x1", dim_u=2, dim_v=1,
+        value=lambda u, v: float(u[0] * u[0] + u[0] * u[1] - v[0] * v[0]
+                                 + u[1] * v[0]),
+        grad_u=lambda u, v: np.array([2 * u[0] + u[1], u[0] + v[0]]),
+        grad_v=lambda u, v: np.array([-2 * v[0] + u[1]]))
+
+
+@pytest.mark.parametrize("game,start,dtype", [
+    (make_game("motivation"), ([0.4], [-0.3]), np.float64),   # boxed
+    (GAMES["f2"], ([0.4], [-0.3]), np.float32),
+    (_quadratic_2x1(), ([0.4, 0.1], [-0.3]), np.float64),
+], ids=["boxed", "float32", "2x1"])
+def test_array_trajectories_keep_their_record_dtypes(game, start, dtype):
+    # every start is read as float64 (JointPoint.of), so are the records
+    cfg = OptimizerConfig("dg", eta=0.05, dg=DGConfig(k=2, gamma=0.05))
+    init = JointPoint(*(np.array(x, dtype=dtype) for x in start))
+    traj = run_trajectory(game, cfg, init, steps=25)
+    for rec in traj.records:
+        assert rec.u.dtype == rec.v.dtype == np.float64
+        assert (rec.u.shape, rec.v.shape) == ((game.dim_u,), (game.dim_v,))
+    assert np.array_equal(traj.points(), _record_build(traj))
+    assert traj.records[0].u.tobytes() == np.array(start[0], dtype=dtype
+                                                   ).astype(float).tobytes()
