@@ -94,16 +94,16 @@ def cmd_traj(args) -> int:
     traj.write_summary(f"{prefix}.json")
     if not args.no_plot:
         _plot_trajectory(game, traj, f"{prefix}.svg")
-    print(f"{traj.classification} after {traj.records[-1].t} steps "
+    print(f"{traj.classification} after {traj.steps} steps "
           f"-> {prefix}.csv")
     if traj.error is not None:
-        print(f"stopped at step {traj.records[-1].t + 1}: {traj.error}",
+        print(f"stopped at step {traj.steps + 1}: {traj.error}",
               file=sys.stderr)
     return 0
 
 
 def _plot_trajectory(game, traj, path):
-    pts = traj.points()
+    pts = traj.iterates
     span = max(1.0, float(np.nanmax(np.abs(pts))) * 1.1)
     span = min(span, 50.0)
     canvas = svgplot.SvgCanvas()

@@ -145,7 +145,7 @@ class LandscapeGrid:
         return idx, (float(self.u_axis[idx[0]]), float(self.v_axis[idx[1]]))
 
     def write_csv(self, path):
-        outputs.write_csv(path, None, self.values.tolist())
+        outputs.write_csv(path, None, self.values.T)
 
     def write_sidecar(self, path):
         outputs.write_json(path, {

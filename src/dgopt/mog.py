@@ -385,15 +385,15 @@ class MogTrainingLog:
         return np.array([row[idx] for row in self.rows])
 
     def write_csv(self, path):
-        outputs.write_csv(path, LOG_COLUMNS, self.rows)
+        outputs.write_csv(path, LOG_COLUMNS, zip(*self.rows))
 
     def write_samples_csv(self, path):
-        outputs.write_csv(path, ["sample"], self.final_samples[:, None])
+        outputs.write_csv(path, ["sample"], [self.final_samples])
 
     def write_histogram_csv(self, path):
         outputs.write_csv(path, ["bin_left", "bin_right", "count"],
-                          zip(self.bin_edges[:-1], self.bin_edges[1:],
-                              self.final_histogram))
+                          [self.bin_edges[:-1], self.bin_edges[1:],
+                           self.final_histogram])
 
 
 def _fd_hessian_vector(game: MogGanGame, p: JointPoint, direction):

@@ -6,8 +6,9 @@ map but ogda's (make_step_map) is a pure function, and every map fixes
 points where both gradients vanish, since the second-order corrections
 all carry a gradient factor.
 
-run_trajectory keeps a trajectory's iterates as one array, built after
-its loop; the records, points() and the outputs all read that array.
+run_trajectory returns a trajectory as one table: its iterates as one
+array, built after its loop, beside one column per diagnostic, and the
+CSV is written from those columns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dg as dgmod, outputs
-from .games import (Array, GameOracle, JointPoint, NonFiniteValueError,
+from .games import (GameOracle, JointPoint, NonFiniteValueError,
                     SingularHessianError, checked, float_point_ok, matvec)
 
 ALGORITHMS = ("gda", "ogda", "eg", "sga", "co", "unrolled", "fr", "dg")
@@ -213,66 +214,55 @@ def make_step_map(game: GameOracle, cfg: OptimizerConfig):
 
 
 @dataclass
-class TrajectoryRecord:
-    t: int
-    u: Array
-    v: Array
-    value: float
-    grad_u_norm: float
-    grad_v_norm: float
-    dg: Optional[float] = None
-
-
-@dataclass
 class Trajectory:
-    """Time-indexed iterates with per-step diagnostics.
+    """A run as one table, row t for iterate t.
 
-    classification is one of converged / diverged / non_convergent,
-    judged against the supplied target points and divergence norm.
-    iterates is the array of points() when run_trajectory built the
-    records, whose u and v are then views of its rows; a trajectory
-    built from records alone leaves it None.
+    iterates holds each iterate as [u | v] (dim_u columns of u), and
+    value, grad_u_norm, grad_v_norm and dg are its diagnostic columns,
+    dg None where no DG value was logged.  classification is one of
+    converged / diverged / non_convergent, judged against the supplied
+    target points and divergence norm.
     """
 
     game: str
     algorithm: str
     eta: float
-    records: list = field(default_factory=list)
+    dim_u: int
+    iterates: np.ndarray = field(repr=False)
+    value: list
+    grad_u_norm: list
+    grad_v_norm: list
+    dg: list
     classification: str = "non_convergent"
     final_distance: Optional[float] = None
     error: Optional[str] = None
-    iterates: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def steps(self) -> int:
+        return len(self.iterates) - 1
 
     @property
     def final_point(self) -> JointPoint:
-        r = self.records[-1]
-        return JointPoint(r.u, r.v)
-
-    def points(self) -> np.ndarray:
-        """One row [u | v] per record."""
-        if self.iterates is not None:
-            return self.iterates
-        return np.hstack([np.array([r.u for r in self.records]),
-                          np.array([r.v for r in self.records])])
+        last = self.iterates[-1]
+        return JointPoint(last[:self.dim_u], last[self.dim_u:])
 
     def write_csv(self, path):
-        r0 = self.records[0]
+        dim_v = self.iterates.shape[1] - self.dim_u
         outputs.write_csv(
-            path, ["t", *(f"u{i}" for i in range(len(r0.u))),
-                   *(f"v{i}" for i in range(len(r0.v))),
+            path, ["t", *(f"u{i}" for i in range(self.dim_u)),
+                   *(f"v{i}" for i in range(dim_v)),
                    "value", "grad_u_norm", "grad_v_norm", "dg"],
-            ([r.t, *uv, r.value, r.grad_u_norm, r.grad_v_norm, r.dg]
-             for r, uv in zip(self.records, self.points().tolist())))
+            [range(len(self.iterates)), *self.iterates.T, self.value,
+             self.grad_u_norm, self.grad_v_norm, self.dg])
 
     def summary(self) -> dict:
-        final = self.records[-1]
         return {
             "algorithm": self.algorithm,
             "game": self.game,
             "eta": self.eta,
-            "steps": self.records[-1].t,
+            "steps": self.steps,
             "classification": self.classification,
-            "final_point": [float(x) for x in np.concatenate([final.u, final.v])],
+            "final_point": self.iterates[-1].tolist(),
             "final_distance": self.final_distance,
         }
 
@@ -280,25 +270,32 @@ class Trajectory:
         outputs.write_json(path, self.summary())
 
 
+def _norm(g) -> float:
+    """||g||, inf where the squares overflow."""
+    if isinstance(g, float):
+        return math.sqrt(g * g)
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(g.dot(g)))
+
+
 def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
                    steps: int, targets: Sequence[JointPoint] = (),
                    tol: float = 1e-3, diverge_norm: float = 1e3,
                    log_dg: bool = False) -> Trajectory:
-    """Iterate a step map, recording diagnostics at every iterate.
+    """Iterate a step map, with diagnostics at every iterate.
 
     Divergence (norm above diverge_norm) truncates the run at the
-    offending record; step errors keep the partial trajectory and set
-    the error field.  With log_dg, every record carries the DG value
-    under cfg.dg: the one the step from that iterate returns, or else
+    offending iterate; step errors keep the partial trajectory and set
+    the error field.  With log_dg, every row carries the DG value under
+    cfg.dg: the one the step from that iterate returns, or else
     dg_metric's (no estimate in the rule, the last or a diverged iterate,
-    or a step that raised); a non-finite metric leaves that record's dg
-    empty and the run goes on.  Convergence means the final iterate lies
+    or a step that raised); a non-finite metric leaves that row's dg
+    None and the run goes on.  Convergence means the final iterate lies
     within tol of one of the targets.
 
     A start that games.float_point_ok allows is stepped as two Python
     floats (JointPoint), with the same float64 operations as on (1,)
-    arrays.  The iterates become one array after the loop, and every
-    record holds views of its row, (1,) arrays for a float start.
+    arrays.  The iterates become one array after the loop.
     """
     checked("step count steps", steps, at_least=1)
     checked("convergence tolerance tol", tol, at_least=0)
@@ -306,30 +303,10 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     if log_dg and cfg.dg is None:
         raise ValueError("log_dg needs a DGConfig in cfg.dg")
     step_map = make_step_map(game, cfg)
-    traj = Trajectory(game=game.name, algorithm=cfg.algorithm, eta=cfg.eta)
-    us, vs, rows = [], [], []
+    us, vs, value, gu_norm, gv_norm, dg = [], [], [], [], [], []
+    error = None
 
-    def record(t, p, dg_val):
-        u, v = p
-        gu, gv = game.grads(u, v)
-        if isinstance(u, float):
-            gu_norm, gv_norm = math.sqrt(gu * gu), math.sqrt(gv * gv)
-        else:
-            with np.errstate(over="ignore"):
-                gu_norm = float(np.sqrt(gu.dot(gu)))
-                gv_norm = float(np.sqrt(gv.dot(gv)))
-        if not log_dg:
-            dg_val = None
-        elif dg_val is None:
-            try:
-                dg_val = dgmod.dg_metric(game, p, cfg.dg)
-            except NonFiniteValueError:
-                pass
-        us.append(u)
-        vs.append(v)
-        rows.append((t, float(game.value(u, v)), gu_norm, gv_norm, dg_val))
-
-    # each iterate is recorded after the step from it, which may hand
+    # each iterate's row is filled after the step from it, which may hand
     # back its DG value; no step is taken from the last or a diverged one
     p = JointPoint.of(init.u, init.v)
     if float_point_ok(game, *p):
@@ -341,30 +318,38 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
             try:
                 nxt, dg_val = step_map(p)
             except (NonFiniteValueError, SingularHessianError) as exc:
-                traj.error = str(exc)
-        record(t, p, dg_val)
+                error = str(exc)
+        u, v = p
+        gu, gv = game.grads(u, v)
+        gu_norm.append(_norm(gu))
+        gv_norm.append(_norm(gv))
+        if not log_dg:
+            dg_val = None
+        elif dg_val is None:
+            try:
+                dg_val = dgmod.dg_metric(game, p, cfg.dg)
+            except NonFiniteValueError:
+                pass
+        dg.append(dg_val)
+        value.append(float(game.value(u, v)))
+        us.append(u)
+        vs.append(v)
         if nxt is None:
             break
         p = nxt
 
-    n = len(rows)
+    n = len(us)
     u_cols = np.reshape(us, (n, -1))
-    du = u_cols.shape[1]
-    traj.iterates = np.hstack([u_cols, np.reshape(vs, (n, -1))])
-    traj.records = [
-        TrajectoryRecord(t, u, v, value, gu_norm, gv_norm, dg_val)
-        for (t, value, gu_norm, gv_norm, dg_val), u, v in zip(
-            rows, traj.iterates[:, :du], traj.iterates[:, du:])]
-
+    traj = Trajectory(
+        game=game.name, algorithm=cfg.algorithm, eta=cfg.eta,
+        dim_u=u_cols.shape[1],
+        iterates=np.hstack([u_cols, np.reshape(vs, (n, -1))]), value=value,
+        grad_u_norm=gu_norm, grad_v_norm=gv_norm, dg=dg, error=error)
     if diverged:
         traj.classification = "diverged"
     else:
-        final = traj.final_point
-        dists = [final.distance_to(tgt) for tgt in targets]
+        dists = [traj.final_point.distance_to(tgt) for tgt in targets]
+        traj.final_distance = min(dists) if dists else None
         if dists and min(dists) <= tol:
             traj.classification = "converged"
-            traj.final_distance = min(dists)
-        else:
-            traj.classification = "non_convergent"
-            traj.final_distance = min(dists) if dists else None
     return traj

@@ -2,8 +2,9 @@
 
 A CSV cell is str(int(x)) for an integer (Python or numpy), empty for
 None, and repr(float(x)), the shortest text that reads back as the same
-float, otherwise.  JSON is key-sorted, indented by two spaces and ends
-in a newline.  Outputs are compared byte for byte: keep this fixed.
+float, otherwise.  A CSV is handed over as columns.  JSON is key-sorted,
+indented by two spaces and ends in a newline.  Outputs are compared byte
+for byte: keep this fixed.
 """
 
 import json
@@ -15,19 +16,21 @@ import numpy as np
 _REPR_CELLS = (float, int)
 
 
-def _cell(x) -> str:
-    """The cell of a number of another type, e.g. a numpy scalar."""
-    return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+def _cells(column) -> list:
+    """The cells of one column, in one pass."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        column = column.tolist()   # Python floats and ints, the same cells
+    # Python float, int and None cells, the bulk, are tested first
+    return [repr(x) if type(x) in _REPR_CELLS else "" if x is None
+            else str(int(x)) if isinstance(x, (int, np.integer))
+            else repr(float(x)) for x in column]
 
 
-def write_csv(path, header, rows):
-    """One line per row of cells, after the header unless it is None,
-    written to the file in one call."""
+def write_csv(path, header, columns):
+    """Row i holds entry i of each of the (one or more) columns; the
+    header comes first unless it is None.  Written in one call."""
     lines = [] if header is None else [",".join(header)]
-    # Python float, int and None cells, the bulk, skip the _cell call
-    lines.extend(",".join([repr(x) if type(x) in _REPR_CELLS
-                           else "" if x is None else _cell(x)
-                           for x in row]) for row in rows)
+    lines.extend(map(",".join, zip(*map(_cells, columns))))
     with open(path, "w") as fh:
         fh.write("".join([line + "\n" for line in lines]))
 

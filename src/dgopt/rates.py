@@ -109,8 +109,8 @@ class RateResult:
     def write_csv(self, path):
         outputs.write_csv(path, ["T", "error_mean", "error_std",
                                  "bound_4LD2_over_T"],
-                          zip(self.t_values, self.error_mean, self.error_std,
-                              self.bound_values))
+                          [self.t_values, self.error_mean, self.error_std,
+                           self.bound_values])
 
     def write_json(self, path):
         outputs.write_json(path, {"slope": self.slope, "L": self.smoothness,

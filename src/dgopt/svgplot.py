@@ -62,6 +62,14 @@ def finite_argmin(values):
                             vals.shape)
 
 
+def _tick_value(lo, hi, i, count):
+    """lo + (hi - lo) * i / (count - 1); where that product overflows, the
+    same point as the weighted mean of lo and hi, which cannot."""
+    step, frac = (hi - lo) * i, i / (count - 1)
+    return (lo + step / (count - 1) if math.isfinite(step)
+            else lo * (1 - frac) + hi * frac)
+
+
 class SvgCanvas:
     def __init__(self, width=WIDTH, height=HEIGHT):
         self.width = width
@@ -132,8 +140,8 @@ class Axes:
 
     def _ticks(self, count=5):
         for i in range(count):
-            fx = self.x0 + (self.x1 - self.x0) * i / (count - 1)
-            fy = self.y0 + (self.y1 - self.y0) * i / (count - 1)
+            fx = _tick_value(self.x0, self.x1, i, count)
+            fy = _tick_value(self.y0, self.y1, i, count)
             px = self.left + (self.right - self.left) * i / (count - 1)
             py = self.bottom - (self.bottom - self.top) * i / (count - 1)
             xv = 10 ** fx if self.xlog else fx

@@ -2,8 +2,8 @@
 
 Game helpers (box membership, the catalog's game names), criterion 4's
 closed-form DG update matrices and the bilinear box DG, the two-view
-critical-point classifier, and criterion 6's approximate-realizability
-family with its grid check.  No command runs any of it: the closed
+critical-point classifier, criterion 6's approximate-realizability
+family with its grid check, and the CSV cell rule cell by cell.  No command runs any of it: the closed
 forms check dgopt's numerical paths, which are what the commands run.
 """
 
@@ -285,3 +285,26 @@ def check_approx_realizability(family: Sequence[QuadraticSaddle],
                                      expected_dg_at_min=exp_at_min,
                                      full_dg_at_min=full_at_min,
                                      slack=slack, passed=passed)
+
+
+# ---------------------------------------------------------------------------
+# the CSV format, one cell at a time (outputs.write_csv's reference)
+# ---------------------------------------------------------------------------
+
+def csv_cell(x) -> str:
+    """str(int(x)) for an integer (Python or numpy), empty for None, and
+    repr(float(x)) otherwise."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def reference_csv_text(header, columns) -> str:
+    """The text of a CSV whose row i holds entry i of each column, built
+    row by row and cell by cell, after the header unless it is None."""
+    rows = zip(*[list(column) for column in columns])
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join(csv_cell(x) for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)

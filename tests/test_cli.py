@@ -765,6 +765,23 @@ class TestPlotCommand:
                   for c in pt.split(",")]
         assert len(pixels) == 6 and all(map(math.isfinite, pixels))
 
+    @pytest.mark.parametrize("big", ["5e307", "8e307"])
+    def test_tick_labels_of_a_near_overflowing_span_are_numbers(self, tmp_path,
+                                                               big):
+        # the span fits in a float, but (hi - lo) * i does not for the
+        # upper ticks
+        csv = tmp_path / "span.csv"
+        csv.write_text(f"t,a\n1,{big}\n2,-{big}\n3,0.5\n")
+        out = tmp_path / "p"
+        assert run(["plot", "--csv", str(csv), "--out", str(out)]) == 0
+        root = ET.parse(f"{out}.svg").getroot()
+        labels = [el.text for el in root.iter()
+                  if el.tag.endswith("text") and el.get("font-size") == "10"]
+        assert len(labels) == 10
+        assert not any("inf" in s or "nan" in s for s in labels)
+        y_ticks = [float(s) for s in labels[1::2]]
+        assert y_ticks == sorted(y_ticks) and y_ticks[0] < 0 < y_ticks[-1]
+
     def test_missing_csv_is_usage_error(self):
         assert run(["plot", "--csv", "/nonexistent.csv", "--out", "/tmp/z"]) == 2
 

@@ -308,8 +308,8 @@ class TestSharedChains:
                               dg=DGConfig(k=k, gamma=0.05))
         traj = run_trajectory(game, cfg, JointPoint.of(0.4, -0.3),
                               steps=steps, log_dg=True)
-        assert len(traj.records) == steps + 1
-        # per step: both tails, the record's own gradient and the next
+        assert len(traj.iterates) == steps + 1
+        # per step: both tails, the row's own gradient and the next
         # value's k-step chain; run twice, the chains would add k more
         want = steps * (k + 2) + k + 1
         assert counts == {"grad_u": want, "grad_v": want}
@@ -322,12 +322,10 @@ class TestSharedChains:
         init = JointPoint.of(0.4, -0.3)
         logged = run_trajectory(F2, cfg, init, steps=30, log_dg=True)
         plain = run_trajectory(F2, cfg, init, steps=30)
-        for a, b in zip(logged.records, plain.records):
-            assert a.u.tobytes() == b.u.tobytes()
-            assert a.v.tobytes() == b.v.tobytes()
-        for rec in logged.records:
-            p = JointPoint(rec.u, rec.v)
-            assert rec.dg == dg_metric(replace(F2), p, cfg.dg)
+        assert logged.iterates.tobytes() == plain.iterates.tobytes()
+        for row, dg in zip(logged.iterates, logged.dg, strict=True):
+            p = JointPoint(row[:1], row[1:])
+            assert dg == dg_metric(replace(F2), p, cfg.dg)
 
     def test_mutating_a_result_leaves_later_results(self):
         p = JointPoint.of(0.7, -0.4)
@@ -536,8 +534,7 @@ class TestDGDescent:
                               dg=DGConfig(k=10, gamma=0.05))
         runs = [run_trajectory(B3, cfg, JointPoint.of(0.5, 0.5), steps=300)
                 for _ in range(2)]
-        for a, b in zip(runs[0].records, runs[1].records):
-            assert a.u[0] == b.u[0] and a.v[0] == b.v[0]
+        assert np.array_equal(runs[0].iterates, runs[1].iterates)
 
     def test_adagrad_outer_projects_and_converges(self):
         from dgopt.dg import AdaGradState

@@ -14,8 +14,9 @@ import pytest
 from dgopt import dg as dgmod
 from dgopt import optimizers
 from dgopt.dg import DGConfig
-from dgopt.games import JointPoint, make_bilinear, make_quadratic_f1, make_quadratic_f2
-from dgopt.optimizers import (OptimizerConfig, Trajectory, TrajectoryRecord,
+from dgopt.games import (JointPoint, make_bilinear, make_game,
+                         make_quadratic_f1, make_quadratic_f2)
+from dgopt.optimizers import (OptimizerConfig, Trajectory,
                               co_step, eg_step, fr_step, gda_step,
                               make_step_map, ogda_step, run_trajectory,
                               sga_step, unrolled_step)
@@ -298,27 +299,26 @@ class TestTrajectories:
         traj = run_trajectory(F1, cfg, JointPoint.of(0.1, 0.1), steps=5000,
                               targets=[JointPoint.of(0.0, 0.0)])
         assert traj.classification == "diverged"
-        assert traj.records[-1].t < 5000  # truncated at the divergence step
+        assert traj.steps < 5000  # truncated at the divergence step
 
     def test_init_at_zero_gradient_target(self):
         cfg = OptimizerConfig(algorithm="gda", eta=0.05)
         traj = run_trajectory(F1, cfg, JointPoint.of(0.0, 0.0), steps=10,
                               targets=[JointPoint.of(0.0, 0.0)])
         assert traj.classification == "converged"
-        assert len(traj.records) == 11
+        assert len(traj.iterates) == 11
 
     def test_records_indexing_and_count(self):
         cfg = OptimizerConfig(algorithm="eg", eta=0.05)
         traj = run_trajectory(F2, cfg, JointPoint.of(0.5, -0.5), steps=20)
-        assert [r.t for r in traj.records] == list(range(21))
+        assert traj.steps == 20 and len(traj.iterates) == 21
 
     def test_determinism_bit_identical(self):
         cfg = OptimizerConfig(algorithm="sga", eta=0.05)
         t1 = run_trajectory(F1, cfg, JointPoint.of(0.5, 0.5), steps=200)
         t2 = run_trajectory(F1, cfg, JointPoint.of(0.5, 0.5), steps=200)
-        for a, b in zip(t1.records, t2.records):
-            assert a.u[0] == b.u[0] and a.v[0] == b.v[0]
-            assert a.value == b.value
+        assert np.array_equal(t1.iterates, t2.iterates)
+        assert t1.value == t2.value
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("game,alg,init,error", [
@@ -333,7 +333,7 @@ class TestTrajectories:
         cfg = OptimizerConfig(algorithm=alg, eta=0.05, dg=dg)
         traj = run_trajectory(game, cfg, JointPoint.of(init, init), steps=10,
                               log_dg=dg is not None)
-        assert [(r.t, r.dg) for r in traj.records] == [(0, None)]
+        assert (traj.steps, traj.dg) == (0, [None])
         assert traj.error == error
         assert traj.classification == "non_convergent"
 
@@ -356,12 +356,10 @@ class TestTrajectories:
 
         # the exact text: an int step cell, an empty and a filled dg cell,
         # -0.0, JSON null and a nested list
-        hand = Trajectory(game="f1", algorithm="dg", eta=0.05, records=[
-            TrajectoryRecord(t=0, u=np.array([-0.0]), v=np.array([0.1]),
-                             value=0.5, grad_u_norm=1.0, grad_v_norm=2.5),
-            TrajectoryRecord(t=1, u=np.array([0.25]), v=np.array([-1e-300]),
-                             value=-0.0, grad_u_norm=3.0, grad_v_norm=0.0,
-                             dg=0.125)])
+        hand = Trajectory(game="f1", algorithm="dg", eta=0.05, dim_u=1,
+                          iterates=np.array([[-0.0, 0.1], [0.25, -1e-300]]),
+                          value=[0.5, -0.0], grad_u_norm=[1.0, 3.0],
+                          grad_v_norm=[2.5, 0.0], dg=[None, 0.125])
         hand.write_csv(csv_path)
         hand.write_summary(json_path)
         assert csv_path.read_text() == (
@@ -405,3 +403,59 @@ class TestTrajectories:
             return len(calls)
 
         assert checks(7) - checks(1) == 0
+
+
+class TestTrajectoryTable:
+    """Row t of a trajectory is iterate t: the t-th point of a fresh step
+    map, with its oracle values and norms and, when logged, its DG."""
+
+    STARTS = {
+        "f1-float": ("f1", (0.3, -0.2), np.float64),
+        "f1-float32": ("f1", (0.3, -0.2), np.float32),
+        "bilinear-float": ("bilinear:c=3", (0.4, 0.25), np.float64),
+        "bilinear-float32": ("bilinear:c=3", (0.4, 0.25), np.float32),
+        "motivation-boxed": ("motivation", (0.4, -0.3), np.float64),
+    }
+
+    @pytest.mark.parametrize("log_dg", [False, True])
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    @pytest.mark.parametrize("alg", optimizers.ALGORITHMS)
+    def test_rows_are_the_stepped_points(self, alg, start, log_dg):
+        spec, (x, y), dtype = self.STARTS[start]
+        game = make_game(spec)
+        cfg = OptimizerConfig(alg, eta=0.05, unroll_k=3,
+                              dg=DGConfig(k=3, gamma=0.05))
+        init = JointPoint(np.array([x], dtype=dtype),
+                          np.array([y], dtype=dtype))
+        traj = run_trajectory(game, cfg, init, steps=30,
+                              targets=[JointPoint.of(0.0, 0.0)],
+                              log_dg=log_dg)
+        assert traj.steps == len(traj.iterates) - 1
+        # fr's H_vv is singular on bilinear, and co diverges on motivation
+        assert (traj.steps == 30) == (traj.error is None and
+                                      traj.classification != "diverged")
+        assert traj.dim_u == 1 and traj.iterates.dtype == np.float64
+        columns = (traj.value, traj.grad_u_norm, traj.grad_v_norm, traj.dg)
+        assert all(len(col) == len(traj.iterates) for col in columns)
+
+        step, p = make_step_map(game, cfg), JointPoint.of(init.u, init.v)
+        for t, row in enumerate(traj.iterates):
+            assert row.tobytes() == p.concat().tobytes()
+            gu, gv = game.grads(p.u, p.v)
+            assert traj.value[t] == float(game.value(p.u, p.v))
+            assert traj.grad_u_norm[t] == float(np.linalg.norm(gu))
+            assert traj.grad_v_norm[t] == float(np.linalg.norm(gv))
+            if log_dg:
+                assert traj.dg[t] == dgmod.dg_metric(game, p, cfg.dg)
+            else:
+                assert traj.dg[t] is None
+            if t < traj.steps:
+                p, _ = step(p)
+
+        last = traj.iterates[-1]
+        final = traj.final_point
+        assert (final.u.tobytes(), final.v.tobytes()) == (
+            last[:1].tobytes(), last[1:].tobytes())
+        summary = traj.summary()
+        assert summary["steps"] == traj.steps
+        assert summary["final_point"] == [float(last[0]), float(last[1])]

@@ -203,3 +203,24 @@ class TestPolyline:
         self.assert_matches(longer, shorter, (0.0, 1.0), (0.0, 1.0))
         self.assert_matches(shorter, longer, (0.0, 1.0), (0.0, 1.0))
 
+
+
+class TestTicks:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_finite_product_keeps_the_linear_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-300, 300, size=(300, 1))
+        for lo, hi in (rng.normal(size=(300, 2)) * scale).tolist():
+            for i in range(5):
+                assert svgplot._tick_value(lo, hi, i, 5) == (
+                    lo + (hi - lo) * i / 4)
+
+    @pytest.mark.parametrize("lo, hi", [(-5e307, 5e307), (-1e308, 7e307),
+                                        (-8.9e307, 8.9e307)])
+    def test_an_overflowing_product_gives_finite_increasing_ticks(self, lo,
+                                                                   hi):
+        assert math.isfinite(hi - lo)
+        ticks = [svgplot._tick_value(lo, hi, i, 5) for i in range(5)]
+        assert all(map(math.isfinite, ticks))
+        assert ticks == sorted(ticks)
+        assert (ticks[0], ticks[-1]) == (lo, hi)

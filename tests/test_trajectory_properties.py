@@ -37,11 +37,11 @@ def _run(game, cfg, start, steps, diverge_norm, log_dg):
                                   diverge_norm=diverge_norm, log_dg=log_dg)
     except (OverflowError, ValueError) as exc:
         return type(exc), str(exc)
-    records = [(r.t, r.u.dtype, r.u.shape, r.u.tobytes(), r.v.dtype,
-                r.v.shape, r.v.tobytes(), _bytes(r.value),
-                _bytes(r.grad_u_norm), _bytes(r.grad_v_norm), _bytes(r.dg))
-               for r in traj.records]
-    return (records, traj.classification, _bytes(traj.final_distance),
+    table = (traj.steps, traj.dim_u, traj.iterates.dtype,
+             traj.iterates.shape, traj.iterates.tobytes(),
+             *([_bytes(x) for x in col] for col in (
+                 traj.value, traj.grad_u_norm, traj.grad_v_norm, traj.dg)))
+    return (table, traj.classification, _bytes(traj.final_distance),
             traj.error)
 
 
@@ -90,7 +90,7 @@ def test_unrolled_float_trajectory_is_the_array_trajectory(spec, rule, eta, x,
 
 
 # starts where a Hessian block product is -0.0: a float product without
-# numpy's + 0.0 would move a signed zero in the records
+# numpy's + 0.0 would move a signed zero in the iterates
 @pytest.mark.parametrize("spec,alg,start", [
     ("f1", "sga", (0.0, -0.0)), ("bilinear:c=3", "sga", (-0.0, -0.0)),
     ("f1", "co", (-0.0, 0.0)), ("f3", "co", (-0.0, -0.0)),
@@ -165,26 +165,17 @@ def test_only_one_float64_point_of_an_unboxed_float_form_game_is_floats():
     assert not games.float_point_ok(f1, 0.3, -0.2)
 
 
-def _record_build(traj):
-    """points() as built record by record."""
-    return np.hstack([np.array([r.u for r in traj.records]),
-                      np.array([r.v for r in traj.records])])
-
-
 @pytest.mark.parametrize("alg", ["gda", "eg", "dg"])
 def test_float_records_are_the_stepped_floats(alg):
     game = GAMES["f1"]
     cfg = OptimizerConfig(alg, eta=0.05, dg=DGConfig(k=3, gamma=0.05))
     traj = run_trajectory(game, cfg, JointPoint.of(0.3, -0.2), steps=40)
     step, p = make_step_map(game, cfg), JointPoint(0.3, -0.2)
-    for rec in traj.records:
-        assert rec.u.shape == rec.v.shape == (1,)
-        assert rec.u.dtype == rec.v.dtype == np.float64
-        assert (rec.u.tobytes(), rec.v.tobytes()) == (
-            np.float64(p.u).tobytes(), np.float64(p.v).tobytes())
+    assert traj.iterates.shape == (41, 2) and traj.dim_u == 1
+    assert traj.iterates.dtype == np.float64
+    for row in traj.iterates:
+        assert row.tobytes() == np.array([p.u, p.v]).tobytes()
         p, _ = step(p)
-    assert np.array_equal(traj.points(), _record_build(traj))
-    assert traj.points().dtype == np.float64
 
 
 def _quadratic_2x1():
@@ -203,13 +194,12 @@ def _quadratic_2x1():
     (_quadratic_2x1(), ([0.4, 0.1], [-0.3]), np.float64),
 ], ids=["boxed", "float32", "2x1"])
 def test_array_trajectories_keep_their_record_dtypes(game, start, dtype):
-    # every start is read as float64 (JointPoint.of), so are the records
+    # every start is read as float64 (JointPoint.of), so are the iterates
     cfg = OptimizerConfig("dg", eta=0.05, dg=DGConfig(k=2, gamma=0.05))
     init = JointPoint(*(np.array(x, dtype=dtype) for x in start))
     traj = run_trajectory(game, cfg, init, steps=25)
-    for rec in traj.records:
-        assert rec.u.dtype == rec.v.dtype == np.float64
-        assert (rec.u.shape, rec.v.shape) == ((game.dim_u,), (game.dim_v,))
-    assert np.array_equal(traj.points(), _record_build(traj))
-    assert traj.records[0].u.tobytes() == np.array(start[0], dtype=dtype
-                                                   ).astype(float).tobytes()
+    assert traj.iterates.dtype == np.float64
+    assert traj.iterates.shape == (26, game.dim_u + game.dim_v)
+    assert traj.dim_u == game.dim_u
+    assert traj.iterates[0, :game.dim_u].tobytes() == np.array(
+        start[0], dtype=dtype).astype(float).tobytes()
