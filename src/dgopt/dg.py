@@ -120,11 +120,11 @@ def _chain(grad, x, opp, ascent, gamma, box, k, p):
     x - gamma * grad(x, opp)).
 
     x is an array, stepped from a copy, or a Python float with gamma and
-    the gradients Python floats too (one coordinate, see _inner_halves);
-    each step is the same float64 multiply and add either way.  An
-    overflow is reported by the finiteness check alone: numpy's overflow
-    and invalid warnings are off for array steps, and float steps raise
-    none.
+    the gradients Python floats too (one coordinate, see
+    worst_case_responses); each step is the same float64 multiply and
+    add either way.  An overflow is reported by the finiteness check
+    alone: numpy's overflow and invalid warnings are off for array
+    steps, and float steps raise none.
     """
     step = gamma if ascent else -gamma
     if isinstance(x, float):
@@ -150,45 +150,38 @@ def _inner_error(ascent, i, p):
         f"non-finite at inner step {i}", point=p)
 
 
-def _inner_halves(game, p, k, gamma, descent_tail=None, ascent_tail=None):
-    """(u_k, descent_tail(u_k, p.v)) and (v_k, ascent_tail(p.u, v_k)) for
-    the two inner chains, or a bare endpoint for a half with no tail.
+def worst_case_responses(game: GameOracle, p: JointPoint, cfg: DGConfig,
+                         descent_tail=None, ascent_tail=None) -> tuple:
+    """cfg.k warm-started inner gradient steps per player against a
+    frozen opponent: (u_k, descent_tail(u_k, p.v)) and
+    (v_k, ascent_tail(p.u, v_k)), or a bare endpoint for a half with no
+    tail.  Every chain pair of dg_estimate and dg_metric runs here.
 
-    u_k takes k descent steps on u -> M(u, p.v) from p.u, v_k k ascent
-    steps on v -> M(p.u, v) from p.v.  The halves share no state, so
-    they are a run_pair: descent first, on the worker when concurrent.
-    Every call runs both chains; nothing is kept between calls.
+    u_k descends u -> M(u, p.v) from p.u, v_k ascends v -> M(p.u, v)
+    from p.v, each step with the gradient at the previous inner iterate.
+    When the game carries a box domain the inner iterates are clamped to
+    it, which keeps the estimate below the exact box duality gap.  The
+    halves share no state, so they are a run_pair: descent first, on
+    the worker when concurrent.  Every call runs both chains; nothing is
+    kept between calls.
 
     The chains step the point's own form: two Python floats (a point
     that run_trajectory steps on floats) or arrays, and the tails get
     each endpoint in that form.  The tails are oracle methods, called
     with the frozen opponent in its own argument place.
     """
-    gamma, u_box, v_box = _inner_setup(game, p, gamma)
+    gamma, u_box, v_box = _inner_setup(game, p, cfg.gamma)
     u, v = p
 
     def descent():
-        uk = _chain(game.grad_u, u, v, False, gamma, u_box, k, p)
+        uk = _chain(game.grad_u, u, v, False, gamma, u_box, cfg.k, p)
         return uk if descent_tail is None else (uk, descent_tail(uk, v))
 
     def ascent():
-        vk = _chain(game.grad_v, v, u, True, gamma, v_box, k, p)
+        vk = _chain(game.grad_v, v, u, True, gamma, v_box, cfg.k, p)
         return vk if ascent_tail is None else (vk, ascent_tail(u, vk))
 
     return run_pair(descent, ascent)
-
-
-def worst_case_responses(game: GameOracle, p: JointPoint,
-                         cfg: DGConfig) -> tuple:
-    """cfg.k warm-started inner gradient steps against a frozen opponent.
-
-    u_worst descends u -> M(u, p.v) starting from p.u; v_worst ascends
-    v -> M(p.u, v) starting from p.v.  Each step uses the gradient at
-    the previous inner iterate (plain explicit steps).  When the game
-    carries a box domain the inner iterates are clamped to it, which
-    keeps the estimate below the exact box duality gap.
-    """
-    return _inner_halves(game, p, cfg.k, cfg.gamma)
 
 
 def _differentiated_chain(game, p, step, k):
@@ -202,8 +195,9 @@ def _differentiated_chain(game, p, step, k):
     d_own <- d_own + step * H_own d_own and
     d_opp <- d_opp + step * (H_own d_opp + H_cross) before moving x: as
     one product on the stacked D = [d_own | d_opp], or on Python floats
-    at a float point (see _inner_halves).  Returns (x_k, d_own^T, d_opp^T)
-    for d_own = dx_k/d start and d_opp = dx_k/d opponent.
+    at a float point (see worst_case_responses).  Returns
+    (x_k, d_own^T, d_opp^T) for d_own = dx_k/d start and
+    d_opp = dx_k/d opponent.
     """
     u, v = p
     ascent = step > 0
@@ -265,11 +259,11 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig) -> DGEstimate:
     gradients (grad_u M(u,v), -grad_v M(u,v)), which is what makes
     k = 0 DG-descent coincide with plain gradient descent-ascent.
 
-    The envelope estimate runs two independent halves (_inner_halves):
-    descent (the u-chain, then M and grad_v at (u_k, v)) and ascent (the
-    v-chain, then M and grad_u at (u, v_k)).  The envelope mode also
-    takes a batched point (see GameOracle): the value is then an array
-    over the batch.
+    The envelope estimate runs two independent halves
+    (worst_case_responses): descent (the u-chain, then M and grad_v at
+    (u_k, v)) and ascent (the v-chain, then M and grad_u at (u, v_k)).
+    The envelope mode also takes a batched point (see GameOracle): the
+    value is then an array over the batch.
     """
     u, v = p
 
@@ -278,28 +272,29 @@ def dg_estimate(game: GameOracle, p: JointPoint, cfg: DGConfig) -> DGEstimate:
                          "batch; use the envelope mode")
     if cfg.grad_mode == "unrolled" and cfg.k > 0:
         uw, vw, grad_u, grad_v = _unrolled_grads(game, p, cfg.k, cfg.gamma)
-        value = game.value(u, vw) - game.value(uw, v)
+        high, low = game.value(u, vw), game.value(uw, v)
     else:
-        (uw, (low, gv)), (vw, (high, grad_u)) = _inner_halves(
-            game, p, cfg.k, cfg.gamma, game.value_and_grad_v,
-            game.value_and_grad_u)
-        value = high - low
+        (uw, (low, gv)), (vw, (high, grad_u)) = worst_case_responses(
+            game, p, cfg, game.value_and_grad_v, game.value_and_grad_u)
         grad_v = -gv
 
-    return DGEstimate(value=_finite(value, "duality-gap value", p),
+    return DGEstimate(value=_gap(high, low, "duality-gap value", p),
                       u_worst=uw, v_worst=vw, grad_u=grad_u, grad_v=grad_v)
 
 
-def _finite(value, what, p):
-    """value as a float, or as an array over a batched point; raises if
-    any entry is non-finite."""
-    if type(value) is float:
+def _gap(high, low, what, p):
+    """high - low as a float, or as an array over a batched point; raises
+    if any entry is non-finite.  A numpy difference is taken with its
+    overflow and invalid warnings off, so that check is the one report."""
+    if type(high) is float and type(low) is float:
+        value = high - low
         finite = math.isfinite(value)
-    elif np.ndim(value):
-        finite = np.all(np.isfinite(value))
     else:
-        finite = math.isfinite(value)
-        value = float(value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = high - low
+        finite = np.all(np.isfinite(value))
+        if not np.ndim(value):
+            value = float(value)
     if not finite:
         raise NonFiniteValueError(f"{what} is non-finite", point=p)
     return value
@@ -312,9 +307,9 @@ def dg_metric(game: GameOracle, p: JointPoint, cfg: DGConfig) -> float:
     a game that takes one (see GameOracle), the chains step every point
     at once and the metric is an array over the batch; it raises if any
     entry is non-finite."""
-    (_, low), (_, high) = _inner_halves(game, p, cfg.k, cfg.gamma,
-                                        game.value, game.value)
-    return _finite(high - low, "duality-gap metric", p)
+    (_, low), (_, high) = worst_case_responses(game, p, cfg, game.value,
+                                               game.value)
+    return _gap(high, low, "duality-gap metric", p)
 
 
 def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:

@@ -80,11 +80,12 @@ def linearize(step_map: Callable[[JointPoint], tuple],
               fixed_tol: float = 1e-8) -> StabilityReport:
     """Numerical Jacobian of a one-step map at a verified fixed point.
 
-    step_map returns (next point, DG value or None), as the maps of
-    optimizers.make_step_map and dg.dg_descent_step do; only the point
-    is differentiated.  Column j comes from central differences along
-    coordinate j of the joint vector.  Eigenvalues use the closed 2x2
-    form when possible and the QR solver otherwise.
+    step_map returns a tuple that starts with the next point, as the
+    maps of optimizers.make_step_map (next point, DG value or None,
+    gradient pair or None) and dg.dg_descent_step (next point, DG value)
+    do; only the point is differentiated.  Column j comes from central
+    differences along coordinate j of the joint vector.  Eigenvalues use
+    the closed 2x2 form when possible and the QR solver otherwise.
     """
     checked("finite-difference step", h, positive=True)
     checked("fixed-point tolerance fixed_tol", fixed_tol, at_least=0)

@@ -120,6 +120,7 @@ class Box:
             raise ValueError("box bounds must have one shape")
         for lo, hi in zip(self.lo.flat, self.hi.flat):
             checked("box upper bound", hi, checked("box lower bound", lo))
+            checked("box width hi - lo", float(hi) - float(lo))
 
     @staticmethod
     def square(lo: float, hi: float, dim: int = 2) -> "Box":

@@ -454,7 +454,7 @@ def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
     with parallel.thread_setup() as log.thread_setup:
         if algorithm == "co":
             eta = game.dtype.type(cfg.eta)
-            step = lambda p: (_co_step(game, p, eta, cfg.co_gamma), None)
+            step = lambda p: (_co_step(game, p, eta, cfg.co_gamma), None, None)
         else:
             step = optimizers.make_step_map(game, cfg)
 
@@ -481,7 +481,7 @@ def train_mog(algorithm: str, game: MogGanGame, iterations: int = 20000,
             if algorithm != "dg":
                 log_row(it, p)
                 return step(p)[0]
-            nxt, dg_val = step(p)
+            nxt, dg_val, _ = step(p)
             log_row(it, p, dg_val)
             return nxt
 

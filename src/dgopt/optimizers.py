@@ -1,8 +1,9 @@
 """Baseline minimax update rules and a generic trajectory runner.
 
 All step maps are simultaneous (Jacobi) one-step updates: gradients are
-evaluated at the incoming point and both players move at once.  Every
-map but ogda's (make_step_map) is a pure function, and every map fixes
+evaluated at the incoming point and both players move at once; a rule
+takes the pair there as grads, which its map (make_step_map) evaluates
+once.  Every map but ogda's is a pure function, and every map fixes
 points where both gradients vanish, since the second-order corrections
 all carry a gradient factor.
 
@@ -72,23 +73,19 @@ def _solve(H, b):
     return np.linalg.solve(H, b)
 
 
-def gda_step(game: GameOracle, p: JointPoint, eta: float) -> JointPoint:
-    """u descends, v ascends, both using gradients at the old point."""
-    gu, gv = _checked_grads(game, p)
+def gda_step(game: GameOracle, p: JointPoint, grads, eta: float) -> JointPoint:
+    """u descends, v ascends, both using the gradients at p."""
+    gu, gv = grads
     return JointPoint(p.u - eta * gu, p.v + eta * gv)
 
 
-def ogda_step(game: GameOracle, p: JointPoint, prev_grads, eta: float) -> JointPoint:
+def ogda_step(game: GameOracle, p: JointPoint, grads, prev_grads,
+              eta: float) -> JointPoint:
     """Optimistic step: 2x the current signed gradient minus the previous.
 
     prev_grads is the (grad_u, grad_v) pair from the previous iterate;
     when absent (step 0) this falls back to a plain gda step.
     """
-    return _ogda_update(p, _checked_grads(game, p), prev_grads, eta)
-
-
-def _ogda_update(p: JointPoint, grads, prev_grads, eta: float) -> JointPoint:
-    """ogda_step from the gradients at p, already evaluated."""
     gu, gv = grads
     if prev_grads is None:
         return JointPoint(p.u - eta * gu, p.v + eta * gv)
@@ -97,21 +94,21 @@ def _ogda_update(p: JointPoint, grads, prev_grads, eta: float) -> JointPoint:
                       p.v + 2 * eta * gv - eta * pv)
 
 
-def eg_step(game: GameOracle, p: JointPoint, eta: float) -> JointPoint:
+def eg_step(game: GameOracle, p: JointPoint, grads, eta: float) -> JointPoint:
     """Extrapolate to a midpoint, then step from p with midpoint gradients."""
-    gu, gv = _checked_grads(game, p)
+    gu, gv = grads
     mid = JointPoint(p.u - eta * gu, p.v + eta * gv)
     gu_m, gv_m = _checked_grads(game, mid)
     return JointPoint(p.u - eta * gu_m, p.v + eta * gv_m)
 
 
-def sga_step(game: GameOracle, p: JointPoint, eta: float,
+def sga_step(game: GameOracle, p: JointPoint, grads, eta: float,
              lam: float = 1.0) -> JointPoint:
     """Symplectic adjustment of the signed field g = (grad_u, -grad_v):
 
         p' = p - eta * [[I, -lam H_uv], [lam H_vu, I]] g
     """
-    gu, gv = _checked_grads(game, p)
+    gu, gv = grads
     _, H_uv, H_vu, _ = game.hessian_blocks(p)
     gx, gy = gu, -gv
     adj_x = gx - lam * matvec(H_uv, gy)
@@ -119,7 +116,7 @@ def sga_step(game: GameOracle, p: JointPoint, eta: float,
     return JointPoint(p.u - eta * adj_x, p.v - eta * adj_y)
 
 
-def co_step(game: GameOracle, p: JointPoint, eta: float,
+def co_step(game: GameOracle, p: JointPoint, grads, eta: float,
             gamma: float = 0.1) -> JointPoint:
     """Gradient play plus a shared penalty descending 0.5*||grad M||^2.
 
@@ -127,7 +124,7 @@ def co_step(game: GameOracle, p: JointPoint, eta: float,
     Hessian; equivalently J^T g for the signed field.  The conventional
     factor 1/2 is absorbed into gamma.
     """
-    gu, gv = _checked_grads(game, p)
+    gu, gv = grads
     H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(p)
     pen_u = matvec(H_uu, gu) + matvec(H_uv, gv)
     pen_v = matvec(H_vu, gu) + matvec(H_vv, gv)
@@ -135,7 +132,7 @@ def co_step(game: GameOracle, p: JointPoint, eta: float,
                       p.v + eta * gv - gamma * eta * pen_v)
 
 
-def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
+def unrolled_step(game: GameOracle, p: JointPoint, grads, eta: float,
                   k: int) -> JointPoint:
     """Leader update through k unrolled follower ascent steps.
 
@@ -146,8 +143,8 @@ def unrolled_step(game: GameOracle, p: JointPoint, eta: float,
     point steps the chain and S on Python floats.
     """
     checked("unrolled step count k", k, at_least=1)
-    gu, gv = _checked_grads(game, p)
     u, v = p
+    _, gv = grads
     y, _, S_t = dgmod._differentiated_chain(game, p, eta, k)
     gu_y, gv_y = game.grads(u, y)
     total = gu_y + matvec(S_t, gv_y)
@@ -160,13 +157,13 @@ def _where(p: JointPoint) -> str:
             f"v={np.atleast_1d(p.v).tolist()}")
 
 
-def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
+def fr_step(game: GameOracle, p: JointPoint, grads, eta_x: float,
             eta_y: Optional[float] = None) -> JointPoint:
     """Follow-the-ridge: the follower adds a correction compensating the
     leader's move, H_vv^{-1} H_vu grad_u M scaled by the leader's rate."""
     if eta_y is None:
         eta_y = eta_x
-    gu, gv = _checked_grads(game, p)
+    gu, gv = grads
     _, _, H_vu, H_vv = game.hessian_blocks(p)
     try:
         correction = _solve(H_vv, matvec(H_vu, gu))
@@ -181,36 +178,37 @@ def fr_step(game: GameOracle, p: JointPoint, eta_x: float,
 
 
 def make_step_map(game: GameOracle, cfg: OptimizerConfig):
-    """Bind a config to a map p -> (p', DG value at p or None).
+    """Bind a config to a map p -> (p', DG value or None, pair or None).
 
     Only dg steps through a DG estimate at p, and it hands that value
-    back; every other rule returns None.  ogda is the one stateful map:
-    it keeps its previous gradients in a closure cell, and a fresh map
-    starts with the gda fallback.  That hidden state is a known defect:
-    dynamics.linearize calls one map for its residual and every
-    difference, so its ogda Jacobian belongs to no single map.
+    back.  Every other rule updates from the pair at p, which the map
+    evaluates once and hands back; dg's chains evaluate no such pair.
+    ogda is the one stateful map: it keeps that pair as its previous
+    gradients in a closure cell, and a fresh map starts with the gda
+    fallback.  That hidden state is a known defect: dynamics.linearize
+    calls one map for its residual and every difference, so its ogda
+    Jacobian belongs to no single map.
     """
     if cfg.algorithm == "dg":
-        return lambda p: dgmod.dg_descent_step(game, p, cfg.dg, cfg.eta)
-    if cfg.algorithm == "ogda":
-        memory = {"prev": None}
-
-        def step(p):
-            grads = _checked_grads(game, p)
-            out = _ogda_update(p, grads, memory["prev"], cfg.eta)
-            memory["prev"] = grads
-            return out, None
-
-        return step
+        return lambda p: (*dgmod.dg_descent_step(game, p, cfg.dg, cfg.eta), None)
+    prev = [None]   # ogda's previous pair
     rule = {
-        "gda": lambda p: gda_step(game, p, cfg.eta),
-        "eg": lambda p: eg_step(game, p, cfg.eta),
-        "sga": lambda p: sga_step(game, p, cfg.eta, cfg.sga_lambda),
-        "co": lambda p: co_step(game, p, cfg.eta, cfg.co_gamma),
-        "unrolled": lambda p: unrolled_step(game, p, cfg.eta, cfg.unroll_k),
-        "fr": lambda p: fr_step(game, p, cfg.eta, cfg.eta_y),
+        "gda": lambda p, g: gda_step(game, p, g, cfg.eta),
+        "ogda": lambda p, g: ogda_step(game, p, g, prev[0], cfg.eta),
+        "eg": lambda p, g: eg_step(game, p, g, cfg.eta),
+        "sga": lambda p, g: sga_step(game, p, g, cfg.eta, cfg.sga_lambda),
+        "co": lambda p, g: co_step(game, p, g, cfg.eta, cfg.co_gamma),
+        "unrolled": lambda p, g: unrolled_step(game, p, g, cfg.eta, cfg.unroll_k),
+        "fr": lambda p, g: fr_step(game, p, g, cfg.eta, cfg.eta_y),
     }[cfg.algorithm]
-    return lambda p: (rule(p), None)
+
+    def step(p):
+        grads = _checked_grads(game, p)
+        out = rule(p, grads)
+        prev[0] = grads
+        return out, None, grads
+
+    return step
 
 
 @dataclass
@@ -286,12 +284,14 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
 
     Divergence (norm above diverge_norm) truncates the run at the
     offending iterate; step errors keep the partial trajectory and set
-    the error field.  With log_dg, every row carries the DG value under
-    cfg.dg: the one the step from that iterate returns, or else
-    dg_metric's (no estimate in the rule, the last or a diverged iterate,
-    or a step that raised); a non-finite metric leaves that row's dg
-    None and the run goes on.  Convergence means the final iterate lies
-    within tol of one of the targets.
+    the error field.  A row's gradient norms are the pair's that the step
+    from that iterate hands back, or else game.grads' (dg, the last or a
+    diverged iterate, or a step that raised).  With log_dg, every row
+    carries the DG value under cfg.dg: the one the step from that
+    iterate returns, or else dg_metric's (no estimate in the rule, the
+    last or a diverged iterate, or a step that raised); a non-finite
+    metric leaves that row's dg None and the run goes on.  Convergence
+    means the final iterate lies within tol of one of the targets.
 
     A start that games.float_point_ok allows is stepped as two Python
     floats (JointPoint), with the same float64 operations as on (1,)
@@ -307,20 +307,20 @@ def run_trajectory(game: GameOracle, cfg: OptimizerConfig, init: JointPoint,
     error = None
 
     # each iterate's row is filled after the step from it, which may hand
-    # back its DG value; no step is taken from the last or a diverged one
+    # back its DG value and gradients; no step from the last or a diverged one
     p = JointPoint.of(init.u, init.v)
     if float_point_ok(game, *p):
         p = JointPoint(float(p.u[0]), float(p.v[0]))
     for t in range(steps + 1):
-        nxt = dg_val = None
+        nxt = dg_val = grads = None
         diverged = t > 0 and p.norm() > diverge_norm
         if t < steps and not diverged:
             try:
-                nxt, dg_val = step_map(p)
+                nxt, dg_val, grads = step_map(p)
             except (NonFiniteValueError, SingularHessianError) as exc:
                 error = str(exc)
         u, v = p
-        gu, gv = game.grads(u, v)
+        gu, gv = game.grads(u, v) if grads is None else grads
         gu_norm.append(_norm(gu))
         gv_norm.append(_norm(gv))
         if not log_dg:

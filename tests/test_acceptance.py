@@ -140,7 +140,7 @@ def test_criterion_3_gda_norm_strictly_increases(c):
     factor = 1 + ETA ** 2 * c ** 2
     ok = True
     for _ in range(500):
-        q = gda_step(game, p, ETA)
+        q = gda_step(game, p, game.grads(*p), ETA)
         if not (q.norm() > p.norm()
                 and q.norm() ** 2 == pytest.approx(factor * p.norm() ** 2,
                                                    rel=1e-9)):
@@ -297,7 +297,7 @@ def test_criterion_9_k0_bit_identical_to_gda(spec):
     identical = True
     for _ in range(1000):
         p_dg, _ = dg_descent_step(game, p_dg, cfg, ETA)
-        p_ga = gda_step(game, p_ga, ETA)
+        p_ga = gda_step(game, p_ga, game.grads(*p_ga), ETA)
         if p_dg.u[0] != p_ga.u[0] or p_dg.v[0] != p_ga.v[0]:
             identical = False
             break

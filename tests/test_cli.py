@@ -283,6 +283,33 @@ class TestLandscape:
         assert not (tmp_path / "land.csv").exists()
 
 
+    def test_box_of_infinite_width_is_usage_error(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows, so the box is refused before its
+        # axes are spaced: no numpy warning, and no blame on the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["landscape", "--game", "f1", "--box=-1e308,1e308",
+                        "--res", "5", "--measure", "minimax_value",
+                        "--out", str(tmp_path / "land")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: box width hi - lo must be finite, got inf\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_infinite_batched_gap_is_operation_error(self, tmp_path, capsys):
+        # bilinear's values overflow at the corner nodes on both sides of
+        # the gap, so high - low is inf - inf there; the non-finite error
+        # is the one report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["landscape", "--game", "bilinear:c=1",
+                        "--box=-1e200,1e200", "--res", "5", "--measure",
+                        "dg_approx", "--out", str(tmp_path / "land")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: duality-gap metric is non-finite\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_formula_gives_nan_cells(self, tmp_path, capsys):
         # f3's x ** 3 overflows at the +-1e200 nodes; the centre is finite
         prefix = tmp_path / "land"

@@ -134,6 +134,21 @@ class TestDGEstimate:
         with pytest.raises(NonFiniteValueError, match="duality-gap value"):
             dg_estimate(F1, JointPoint(u, u.copy()), DGConfig(k=0, gamma=0.05))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec,x", [("f1", 1e200),
+                                        ("bilinear:c=1", 1e200)])
+    def test_batched_nonfinite_gap_raises_without_a_warning(self, spec, x):
+        # the values at these nodes are infinite on both sides of the
+        # gap, so high - low is inf - inf: the finiteness check reports
+        # it, with no numpy warning before it
+        game = make_game(spec)
+        u, v = np.array([[0.5], [x], [-x]]), np.array([[0.5], [x], [x]])
+        cfg = DGConfig(k=2, gamma=0.05)
+        with pytest.raises(NonFiniteValueError, match="duality-gap value"):
+            dg_estimate(game, JointPoint(u, v), cfg)
+        with pytest.raises(NonFiniteValueError, match="duality-gap metric"):
+            dg_metric(game, JointPoint(u, v), cfg)
+
     def test_unrolled_rejects_a_batch(self):
         p = JointPoint(np.zeros((3, 1)), np.ones((3, 1)))
         for k in (0, 2):
@@ -518,7 +533,7 @@ class TestDGDescent:
         p_gda = JointPoint.of(0.31, -0.64)
         for _ in range(1000):
             p_dg, _ = dg_descent_step(game, p_dg, cfg, 0.05)
-            p_gda = gda_step(game, p_gda, 0.05)
+            p_gda = gda_step(game, p_gda, game.grads(*p_gda), 0.05)
             assert p_dg.u[0] == p_gda.u[0]
             assert p_dg.v[0] == p_gda.v[0]
             if max(abs(p_dg.u[0]), abs(p_dg.v[0])) > 1e200:

@@ -124,7 +124,7 @@ def test_unrolled_modes_match_the_separate_loops(spec, k, gamma, x, y):
     for got, want in ((est.u_worst, uw), (est.v_worst, vw),
                       (est.grad_u, grad_u), (est.grad_v, grad_v)):
         assert np.array_equal(got, want)
-    got = unrolled_step(game, p, gamma, k)
+    got = unrolled_step(game, p, game.grads(*p), gamma, k)
     want = _reference_unrolled_step(game, p, gamma, k)
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
@@ -149,8 +149,8 @@ def test_float_unrolled_path_is_the_array_path(spec, k, gamma, ascent, x, y):
         est = dg_estimate(game, p, cfg)
         results.append([
             *_differentiated_chain(game, p, gamma if ascent else -gamma, k),
-            *unrolled_step(game, p, gamma, k), est.value, est.u_worst,
-            est.v_worst, est.grad_u, est.grad_v])
+            *unrolled_step(game, p, game.grads(*p), gamma, k), est.value,
+            est.u_worst, est.v_worst, est.grad_u, est.grad_v])
     floats, arrays = results
     assert all(type(r) is float for r in floats)
     assert ([np.float64(r).tobytes() for r in floats]

@@ -229,6 +229,13 @@ class TestPointsAndBoxes:
                            r"shape \(2, 1\)"):
             as_vector([[1.0], [2.0]])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-1.7e308, 0.2e308)])
+    def test_box_of_infinite_width_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="^box width hi - lo must be "
+                           "finite, got inf$"):
+            Box([0.0, lo], [1.0, hi])
+
     def test_box_bounds_of_two_shapes_rejected(self):
         with pytest.raises(ValueError, match="one shape"):
             Box([0.0, 0.0], [1.0, 1.0, 1.0])

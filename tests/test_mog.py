@@ -555,7 +555,7 @@ class TestTrainingPlumbing:
         p = JointPoint(*game.init_params())
         with parallel.thread_setup():
             for _ in range(3):
-                p, _ = step(p)
+                p, _, _ = step(p)
         assert log.status == "ok"
         assert np.array_equal(log.final_u, p.u)
         assert np.array_equal(log.final_v, p.v)

@@ -14,7 +14,7 @@ import pytest
 from dgopt import dg as dgmod
 from dgopt import optimizers
 from dgopt.dg import DGConfig
-from dgopt.games import (JointPoint, make_bilinear, make_game,
+from dgopt.games import (GameOracle, JointPoint, make_bilinear, make_game,
                          make_quadratic_f1, make_quadratic_f2)
 from dgopt.optimizers import (OptimizerConfig, Trajectory,
                               co_step, eg_step, fr_step, gda_step,
@@ -60,15 +60,16 @@ class TestConfig:
 
 class TestGda:
     def test_bilinear_step(self):
-        assert_point(gda_step(B3, P10, 0.1), 1.0, 0.3)
+        assert_point(gda_step(B3, P10, B3.grads(*P10), 0.1), 1.0, 0.3)
 
     def test_f1_step(self):
         # u' = 1 - 0.05(-6 + 4), v' = 1 + 0.05(-2 + 4)
-        assert_point(gda_step(F1, JointPoint.of(1.0, 1.0), 0.05), 1.1, 1.1)
+        p = JointPoint.of(1.0, 1.0)
+        assert_point(gda_step(F1, p, F1.grads(*p), 0.05), 1.1, 1.1)
 
     def test_stationary_point_is_fixed(self):
         p = JointPoint.of(0.0, 0.0)
-        q = gda_step(F1, p, 0.05)
+        q = gda_step(F1, p, F1.grads(*p), 0.05)
         assert q.u[0] == 0.0 and q.v[0] == 0.0
 
     def test_bilinear_norm_grows_by_exact_factor(self):
@@ -76,7 +77,7 @@ class TestGda:
         eta, c = 0.05, 3.0
         p = JointPoint.of(0.7, -0.4)
         for _ in range(50):
-            q = gda_step(B3, p, eta)
+            q = gda_step(B3, p, B3.grads(*p), eta)
             assert q.norm() ** 2 == pytest.approx(
                 (1 + eta ** 2 * c ** 2) * p.norm() ** 2, rel=1e-12)
             p = q
@@ -84,24 +85,24 @@ class TestGda:
 
 class TestOgda:
     def test_step0_falls_back_to_gda(self):
-        assert_point(ogda_step(B3, P10, None, 0.1), 1.0, 0.3)
+        assert_point(ogda_step(B3, P10, B3.grads(*P10), None, 0.1), 1.0, 0.3)
 
     def test_constant_gradients_reduce_to_gda(self):
         prev = (B3.grad_u(P10.u, P10.v), B3.grad_v(P10.u, P10.v))
-        assert_point(ogda_step(B3, P10, prev, 0.1), 1.0, 0.3)
+        assert_point(ogda_step(B3, P10, B3.grads(*P10), prev, 0.1), 1.0, 0.3)
 
     def test_second_step_hand_value(self):
         p1 = JointPoint.of(1.0, 0.3)
         prev = (B3.grad_u(P10.u, P10.v), B3.grad_v(P10.u, P10.v))
-        assert_point(ogda_step(B3, p1, prev, 0.1), 0.82, 0.6)
+        assert_point(ogda_step(B3, p1, B3.grads(*p1), prev, 0.1), 0.82, 0.6)
 
     def test_hand_value_with_both_previous_gradients_non_zero(self):
         # from (1, 0.5) the previous gradients are (1.5, 3): u' = 0.8 -
         # 2(0.1)(1.8) + 0.1(1.5), v' = 0.6 + 2(0.1)(2.4) - 0.1(3)
         p0 = JointPoint.of(1.0, 0.5)
         prev = (B3.grad_u(p0.u, p0.v), B3.grad_v(p0.u, p0.v))
-        assert_point(ogda_step(B3, JointPoint.of(0.8, 0.6), prev, 0.1),
-                     0.59, 0.78)
+        p1 = JointPoint.of(0.8, 0.6)
+        assert_point(ogda_step(B3, p1, B3.grads(*p1), prev, 0.1), 0.59, 0.78)
         # the step map: a gda step to (0.85, 0.8), then u' = 0.85 -
         # 2(0.1)(2.4) + 0.1(1.5), v' = 0.8 + 2(0.1)(2.55) - 0.1(3)
         step = make_step_map(B3, OptimizerConfig("ogda", eta=0.1))
@@ -121,42 +122,45 @@ class TestOgda:
         step = make_step_map(game, OptimizerConfig("ogda", eta=0.1))
         p = P10
         for _ in range(5):
-            p, _ = step(p)
+            p, _, _ = step(p)
         assert calls == {"u": 5, "v": 5}
         # the same iterates as stepping ogda_step by hand
         q, prev = P10, None
         for _ in range(5):
-            q, prev = (ogda_step(B3, q, prev, 0.1),
+            q, prev = (ogda_step(B3, q, B3.grads(*q), prev, 0.1),
                        (B3.grad_u(q.u, q.v), B3.grad_v(q.u, q.v)))
         assert np.array_equal(p.concat(), q.concat())
 
 
 class TestEg:
     def test_bilinear_two_stage(self):
-        assert_point(eg_step(B3, P10, 0.1), 0.91, 0.3)
+        assert_point(eg_step(B3, P10, B3.grads(*P10), 0.1), 0.91, 0.3)
 
     def test_stationary_fixed(self):
-        q = eg_step(F2, JointPoint.of(0.0, 0.0), 0.05)
+        p = JointPoint.of(0.0, 0.0)
+        q = eg_step(F2, p, F2.grads(*p), 0.05)
         assert q.u[0] == 0.0 and q.v[0] == 0.0
 
     def test_zero_game_is_identity(self):
         zero = make_bilinear(1.0)
         p = JointPoint.of(0.4, 0.2)
         # on the zero-gradient axis both stages vanish
-        q = eg_step(zero, JointPoint.of(0.0, 0.0), 0.1)
+        origin = JointPoint.of(0.0, 0.0)
+        q = eg_step(zero, origin, zero.grads(*origin), 0.1)
         assert q.u[0] == 0.0 and q.v[0] == 0.0
-        assert eg_step(zero, p, 0.0).u[0] == p.u[0]
+        assert eg_step(zero, p, zero.grads(*p), 0.0).u[0] == p.u[0]
 
 
 class TestSga:
     def test_lambda_zero_is_gda(self):
-        got = sga_step(F1, JointPoint.of(0.3, -0.8), 0.05, lam=0.0)
-        want = gda_step(F1, JointPoint.of(0.3, -0.8), 0.05)
+        p = JointPoint.of(0.3, -0.8)
+        got = sga_step(F1, p, F1.grads(*p), 0.05, lam=0.0)
+        want = gda_step(F1, p, F1.grads(*p), 0.05)
         assert_point(got, want.u[0], want.v[0])
 
     def test_bilinear_hand_value(self):
         # g = (0, -3); adjusted = (9, -3); p' = (1 - 0.9, 0 + 0.3)
-        assert_point(sga_step(B3, P10, 0.1, lam=1.0), 0.1, 0.3)
+        assert_point(sga_step(B3, P10, B3.grads(*P10), 0.1, lam=1.0), 0.1, 0.3)
 
     def test_decoupled_game_is_gda(self):
         # once H_uv = 0 the adjustment vanishes; emulate with lambda -> 0 on
@@ -164,34 +168,36 @@ class TestSga:
         rng = np.random.default_rng(7)
         for _ in range(5):
             p = JointPoint.of(*rng.uniform(-2, 2, 2))
-            got = sga_step(F1, p, 0.05, lam=0.0)
-            want = gda_step(F1, p, 0.05)
+            got = sga_step(F1, p, F1.grads(*p), 0.05, lam=0.0)
+            want = gda_step(F1, p, F1.grads(*p), 0.05)
             assert_point(got, want.u[0], want.v[0])
 
 
 class TestCo:
     def test_gamma_zero_is_gda(self):
-        got = co_step(F2, JointPoint.of(0.5, 0.5), 0.05, gamma=0.0)
-        want = gda_step(F2, JointPoint.of(0.5, 0.5), 0.05)
+        p = JointPoint.of(0.5, 0.5)
+        got = co_step(F2, p, F2.grads(*p), 0.05, gamma=0.0)
+        want = gda_step(F2, p, F2.grads(*p), 0.05)
         assert_point(got, want.u[0], want.v[0])
 
     def test_stationary_fixed(self):
-        q = co_step(F1, JointPoint.of(0.0, 0.0), 0.05, gamma=0.1)
+        p = JointPoint.of(0.0, 0.0)
+        q = co_step(F1, p, F1.grads(*p), 0.05, gamma=0.1)
         assert q.u[0] == 0.0 and q.v[0] == 0.0
 
     def test_bilinear_hand_value(self):
         # grad of 0.5 ||grad M||^2 = 0.5 (9y^2 + 9x^2) is (9x, 9y) = (9, 0)
         # at (1, 0); the penalty therefore pulls x toward zero:
         # p' = (1 - 0 - 0.1*0.1*9, 0 + 0.3) = (0.91, 0.3)
-        assert_point(co_step(B3, P10, 0.1, gamma=0.1), 0.91, 0.3)
+        assert_point(co_step(B3, P10, B3.grads(*P10), 0.1, gamma=0.1), 0.91, 0.3)
 
     def test_penalty_matches_fd_of_half_grad_norm(self):
         rng = np.random.default_rng(3)
         eta, gamma = 0.05, 0.1
         for game in (B3, F1, F2):
             p = JointPoint.of(*rng.uniform(-1.5, 1.5, 2))
-            base = gda_step(game, p, eta)
-            got = co_step(game, p, eta, gamma)
+            base = gda_step(game, p, game.grads(*p), eta)
+            got = co_step(game, p, game.grads(*p), eta, gamma)
             pen_u = (base.u - got.u) / (gamma * eta)
             pen_v = (base.v - got.v) / (gamma * eta)
 
@@ -210,14 +216,14 @@ class TestCo:
 class TestUnrolled:
     def test_bilinear_k1_hand_value(self):
         # y_1 = 0.3, d/du M(u, y_1(u)) = 3*0.3 + 3*1*0.3 = 1.8
-        assert_point(unrolled_step(B3, P10, 0.1, k=1), 0.82, 0.3)
+        assert_point(unrolled_step(B3, P10, B3.grads(*P10), 0.1, k=1), 0.82, 0.3)
 
     def test_frozen_follower_reduces_to_gda(self):
         # a game with grad_v == 0 keeps y_k = v; emulate via the bilinear
         # game on the v-axis where grad_v = c*u = 0
         p = JointPoint.of(0.0, 0.7)
-        got = unrolled_step(B3, p, 0.1, k=7)
-        want = gda_step(B3, p, 0.1)
+        got = unrolled_step(B3, p, B3.grads(*p), 0.1, k=7)
+        want = gda_step(B3, p, B3.grads(*p), 0.1)
         assert_point(got, want.u[0], want.v[0])
 
     def test_total_derivative_matches_fd_on_f1(self):
@@ -233,7 +239,8 @@ class TestUnrolled:
 
         for _ in range(50):
             x, y = rng.uniform(-2, 2, 2)
-            got = unrolled_step(F1, JointPoint.of(x, y), eta, k=k)
+            p = JointPoint.of(x, y)
+            got = unrolled_step(F1, p, F1.grads(*p), eta, k=k)
             total = (x - got.u[0]) / eta
             h = 1e-6
             fd = (unrolled_objective(x + h, y) - unrolled_objective(x - h, y)) / (2 * h)
@@ -245,25 +252,28 @@ class TestFr:
         # grad_u = -2, grad_v = 2, H_vv = -2, H_vu = 4 at (1, 1):
         # u' = 1 + 0.1 = 1.1
         # v' = 1 + 0.1 + 0.05 * (-0.5) * 4 * (-2) = 1.3
-        assert_point(fr_step(F1, JointPoint.of(1.0, 1.0), 0.05, 0.05), 1.1, 1.3)
+        p = JointPoint.of(1.0, 1.0)
+        assert_point(fr_step(F1, p, F1.grads(*p), 0.05, 0.05), 1.1, 1.3)
 
     def test_zero_cross_block_is_per_rate_gda(self):
         # bilinear at u = 0 has grad_u = c*v... use a point where the
         # correction H_vv^{-1} H_vu grad_u vanishes because grad_u = 0
         p = JointPoint.of(0.0, 0.8)
-        got = fr_step(F1, p, 0.02, 0.07)
+        got = fr_step(F1, p, F1.grads(*p), 0.02, 0.07)
         assert got.u[0] == pytest.approx(0.0 - 0.02 * F1.grad_u(p.u, p.v)[0])
         assert got.v[0] == pytest.approx(0.8 + 0.07 * F1.grad_v(p.u, p.v)[0]
                                          + 0.02 * (-0.5) * 4 * F1.grad_u(p.u, p.v)[0])
 
     def test_stationary_fixed(self):
-        q = fr_step(F1, JointPoint.of(0.0, 0.0), 0.05, 0.05)
+        p = JointPoint.of(0.0, 0.0)
+        q = fr_step(F1, p, F1.grads(*p), 0.05, 0.05)
         assert q.u[0] == 0.0 and q.v[0] == 0.0
 
     def test_singular_follower_hessian_raises(self):
         from dgopt.games import SingularHessianError
         with pytest.raises(SingularHessianError):
-            fr_step(B3, P10, 0.05, 0.05)  # H_vv = 0 for the bilinear game
+            # H_vv = 0 for the bilinear game
+            fr_step(B3, P10, B3.grads(*P10), 0.05, 0.05)
 
     def test_overflowing_follower_correction_raises(self):
         # H_vv = 1e-310 is no zero pivot, but H_vu g_u / H_vv overflows
@@ -271,7 +281,53 @@ class TestFr:
         blocks = tuple(np.array([[h]]) for h in (-6.0, 4.0, 4.0, 1e-310))
         game = replace(F1, second_order=lambda u, v: blocks)
         with pytest.raises(SingularHessianError, match="non-finite values"):
-            fr_step(game, JointPoint.of(1.0, 1.0), 0.05, 0.05)
+            p = JointPoint.of(1.0, 1.0)
+            fr_step(game, p, game.grads(*p), 0.05, 0.05)
+
+
+class TestOnePairPerStep:
+    """A step map evaluates the gradient pair at p once, and the
+    trajectory's norm columns read the pair it hands back."""
+
+    @pytest.mark.parametrize("alg,per_step", [
+        ("gda", 1), ("ogda", 1), ("eg", 2), ("sga", 1), ("co", 1),
+        ("unrolled", 2), ("dg", 0)])
+    def test_grads_calls_of_a_trajectory(self, monkeypatch, alg, per_step):
+        calls = []
+        grads = GameOracle.grads
+
+        def counted(game, u, v):
+            calls.append(None)
+            return grads(game, u, v)
+
+        monkeypatch.setattr(GameOracle, "grads", counted)
+        cfg = OptimizerConfig(alg, eta=0.05, unroll_k=3,
+                              dg=DGConfig(k=3, gamma=0.05))
+        traj = run_trajectory(make_game("bilinear:c=3"), cfg,
+                              JointPoint.of(0.5, 0.5), steps=20)
+        assert traj.steps == 20 and traj.error is None
+        # the rule's own calls, and one for each row it hands no pair:
+        # every dg row and the last row (gda 21, eg 41, dg 21)
+        assert len(calls) == 20 * per_step + (21 if alg == "dg" else 1)
+
+    @pytest.mark.parametrize("alg", ["gda", "ogda", "eg", "sga", "co",
+                                     "unrolled", "fr"])
+    def test_step_map_hands_back_the_pair_at_p(self, alg):
+        step = make_step_map(F1, OptimizerConfig(alg, eta=0.05))
+        for p in (JointPoint.of(0.3, -0.8), JointPoint(0.3, -0.8)):
+            _, dg_val, (gu, gv) = step(p)
+            want_u, want_v = F1.grads(p.u, p.v)
+            assert dg_val is None
+            assert np.array_equal(gu, want_u) and np.array_equal(gv, want_v)
+
+    def test_dg_map_hands_back_no_pair(self):
+        cfg = OptimizerConfig("dg", eta=0.05, dg=DGConfig(k=3, gamma=0.05))
+        q, dg_val, grads = make_step_map(F1, cfg)(JointPoint.of(0.3, -0.8))
+        assert grads is None
+        want_q, want_val = dgmod.dg_descent_step(
+            F1, JointPoint.of(0.3, -0.8), cfg.dg, 0.05)
+        assert dg_val == want_val and np.array_equal(q.concat(),
+                                                     want_q.concat())
 
 
 class TestFixedPointPreservation:
@@ -283,7 +339,7 @@ class TestFixedPointPreservation:
         cfg = OptimizerConfig(algorithm=alg, eta=0.05,
                               dg=DGConfig(gamma=0.05))
         step = make_step_map(game, cfg)
-        q, _ = step(JointPoint.of(0.0, 0.0))
+        q, _, _ = step(JointPoint.of(0.0, 0.0))
         assert abs(q.u[0]) < 1e-12 and abs(q.v[0]) < 1e-12
 
 
@@ -450,7 +506,7 @@ class TestTrajectoryTable:
             else:
                 assert traj.dg[t] is None
             if t < traj.steps:
-                p, _ = step(p)
+                p, _, _ = step(p)
 
         last = traj.iterates[-1]
         final = traj.final_point

@@ -36,9 +36,13 @@ def test_tracer_patches_every_subcommand_and_restores_it(tmp_path,
     try:
         for i, argv in enumerate(runs):
             assert cli.main(argv + ["--out", str(tmp_path / f"run{i}")]) == 0
+            if i == 0:
+                after_traj = {tracer.names[j] for j in tracer.name}
     finally:
         tracer.uninstall()
 
+    # a dg trajectory runs its chain pairs through the traced names
+    assert {"dg.dg_estimate", "dg.worst_case_responses"} <= after_traj
     recorded = {tracer.names[i] for i in tracer.name}
     assert "cli.outputs" in recorded
     assert patches

@@ -51,7 +51,7 @@ def _mog(**kwargs):
 # the setting at x
 SETTINGS = [
     ("box lower bound", "finite", None,
-     lambda x: Box(np.array([x]), np.array([1.7e308]))),
+     lambda x: Box(np.array([x]), np.array([x]))),
     ("box upper bound", "at_least", 0.0,
      lambda x: Box(np.array([0.0]), np.array([x]))),
     ("finite-difference step", "positive", 0.0,
@@ -81,7 +81,7 @@ SETTINGS = [
     ("unrolled step count unroll_k", "at_least", 1,
      lambda x: OptimizerConfig(unroll_k=x)),
     ("unrolled step count k", "at_least", 1,
-     lambda x: unrolled_step(B3, P, 0.1, x)),
+     lambda x: unrolled_step(B3, P, B3.grads(*P), 0.1, x)),
     ("step count steps", "at_least", 1,
      lambda x: run_trajectory(F1, OptimizerConfig(), P, steps=x)),
     ("convergence tolerance tol", "at_least", 0.0,

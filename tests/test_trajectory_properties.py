@@ -175,7 +175,7 @@ def test_float_records_are_the_stepped_floats(alg):
     assert traj.iterates.dtype == np.float64
     for row in traj.iterates:
         assert row.tobytes() == np.array([p.u, p.v]).tobytes()
-        p, _ = step(p)
+        p, _, _ = step(p)
 
 
 def _quadratic_2x1():
