@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
+from .games import (Array, GameOracle, JointPoint, NonFiniteValueError,
                     checked, matvec)
 from .parallel import run_pair
 
@@ -75,28 +74,6 @@ class DGEstimate:
     v_worst: Array
     grad_u: Array
     grad_v: Array
-
-
-@dataclass
-class AdaGradState:
-    """Scalar-step AdaGrad accumulator with box projection.
-
-    The effective step D / sqrt(sum of squared gradient norms) is
-    non-increasing; the projection is the per-coordinate clamp, which is
-    the exact orthogonal projection for a box.
-    """
-
-    sum_sq: float
-    diameter: float
-    box: Box
-
-    def __post_init__(self):
-        checked("AdaGrad diameter", self.diameter, positive=True)
-        checked("squared-gradient sum", self.sum_sq, at_least=0)
-
-    @staticmethod
-    def fresh(diameter: float, box: Box) -> "AdaGradState":
-        return AdaGradState(sum_sq=0.0, diameter=float(diameter), box=box)
 
 
 def _inner_setup(game: GameOracle, p: JointPoint, gamma: float):
@@ -312,38 +289,13 @@ def dg_metric(game: GameOracle, p: JointPoint, cfg: DGConfig) -> float:
     return _gap(high, low, "duality-gap metric", p)
 
 
-def adagrad_step(state: AdaGradState, x: Array, g: Array) -> Array:
-    """One simplified-AdaGrad update on the joint vector.
-
-    S += ||g||^2 advances state.sum_sq in place, then the new point is
-    x' = clamp(x - (D / sqrt(S)) * g) onto the box.  An all-zero
-    gradient before any accumulation returns x and leaves the state
-    untouched (the step size would be undefined).
-    """
-    gsq = float(g.dot(g))
-    if state.sum_sq == 0.0 and gsq == 0.0:
-        return x
-    state.sum_sq += gsq
-    eta_t = state.diameter / math.sqrt(state.sum_sq)
-    return state.box.clamp(x - eta_t * g)
-
-
 def dg_descent_step(game: GameOracle, p: JointPoint, cfg: DGConfig,
-                    step: Union[float, AdaGradState]):
-    """One outer step: both players descend the DG gradient.  Returns
-    (next point, DG value at p), the value being the estimate's, so a
-    caller that logs the value at p need not run the chains again.
-
-    The type of step picks the outer rule: a float is a constant step,
-    plain gradient descent on the estimate; an AdaGradState makes the
-    joint vector take a projected adaptive step and is advanced in
-    place.
-    """
+                    eta: float):
+    """One outer step: both players descend the DG gradient with the
+    constant step eta.  Returns (next point, DG value at p), the value
+    being the estimate's, so a caller that logs the value at p need not
+    run the chains again."""
     est = dg_estimate(game, p, cfg)
-    if isinstance(step, AdaGradState):
-        g = np.concatenate([est.grad_u, est.grad_v])
-        return JointPoint.split(adagrad_step(step, p.concat(), g),
-                                game.dim_u), est.value
-    eta = float(step)
+    eta = float(eta)
     return (JointPoint(p.u - eta * est.grad_u, p.v - eta * est.grad_v),
             est.value)

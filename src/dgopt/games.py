@@ -131,7 +131,9 @@ class Box:
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
+        # inf with no warning where the norm of the finite widths overflows
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.hi - self.lo))
 
 
 HessianBlocks = tuple  # (H_uu, H_uv, H_vu, H_vv)

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from . import outputs
-from .dg import AdaGradState, adagrad_step
 from .games import Array, Box, checked
 from .parallel import split_runs
 
@@ -127,6 +126,21 @@ def _fit_loglog_slope(ts, errs) -> float:
     return float(coef[0])
 
 
+def adagrad_step(sum_sq: float, x: Array, g: Array, diameter: float,
+                 box: Box) -> tuple:
+    """One simplified-AdaGrad update on the joint vector: (S, x') for the
+    running sum S = sum_sq + ||g||^2 and x' = clamp(x - (D / sqrt(S)) * g)
+    onto the box, the exact orthogonal projection for a box.  The
+    effective step D / sqrt(S) is non-increasing.  An all-zero gradient
+    before any accumulation returns (sum_sq, x) unchanged (the step size
+    would be undefined).  D is checked once per run, by _run_rates."""
+    gsq = float(g.dot(g))
+    if sum_sq == 0.0 and gsq == 0.0:
+        return sum_sq, x
+    sum_sq += gsq
+    return sum_sq, box.clamp(x - (diameter / math.sqrt(sum_sq)) * g)
+
+
 def _repeat_errors(problem: RealizableProblem, t_list: list, seed: int,
                    start: str, run: tuple) -> Array:
     """One (step rule, repeat) run's error row: the exact family-average
@@ -141,15 +155,16 @@ def _repeat_errors(problem: RealizableProblem, t_list: list, seed: int,
     diameter = problem.diameter
     errors = np.zeros(len(t_list))
     running_sum = np.zeros(problem.dimension)
-    state = AdaGradState.fresh(diameter, problem.box)
+    sum_sq = 0.0
     adagrad = step_rule == "adagrad"
-    sample_grad, clamp = problem.sample_grad, problem.box.clamp
+    box = problem.box
+    sample_grad, clamp = problem.sample_grad, box.clamp
     log_idx, next_log = 0, t_list[0]
     for t, z in enumerate(z_draws.tolist(), start=1):
         running_sum += x
         g = sample_grad(x, z)
         if adagrad:
-            x = adagrad_step(state, x, g)
+            sum_sq, x = adagrad_step(sum_sq, x, g, diameter, box)
         else:
             eta_t = diameter / math.sqrt(t)
             x = clamp(x - eta_t * g)
@@ -172,10 +187,10 @@ def _run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
     if len(t_list) < 2:
         raise ValueError("a log-log slope needs at least two logged step "
                          "counts")
+    diameter = checked("AdaGrad diameter", problem.diameter, positive=True)
     runs = [(rule, r) for rule in step_rules for r in range(repeats)]
     rows = split_runs(functools.partial(_repeat_errors, problem, t_list,
                                          seed, start), runs)
-    diameter = problem.diameter
     l_const = problem.smoothness
     bounds = [4.0 * l_const * diameter * diameter / t for t in t_list]
     results = []

@@ -104,7 +104,6 @@ class TestTraj:
         assert captured.err == ("stopped at step 1: H_vv is singular at "
                                 "u=[0.5], v=[0.5]\n")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_logged_dg_leaves_the_cell_empty(self, tmp_path,
                                                         capsys):
         runs = {}
@@ -327,10 +326,8 @@ class TestLandscape:
     def test_grid_without_finite_value_writes_nothing(self, tmp_path,
                                                       capsys):
         # f1 overflows to -inf or NaN at every node of this box
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = run(["landscape", "--game", "f1", "--box=-1,1e308",
-                        "--res", "3", "--out", str(tmp_path / "land")])
+        code = run(["landscape", "--game", "f1", "--box=-1,1e308",
+                    "--res", "3", "--out", str(tmp_path / "land")])
         assert code == 2
         assert "no finite value" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

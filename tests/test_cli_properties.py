@@ -108,7 +108,6 @@ def _check_contract(sub, argv):
                               or path.suffix != ".csv")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("sub", ["landscape", "rate", "stability", "traj"])
 @settings(max_examples=40)
 @given(data=st.data())
@@ -117,7 +116,6 @@ def test_drawn_argv_keeps_the_exit_code_contract(sub, data):
 
 
 # a valid mog run builds a 5000-row game, so it gets fewer draws
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=15)
 @given(argv=argvs("mog"))
 def test_drawn_mog_argv_keeps_the_exit_code_contract(argv):

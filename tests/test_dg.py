@@ -12,13 +12,14 @@ import pytest
 
 from dgopt import games, parallel
 from dgopt.cli import _dg_config
-from dgopt.dg import (AdaGradState, DGConfig, adagrad_step, dg_descent_step,
-                      dg_estimate, dg_metric, worst_case_responses)
+from dgopt.dg import (DGConfig, dg_descent_step, dg_estimate, dg_metric,
+                      worst_case_responses)
 from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
                          make_bilinear, make_game, make_poly_f3,
                          make_quadratic_f1, make_quadratic_f2)
 from dgopt.optimizers import OptimizerConfig, gda_step, run_trajectory
 from dgopt.parallel import concurrent_halves
+from dgopt.rates import adagrad_step
 from game_helpers import box_contains
 
 B3 = make_bilinear(3.0)
@@ -552,16 +553,21 @@ class TestDGDescent:
         assert np.array_equal(runs[0].iterates, runs[1].iterates)
 
     def test_adagrad_outer_projects_and_converges(self):
-        from dgopt.dg import AdaGradState
+        # the joint vector takes a projected AdaGrad step along the DG
+        # gradient
         box = Box.square(-1.0, 1.0)
-        state = AdaGradState.fresh(diameter=box.diameter, box=box)
         cfg = DGConfig(k=10, gamma=0.05)
         p = JointPoint.of(0.9, -0.9)
+        sum_sq = 0.0
         for _ in range(400):
-            p, _ = dg_descent_step(B3, p, cfg, state)
+            est = dg_estimate(B3, p, cfg)
+            g = np.concatenate([est.grad_u, est.grad_v])
+            sum_sq, x = adagrad_step(sum_sq, p.concat(), g, box.diameter,
+                                     box)
+            p = JointPoint.split(x, B3.dim_u)
             assert box_contains(box, p.concat(), tol=1e-12)
         assert p.norm() < 0.05
-        assert state.sum_sq > 0.0
+        assert sum_sq > 0.0
 
     def test_adagrad_outer_requires_explicit_gamma(self):
         # a DGConfig without gamma cannot be built, so no outer rule, the
@@ -626,43 +632,38 @@ class TestAdaGrad:
     BOX = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
     def test_first_step_effective_eta(self):
-        state = AdaGradState.fresh(1.0, self.BOX)
         x = np.array([0.5, 0.5])
         g = np.array([2.0, 0.0])
-        x2 = adagrad_step(state, x, g)
+        sum_sq, x2 = adagrad_step(0.0, x, g, 1.0, self.BOX)
         # eta_1 = D / ||g|| = 1/2
         assert x2[0] == pytest.approx(0.5 - 0.5 * 2.0)
-        assert state.sum_sq == 4.0
+        assert sum_sq == 4.0
 
     def test_all_zero_first_gradient_skipped(self):
-        state = AdaGradState.fresh(1.0, self.BOX)
         x = np.array([0.3, 0.3])
-        x2 = adagrad_step(state, x, np.zeros(2))
+        sum_sq, x2 = adagrad_step(0.0, x, np.zeros(2), 1.0, self.BOX)
         assert np.array_equal(x2, x)
-        assert state.sum_sq == 0.0
+        assert sum_sq == 0.0
 
     def test_zero_gradient_after_warmup_keeps_point(self):
-        state = AdaGradState(sum_sq=5.0, diameter=1.0, box=self.BOX)
         x = np.array([0.3, -0.1])
-        x2 = adagrad_step(state, x, np.zeros(2))
+        sum_sq, x2 = adagrad_step(5.0, x, np.zeros(2), 1.0, self.BOX)
         assert np.array_equal(x2, x)
-        assert state.sum_sq == 5.0
+        assert sum_sq == 5.0
 
     def test_boundary_projection(self):
-        state = AdaGradState(sum_sq=1.0, diameter=1.0, box=self.BOX)
         x = np.array([2.0, 0.0])        # on the boundary
         g = np.array([-3.0, 0.0])       # pushes outward
-        x2 = adagrad_step(state, x, g)
+        _, x2 = adagrad_step(1.0, x, g, 1.0, self.BOX)
         assert x2[0] == 2.0
 
     def test_effective_step_non_increasing(self):
-        state = AdaGradState.fresh(1.0, self.BOX)
         rng = np.random.default_rng(8)
         x = np.array([1.0, -1.0])
-        last_eta = np.inf
+        sum_sq, last_eta = 0.0, np.inf
         for _ in range(100):
             g = rng.standard_normal(2)
-            x = adagrad_step(state, x, g)
-            eta = state.diameter / np.sqrt(state.sum_sq)
+            sum_sq, x = adagrad_step(sum_sq, x, g, 1.0, self.BOX)
+            eta = 1.0 / np.sqrt(sum_sq)
             assert eta <= last_eta + 1e-15
             last_eta = eta

@@ -9,13 +9,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dgopt.dg import (DGConfig, _chain,  # noqa: E402
-                      _differentiated_chain, dg_estimate, dg_metric,
-                      worst_case_responses)
+from dgopt.dg import (GRAD_MODES, DGConfig, _chain,  # noqa: E402
+                      _differentiated_chain, dg_descent_step, dg_estimate,
+                      dg_metric, worst_case_responses)
 from dgopt.games import (JointPoint, NonFiniteValueError,  # noqa: E402
                          make_game)
 from dgopt.mog import MogGanGame  # noqa: E402
-from dgopt.optimizers import unrolled_step  # noqa: E402
+from dgopt.optimizers import gda_step, unrolled_step  # noqa: E402
 from game_helpers import catalog_names  # noqa: E402
 
 # largest Hessian eigenvalue of the constant-curvature games
@@ -64,6 +64,27 @@ def test_logged_metric_is_the_step_estimate_value(spec, k, gamma, dtype,
     assert np.asarray(est.value).tobytes() == np.asarray(fresh.value).tobytes()
     for field in ("u_worst", "v_worst", "grad_u", "grad_v"):
         assert getattr(est, field).tobytes() == getattr(fresh, field).tobytes()
+
+
+@settings(max_examples=300)
+@given(spec=st.sampled_from(sorted(CATALOG)),
+       grad_mode=st.sampled_from(GRAD_MODES), floats=st.booleans(),
+       x=wide, y=wide, eta=st.floats(0.0, 1.0, exclude_min=True),
+       gamma=st.floats(1e-3, 0.3))
+def test_k0_dg_step_is_the_gda_step(spec, grad_mode, floats, x, y, eta,
+                                    gamma):
+    # criterion 9: with no inner steps the DG gradient is the pair at p in
+    # both modes, so the DG step is the GDA step bit for bit, and the gap
+    # is 0.0
+    game = CATALOG[spec]
+    p = JointPoint(x, y) if floats else JointPoint.of(x, y)
+    cfg = DGConfig(k=0, gamma=gamma, grad_mode=grad_mode)
+    got, value = dg_descent_step(game, p, cfg, eta)
+    want = gda_step(game, p, game.grads(*p), eta)
+    for got_x, want_x in zip(got, want):
+        assert type(got_x) is type(want_x)
+        assert np.asarray(got_x).tobytes() == np.asarray(want_x).tobytes()
+    assert value == 0.0
 
 
 # The unrolled DG gradient and the unrolled-GAN step share one

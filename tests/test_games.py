@@ -236,6 +236,12 @@ class TestPointsAndBoxes:
                            "finite, got inf$"):
             Box([0.0, lo], [1.0, hi])
 
+    @pytest.mark.filterwarnings("error")
+    def test_box_diameter_past_the_float_range_is_inf(self):
+        # each width 1.6e308 is finite; the norm of the two is not
+        assert Box.square(-0.8e308, 0.8e308).diameter == math.inf
+        assert Box.square(-1.0, 3.0).diameter == float(np.sqrt(32.0))
+
     def test_box_bounds_of_two_shapes_rejected(self):
         with pytest.raises(ValueError, match="one shape"):
             Box([0.0, 0.0], [1.0, 1.0, 1.0])

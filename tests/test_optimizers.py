@@ -376,7 +376,6 @@ class TestTrajectories:
         assert np.array_equal(t1.iterates, t2.iterates)
         assert t1.value == t2.value
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("game,alg,init,error", [
         (make_bilinear(1.0), "fr", 0.5, "H_vv is singular at u=[0.5], v=[0.5]"),
         # the dg metric logged at t=0 is non-finite, and so is the estimate

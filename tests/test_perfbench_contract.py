@@ -38,11 +38,15 @@ def test_tracer_patches_every_subcommand_and_restores_it(tmp_path,
             assert cli.main(argv + ["--out", str(tmp_path / f"run{i}")]) == 0
             if i == 0:
                 after_traj = {tracer.names[j] for j in tracer.name}
+            if argv[0] == "rate":
+                after_rate = {tracer.names[j] for j in tracer.name}
     finally:
         tracer.uninstall()
 
     # a dg trajectory runs its chain pairs through the traced names
     assert {"dg.dg_estimate", "dg.worst_case_responses"} <= after_traj
+    # the rate run's AdaGrad steps go through the traced name
+    assert "rates.adagrad_step" in after_rate
     recorded = {tracer.names[i] for i in tracer.name}
     assert "cli.outputs" in recorded
     assert patches

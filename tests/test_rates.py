@@ -4,13 +4,14 @@ import os
 import signal
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dgopt import rates
-from dgopt.dg import AdaGradState, adagrad_step
-from dgopt.rates import (RateResult, make_realizable_quadratic,
+from dgopt.games import Box
+from dgopt.rates import (RateResult, adagrad_step, make_realizable_quadratic,
                          run_adagrad_rate, run_rates, run_sgd_baseline,
                          seeded_rng)
 from game_helpers import (QuadraticSaddle, box_contains,
@@ -62,14 +63,13 @@ class TestRateHarness:
         prob = make_realizable_quadratic(6, 10, seed=2)
         rng = seeded_rng(2, "test-run")
         x = rng.uniform(prob.box.lo, prob.box.hi)
-        state = AdaGradState.fresh(prob.diameter, prob.box)
-        last_eta = np.inf
+        sum_sq, last_eta = 0.0, np.inf
         for t in range(500):
             g = prob.sample_grad(x, int(rng.integers(0, prob.family_size)))
-            x = adagrad_step(state, x, g)
+            sum_sq, x = adagrad_step(sum_sq, x, g, prob.diameter, prob.box)
             assert box_contains(prob.box, x)
-            if state.sum_sq > 0:
-                eta = state.diameter / np.sqrt(state.sum_sq)
+            if sum_sq > 0:
+                eta = prob.diameter / np.sqrt(sum_sq)
                 assert eta <= last_eta + 1e-15
                 last_eta = eta
 
@@ -283,6 +283,17 @@ class TestSplitRuns:
             run_rates(prob, self.T_LIST, 3, repeats=0)
         with pytest.raises(ValueError, match="two logged step counts"):
             run_rates(prob, [50], 3, repeats=2)
+        assert not forks
+
+    @pytest.mark.filterwarnings("error")
+    def test_diameter_past_the_float_range_raises_before_any_fork(self,
+                                                                  forks):
+        # each width of the box is finite, its diagonal is not
+        prob = replace(make_realizable_quadratic(2, 5, seed=3),
+                       box=Box.square(-0.8e308, 0.8e308))
+        with pytest.raises(ValueError, match="^AdaGrad diameter must be "
+                           "positive and finite, got inf$"):
+            run_adagrad_rate(prob, self.T_LIST, 3, repeats=2)
         assert not forks
 
 
