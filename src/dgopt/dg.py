@@ -132,7 +132,8 @@ def worst_case_responses(game: GameOracle, p: JointPoint, cfg: DGConfig,
     """cfg.k warm-started inner gradient steps per player against a
     frozen opponent: (u_k, descent_tail(u_k, p.v)) and
     (v_k, ascent_tail(p.u, v_k)), or a bare endpoint for a half with no
-    tail.  Every chain pair of dg_estimate and dg_metric runs here.
+    tail.  The chain pairs of dg_metric and of dg_estimate's envelope
+    mode run here; the unrolled mode runs _differentiated_chain.
 
     u_k descends u -> M(u, p.v) from p.u, v_k ascends v -> M(p.u, v)
     from p.v, each step with the gradient at the previous inner iterate.
@@ -174,32 +175,42 @@ def _differentiated_chain(game, p, step, k):
     one product on the stacked D = [d_own | d_opp], or on Python floats
     at a float point (see worst_case_responses).  Returns
     (x_k, d_own^T, d_opp^T) for d_own = dx_k/d start and
-    d_opp = dx_k/d opponent.
+    d_opp = dx_k/d opponent.  As in _chain, a step that leaves x or its
+    derivatives non-finite raises _inner_error, with numpy's overflow
+    and invalid warnings off for array steps.
     """
     u, v = p
     ascent = step > 0
     x = v if ascent else u
-    floats = isinstance(x, float)
-    if floats:
+    if isinstance(x, float):
         d_own, d_opp = 1.0, 0.0
-    else:
-        x = x.astype(float, copy=True)
-        n = x.size
-        D = np.eye(n, n + (game.dim_u if ascent else game.dim_v))
-    for _ in range(k):
-        H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(
-            JointPoint(u, x) if ascent else JointPoint(x, v))
-        H_own, H_cross = (H_vv, H_vu) if ascent else (H_uu, H_uv)
-        if floats:
+        for i in range(1, k + 1):
+            H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(
+                JointPoint(u, x) if ascent else JointPoint(x, v))
+            H_own, H_cross = (H_vv, H_vu) if ascent else (H_uu, H_uv)
             d_own, d_opp = (d_own + step * matvec(H_own, d_own),
                             d_opp + step * (matvec(H_own, d_opp) + H_cross))
-        else:
+            x = x + step * (game.grad_v(u, x) if ascent
+                            else game.grad_u(x, v))
+            if not (math.isfinite(x) and math.isfinite(d_own)
+                    and math.isfinite(d_opp)):
+                raise _inner_error(ascent, i, p)
+        return x, d_own, d_opp
+    x = x.astype(float, copy=True)
+    n = x.size
+    D = np.eye(n, n + (game.dim_u if ascent else game.dim_v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, k + 1):
+            H_uu, H_uv, H_vu, H_vv = game.hessian_blocks(
+                JointPoint(u, x) if ascent else JointPoint(x, v))
+            H_own, H_cross = (H_vv, H_vu) if ascent else (H_uu, H_uv)
             HD = H_own @ D
             HD[:, n:] += H_cross
             D = D + step * HD
-        x = x + step * (game.grad_v(u, x) if ascent else game.grad_u(x, v))
-    if floats:
-        return x, d_own, d_opp
+            x = x + step * (game.grad_v(u, x) if ascent
+                            else game.grad_u(x, v))
+            if not (np.isfinite(x).all() and np.isfinite(D).all()):
+                raise _inner_error(ascent, i, p)
     return x, D[:, :n].T, D[:, n:].T
 
 

@@ -23,6 +23,7 @@ from .games import (Array, Box, GameOracle, JointPoint, NonFiniteValueError,
 from .svgplot import finite_argmin
 
 MARGINAL_TOL = 1e-9
+FIXED_TOL = 1e-8
 
 MEASURES = ("minimax_value", "dg_exact", "dg_approx")
 
@@ -67,28 +68,27 @@ def eigenvalues_2x2(m: Array) -> list:
     return [complex(tr / 2.0, root / 2.0), complex(tr / 2.0, -root / 2.0)]
 
 
-def classify_radius(rho: float, tol: float = MARGINAL_TOL) -> str:
-    if rho < 1.0 - tol:
+def classify_radius(rho: float) -> str:
+    if rho < 1.0 - MARGINAL_TOL:
         return "stable"
-    if rho > 1.0 + tol:
+    if rho > 1.0 + MARGINAL_TOL:
         return "unstable"
     return "marginal"
 
 
 def linearize(step_map: Callable[[JointPoint], tuple],
-              fixed_point: JointPoint, h: float = 1e-6,
-              fixed_tol: float = 1e-8) -> StabilityReport:
+              fixed_point: JointPoint, h: float = 1e-6) -> StabilityReport:
     """Numerical Jacobian of a one-step map at a verified fixed point.
 
     step_map returns a tuple that starts with the next point, as the
     maps of optimizers.make_step_map (next point, DG value or None,
     gradient pair or None) and dg.dg_descent_step (next point, DG value)
     do; only the point is differentiated.  Column j comes from central
-    differences along coordinate j of the joint vector.  Eigenvalues use
+    differences along coordinate j of the joint vector; the point is
+    fixed when one step moves it by at most FIXED_TOL.  Eigenvalues use
     the closed 2x2 form when possible and the QR solver otherwise.
     """
     checked("finite-difference step", h, positive=True)
-    checked("fixed-point tolerance fixed_tol", fixed_tol, at_least=0)
     dim_u = len(fixed_point.u)
     x0 = fixed_point.concat()
 
@@ -97,10 +97,10 @@ def linearize(step_map: Callable[[JointPoint], tuple],
         return step_map(p)[0].concat()
 
     residual = float(np.linalg.norm(apply(x0) - x0))
-    if residual > fixed_tol:
+    if residual > FIXED_TOL:
         raise NotAFixedPointError(
             f"point is not fixed under the map: residual {residual:.3e} "
-            f"exceeds {fixed_tol:.1e}", residual=residual)
+            f"exceeds {FIXED_TOL:.1e}", residual=residual)
 
     jac = central_jacobian(apply, x0, np.full(x0.size, h))
     if not np.all(np.isfinite(jac)):
@@ -180,50 +180,32 @@ def grid_duality_gap(values: Array) -> Array:
             - values.min(axis=-2)[..., None, :])
 
 
-def dg_exact_grid(game: GameOracle, box: Box, resolution: int):
-    """Brute-force box duality gap for a 1-D/1-D game.
-
-    Returns (dg_fn, grid): dg_fn(u, v) searches the same grid of
-    candidate responses, so grid values and spot queries agree.  Grid
-    entries are exactly non-negative because the node itself is among
-    the candidates on both sides.
-    """
-    if game.dim_u != 1 or game.dim_v != 1:
-        raise ValueError("exact-DG grids are defined for 1-D/1-D games")
-    checked("exact-DG grid resolution", resolution, at_least=3)
-    u_axis, v_axis = _box_axes(box, resolution)
-
-    grid_values = grid_duality_gap(value_grid(game.value, u_axis, v_axis))
-
-    def dg_fn(u: float, v: float) -> float:
-        best_max = value_grid(game.value, [float(u)], v_axis).max()
-        best_min = value_grid(game.value, u_axis, [float(v)]).min()
-        return float(best_max - best_min)
-
-    grid = LandscapeGrid(box=box, resolution=resolution, measure="dg_exact",
-                         u_axis=u_axis, v_axis=v_axis, values=grid_values)
-    return dg_fn, grid
-
-
 def landscape(game: GameOracle, box: Box, resolution: int, measure: str,
               dg_cfg: Optional[dgmod.DGConfig] = None) -> LandscapeGrid:
     """Evaluate a scalar measure at every grid node.
 
-    dg_approx warm-starts the inner loop at each node, mirroring how the
-    estimate is used inside training loops.  Every measure evaluates
-    the whole grid in one batched call, so the game must take a batched
-    point (the catalog's 1-D/1-D games do).
+    minimax_value is the game's value.  dg_exact is the brute-force box
+    duality gap of a 1-D/1-D game (grid_duality_gap of that value grid):
+    each node's worst-case responses are searched among the grid's own
+    nodes, so every entry is exactly non-negative.  dg_approx
+    warm-starts the inner loop at each node, mirroring how the estimate
+    is used inside training loops.  Every measure evaluates the whole
+    grid in one batched call, so the game must take a batched point (the
+    catalog's 1-D/1-D games do).
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}")
     checked("grid resolution", resolution, at_least=1)
     if measure == "dg_exact":
-        _, grid = dg_exact_grid(game, box, resolution)
-        return grid
+        if game.dim_u != 1 or game.dim_v != 1:
+            raise ValueError("exact-DG grids are defined for 1-D/1-D games")
+        checked("exact-DG grid resolution", resolution, at_least=3)
 
     u_axis, v_axis = _box_axes(box, resolution)
     if measure == "minimax_value":
         values = value_grid(game.value, u_axis, v_axis)
+    elif measure == "dg_exact":
+        values = grid_duality_gap(value_grid(game.value, u_axis, v_axis))
     else:
         if dg_cfg is None:
             raise ValueError("dg_approx needs a DGConfig")

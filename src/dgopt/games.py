@@ -123,8 +123,9 @@ class Box:
             checked("box width hi - lo", float(hi) - float(lo))
 
     @staticmethod
-    def square(lo: float, hi: float, dim: int = 2) -> "Box":
-        return Box(np.full(dim, float(lo)), np.full(dim, float(hi)))
+    def square(lo: float, hi: float) -> "Box":
+        """[lo, hi]^2, the box of a 1-D/1-D game's joint point."""
+        return Box(np.full(2, float(lo)), np.full(2, float(hi)))
 
     def clamp(self, x: Array) -> Array:
         return np.minimum(np.maximum(x, self.lo), self.hi)
@@ -231,21 +232,24 @@ def central_jacobian(fn: Callable[[Array], Array], x: Array,
                      for e, s in zip(np.eye(x.size), steps)], axis=1)
 
 
-def second_order_fd(game: GameOracle, p: JointPoint, h: float = 1e-5) -> HessianBlocks:
+FD_STEP = 1e-5
+
+
+def second_order_fd(game: GameOracle, p: JointPoint) -> HessianBlocks:
     """Central-difference Hessian blocks from the analytic gradients.
 
     The Jacobian of the joint gradient (grad_u, grad_v) over the joint
-    vector, with steps h * max(1, |x_j|), or h at a non-finite x_j
-    (whose blocks come out NaN).  Diagonal blocks are symmetrized by
-    averaging with their transpose; the cross blocks are averaged so
-    that H_vu == H_uv^T exactly.
+    vector, with steps h * max(1, |x_j|) for h = FD_STEP, or h at a
+    non-finite x_j (whose blocks come out NaN).  Diagonal blocks are
+    symmetrized by averaging with their transpose; the cross blocks are
+    averaged so that H_vu == H_uv^T exactly.
     """
     x = p.concat().astype(float)
     du = game.dim_u
-    steps = h * np.maximum(1.0, np.abs(x))
+    steps = FD_STEP * np.maximum(1.0, np.abs(x))
     jac = central_jacobian(
         lambda y: np.concatenate(game.grads(y[:du], y[du:])), x,
-        np.where(np.isfinite(steps), steps, h))
+        np.where(np.isfinite(steps), steps, FD_STEP))
     H_uu, H_uv = jac[:du, :du], jac[:du, du:]
     H_vu, H_vv = jac[du:, :du], jac[du:, du:]
     H_uu = 0.5 * (H_uu + H_uu.T)

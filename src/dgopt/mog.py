@@ -34,6 +34,7 @@ HIDDEN = 64
 PROB_EPS = 1e-7
 HIST_BINS = 121
 HIST_RANGE = (-6.0, 6.0)
+COVERAGE_WINDOW = 0.5
 
 
 def sample_dataset(seed: int, n: int = 5000) -> np.ndarray:
@@ -44,14 +45,13 @@ def sample_dataset(seed: int, n: int = 5000) -> np.ndarray:
             + MODE_STD * rng.standard_normal(n))
 
 
-def mode_coverage(samples, centers=MODE_CENTERS, window: float = 0.5):
-    """Fraction of samples within +-window of each center."""
-    checked("coverage window", window, positive=True)
+def mode_coverage(samples):
+    """Fraction of samples within +-COVERAGE_WINDOW of each mode center."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("empty sample set")
-    return tuple(float(np.mean(np.abs(samples - c) <= window))
-                 for c in centers)
+    return tuple(float(np.mean(np.abs(samples - c) <= COVERAGE_WINDOW))
+                 for c in MODE_CENTERS)
 
 
 def stable_sigmoid(t: np.ndarray) -> np.ndarray:

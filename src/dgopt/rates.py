@@ -61,12 +61,15 @@ class RealizableProblem:
         return 0.5 * float(e @ self.mean_matrix @ e)
 
 
-def make_realizable_quadratic(n: int, family_size: int, seed: int,
-                              curvature_range=(1e-5, 1.0)) -> RealizableProblem:
+CURVATURE_RANGE = (1e-5, 1.0)
+
+
+def make_realizable_quadratic(n: int, family_size: int,
+                              seed: int) -> RealizableProblem:
     """Random PSD family A_z = B_z^T B_z with a shared interior minimizer.
 
     B_z is seeded Gaussian with log-spaced per-column scales, so the mean
-    curvature spectrum spans curvature_range.  The spread matters: with
+    curvature spectrum spans CURVATURE_RANGE.  The spread matters: with
     equal scales every mode decays geometrically within a few hundred
     steps and the average-iterate error of any reasonable method falls
     like 1/T^2, erasing the adaptive-vs-1/sqrt(t) rate separation this
@@ -77,9 +80,7 @@ def make_realizable_quadratic(n: int, family_size: int, seed: int,
     """
     checked("dimension n", n, at_least=1)
     checked("family size", family_size, at_least=1)
-    lo, hi = curvature_range
-    checked("largest curvature", hi,
-            checked("smallest curvature", lo, positive=True))
+    lo, hi = CURVATURE_RANGE
     rng = seeded_rng(seed, "realizable-family")
     scales = np.sqrt(np.logspace(math.log10(lo), math.log10(hi), n))
     mats = []
@@ -142,15 +143,13 @@ def adagrad_step(sum_sq: float, x: Array, g: Array, diameter: float,
 
 
 def _repeat_errors(problem: RealizableProblem, t_list: list, seed: int,
-                   start: str, run: tuple) -> Array:
+                   run: tuple) -> Array:
     """One (step rule, repeat) run's error row: the exact family-average
-    suboptimality of the running-mean iterate at each logged T."""
+    suboptimality of the running-mean iterate at each logged T, from a
+    start drawn uniformly in the box."""
     step_rule, r = run
     rng = seeded_rng(seed, f"rate-{step_rule}-repeat{r}")
-    if start == "x_star":
-        x = problem.x_star.copy()
-    else:
-        x = rng.uniform(problem.box.lo, problem.box.hi)
+    x = rng.uniform(problem.box.lo, problem.box.hi)
     z_draws = rng.integers(0, problem.family_size, size=t_list[-1])
     diameter = problem.diameter
     errors = np.zeros(len(t_list))
@@ -179,7 +178,7 @@ def _repeat_errors(problem: RealizableProblem, t_list: list, seed: int,
 
 
 def _run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
-               repeats: int, step_rules: tuple, start: str) -> tuple:
+               repeats: int, step_rules: tuple) -> tuple:
     """One RateResult per step rule, all rules' repeats split at once."""
     checked("repeats", repeats, at_least=1)
     t_list = sorted({int(checked("logged step count", t, at_least=1))
@@ -190,7 +189,7 @@ def _run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
     diameter = checked("AdaGrad diameter", problem.diameter, positive=True)
     runs = [(rule, r) for rule in step_rules for r in range(repeats)]
     rows = split_runs(functools.partial(_repeat_errors, problem, t_list,
-                                         seed, start), runs)
+                                         seed), runs)
     l_const = problem.smoothness
     bounds = [4.0 * l_const * diameter * diameter / t for t in t_list]
     results = []
@@ -208,24 +207,21 @@ def _run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
 
 
 def run_adagrad_rate(problem: RealizableProblem, t_list: Sequence[int],
-                     seed: int, repeats: int = 10,
-                     start: str = "random") -> RateResult:
+                     seed: int, repeats: int = 10) -> RateResult:
     """Simplified AdaGrad on single-sample gradients; the error is the
     exact family-average suboptimality of the running-mean iterate."""
-    return _run_rates(problem, t_list, seed, repeats, ("adagrad",), start)[0]
+    return _run_rates(problem, t_list, seed, repeats, ("adagrad",))[0]
 
 
 def run_sgd_baseline(problem: RealizableProblem, t_list: Sequence[int],
-                     seed: int, repeats: int = 10,
-                     start: str = "random") -> RateResult:
+                     seed: int, repeats: int = 10) -> RateResult:
     """Projected SGD with eta_t = D / sqrt(t); the slower comparison."""
-    return _run_rates(problem, t_list, seed, repeats, ("sgd",), start)[0]
+    return _run_rates(problem, t_list, seed, repeats, ("sgd",))[0]
 
 
 def run_rates(problem: RealizableProblem, t_list: Sequence[int], seed: int,
-              repeats: int = 10, start: str = "random") -> tuple:
+              repeats: int = 10) -> tuple:
     """(run_adagrad_rate(...), run_sgd_baseline(...)) with the same
     arguments, the two rules' 2 * repeats runs split at once: at
     repeats=1 each rule has a CPU."""
-    return _run_rates(problem, t_list, seed, repeats, ("adagrad", "sgd"),
-                      start)
+    return _run_rates(problem, t_list, seed, repeats, ("adagrad", "sgd"))

@@ -13,6 +13,7 @@ import numpy as np
 MARGIN = 50.0
 WIDTH = 640.0
 HEIGHT = 480.0
+TICKS = 5   # tick marks per axis
 
 
 # the pixel format: _fmt formats one coordinate, _fmt_point an "x,y" pair
@@ -71,13 +72,14 @@ def _tick_value(lo, hi, i, count):
 
 
 class SvgCanvas:
-    def __init__(self, width=WIDTH, height=HEIGHT):
-        self.width = width
-        self.height = height
+    """A white WIDTH x HEIGHT figure, built from SVG elements."""
+
+    def __init__(self):
+        w, h = int(WIDTH), int(HEIGHT)
         self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
-            f'height="{int(height)}" viewBox="0 0 {int(width)} {int(height)}">',
-            f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" '
+            f'height="{h}" viewBox="0 0 {w} {h}">',
+            f'<rect width="{w}" height="{h}" fill="white"/>',
         ]
 
     def add(self, element: str):
@@ -104,8 +106,8 @@ class Axes:
         self.xlog, self.ylog = xlog, ylog
         self.x0, self.x1 = (math.log10(xlim[0]), math.log10(xlim[1])) if xlog else xlim
         self.y0, self.y1 = (math.log10(ylim[0]), math.log10(ylim[1])) if ylog else ylim
-        self.left, self.right = MARGIN, canvas.width - MARGIN / 2
-        self.top, self.bottom = MARGIN / 2 + 14, canvas.height - MARGIN
+        self.left, self.right = MARGIN, WIDTH - MARGIN / 2
+        self.top, self.bottom = MARGIN / 2 + 14, HEIGHT - MARGIN
         canvas.add(f'<rect x="{_fmt(self.left)}" y="{_fmt(self.top)}" '
                    f'width="{_fmt(self.right - self.left)}" '
                    f'height="{_fmt(self.bottom - self.top)}" fill="none" '
@@ -113,7 +115,7 @@ class Axes:
         if title:
             canvas.text((self.left + self.right) / 2, self.top - 6, title, size=14)
         if xlabel:
-            canvas.text((self.left + self.right) / 2, canvas.height - 8, xlabel)
+            canvas.text((self.left + self.right) / 2, HEIGHT - 8, xlabel)
         if ylabel:
             mid_y = (self.top + self.bottom) / 2
             canvas.add(f'<text x="14" y="{_fmt(mid_y)}" font-size="12" '
@@ -138,12 +140,12 @@ class Axes:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.bottom - (y - self.y0) / span * (self.bottom - self.top)
 
-    def _ticks(self, count=5):
-        for i in range(count):
-            fx = _tick_value(self.x0, self.x1, i, count)
-            fy = _tick_value(self.y0, self.y1, i, count)
-            px = self.left + (self.right - self.left) * i / (count - 1)
-            py = self.bottom - (self.bottom - self.top) * i / (count - 1)
+    def _ticks(self):
+        for i in range(TICKS):
+            fx = _tick_value(self.x0, self.x1, i, TICKS)
+            fy = _tick_value(self.y0, self.y1, i, TICKS)
+            px = self.left + (self.right - self.left) * i / (TICKS - 1)
+            py = self.bottom - (self.bottom - self.top) * i / (TICKS - 1)
             xv = 10 ** fx if self.xlog else fx
             yv = 10 ** fy if self.ylog else fy
             self.canvas.add(f'<line x1="{_fmt(px)}" y1="{_fmt(self.bottom)}" '
@@ -156,7 +158,7 @@ class Axes:
             self.canvas.text(self.left - 6, py + 3, f"{yv:.3g}", size=10,
                              anchor="end")
 
-    def polyline(self, xs, ys, color="#1f77b4", width=1.5):
+    def polyline(self, xs, ys, color="#1f77b4"):
         """The points with finite x and y and pixels within PIXEL_LIMIT,
         pairing xs and ys as zip does."""
         n = min(len(xs), len(ys))
@@ -169,15 +171,15 @@ class Axes:
         pts = " ".join(map(_fmt_point, px[drawn].tolist(),
                            py[drawn].tolist()))
         self.canvas.add(f'<polyline points="{pts}" fill="none" '
-                        f'stroke="{color}" stroke-width="{width}"/>')
+                        f'stroke="{color}" stroke-width="1.5"/>')
 
-    def marker(self, x, y, color="#d62728", radius=4.0):
+    def marker(self, x, y, color="#d62728"):
         """A dot at (x, y), or nothing where a pixel is not finite or lies
         beyond PIXEL_LIMIT."""
         cx, cy = self.px(x), self.py(y)
         if abs(cx) <= PIXEL_LIMIT and abs(cy) <= PIXEL_LIMIT:
             self.canvas.add(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                            f'r="{radius}" fill="{color}"/>')
+                            f'r="4.0" fill="{color}"/>')
 
 
 _HEX = [f"{i:02x}" for i in range(256)]

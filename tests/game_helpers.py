@@ -1,7 +1,8 @@
 """Reference code that only the tests use.
 
 Game helpers (box membership, the catalog's game names), criterion 4's
-closed-form DG update matrices and the bilinear box DG, the two-view
+closed-form DG update matrices and the bilinear box DG, a spot query of
+the exact box DG that landscape's dg_exact grid searches, the two-view
 critical-point classifier, criterion 6's approximate-realizability
 family with its grid check, and the CSV cell rule cell by cell.  No command runs any of it: the closed
 forms check dgopt's numerical paths, which are what the commands run.
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from dgopt import dg as dgmod
-from dgopt.dynamics import grid_duality_gap, linearize
+from dgopt.dynamics import grid_duality_gap, linearize, value_grid
 from dgopt.games import (_CATALOG, Array, GameOracle, JointPoint,
                          central_jacobian, checked)
 from dgopt.rates import RealizableProblem, seeded_rng
@@ -45,6 +46,22 @@ def bilinear_exact_dg(c: float, half_width: float, u: float, v: float) -> float:
     """Closed-form box DG of the bilinear game on [-a, a]^2."""
     a = float(half_width)
     return abs(c) * a * abs(u) + abs(c) * a * abs(v)
+
+
+def exact_dg_query(game: GameOracle, box, resolution: int):
+    """dg_fn(u, v): the box DG of a 1-D/1-D game at any point, its
+    worst-case responses searched among the nodes of the axes that
+    dynamics.landscape(game, box, resolution, "dg_exact") grids, so a
+    query at a grid node gives that node's grid value."""
+    u_axis = np.linspace(box.lo[0], box.hi[0], resolution)
+    v_axis = np.linspace(box.lo[1], box.hi[1], resolution)
+
+    def dg_fn(u: float, v: float) -> float:
+        best_max = value_grid(game.value, [float(u)], v_axis).max()
+        best_min = value_grid(game.value, u_axis, [float(v)]).min()
+        return float(best_max - best_min)
+
+    return dg_fn
 
 
 def dg_update_matrix_f1(eta: float) -> Array:

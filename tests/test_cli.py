@@ -192,6 +192,48 @@ class TestTraj:
         assert "box domain" in capsys.readouterr().err
 
 
+class TestUnrolledChainOverflow:
+    """An unrolled inner chain that leaves the float range stops the run
+    at that inner step, naming the chain: traj keeps the rows before it
+    and stability exits 1, with no numpy warning either way."""
+
+    @pytest.mark.parametrize("alg,game,error", [
+        (["dg", "--mode", "unrolled", "--k", "400"], "f1",
+         "inner descent iterate became non-finite at inner step 277"),
+        (["unrolled", "--unroll-k", "700"], "f1",
+         "inner ascent iterate became non-finite at inner step 646"),
+        (["unrolled", "--unroll-k", "400"], "motivation",
+         "inner ascent iterate became non-finite at inner step 148"),
+    ], ids=["dg-float", "unrolled-float", "unrolled-array"])
+    def test_traj_stops_at_the_inner_step(self, tmp_path, capsys, alg, game,
+                                          error):
+        out = tmp_path / "run"
+        code = run(["traj", "--game", game, "--alg", *alg, "--eta", "2",
+                    "--init", "1,1", "--steps", "20", "--out", str(out),
+                    "--no-plot"])
+        assert code == 0
+        assert f"stopped at step 1: {error}" in capsys.readouterr().err
+        rows = (tmp_path / "run.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,1.0,1.0,")
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["steps"] == 0
+
+    @pytest.mark.parametrize("alg,error", [
+        (["dg", "--mode", "unrolled", "--k", "400"],
+         "inner descent iterate became non-finite at inner step 277"),
+        (["unrolled", "--unroll-k", "700"],
+         "inner ascent iterate became non-finite at inner step 646"),
+    ], ids=["dg", "unrolled"])
+    def test_stability_fails_at_the_inner_step(self, tmp_path, capsys, alg,
+                                               error):
+        # linearize steps arrays, so this is the chains' array form
+        code = run(["stability", "--game", "f1", "--alg", *alg, "--eta", "2",
+                    "--point", "0,0", "--out", str(tmp_path / "stab")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "stab.json").exists()
+
+
 class TestStability:
     def test_bilinear_gda_eigenvalues(self, tmp_path, capsys):
         out = tmp_path / "stab"

@@ -20,7 +20,7 @@ from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
 from dgopt.optimizers import OptimizerConfig, gda_step, run_trajectory
 from dgopt.parallel import concurrent_halves
 from dgopt.rates import adagrad_step
-from game_helpers import box_contains
+from game_helpers import box_contains, exact_dg_query
 
 B3 = make_bilinear(3.0)
 F1 = make_quadratic_f1()
@@ -602,9 +602,8 @@ class TestDGMetric:
         assert got > 0.0
 
     def test_bounded_by_exact_box_dg(self):
-        from dgopt.dynamics import dg_exact_grid
         box = Box.square(-1.0, 1.0)
-        exact_fn, _ = dg_exact_grid(B3, box, resolution=201)
+        exact_fn = exact_dg_query(B3, box, resolution=201)
         rng = np.random.default_rng(23)
         # small gamma*k keeps the inner iterates inside the box
         for _ in range(25):
@@ -617,10 +616,10 @@ class TestDGMetric:
         # with the inner iterates clamped to the box, the k-step estimate
         # can never exceed the exact box DG anywhere on the grid
         from dataclasses import replace
-        from dgopt.dynamics import dg_exact_grid
+        from dgopt.dynamics import landscape
         box = Box.square(-1.0, 1.0)
         boxed = replace(B3, domain=box)
-        _, grid = dg_exact_grid(boxed, box, resolution=41)
+        grid = landscape(boxed, box, 41, "dg_exact")
         for i, ui in enumerate(grid.u_axis):
             for j, vj in enumerate(grid.v_axis):
                 approx = dg_metric(boxed, JointPoint.of(ui, vj),

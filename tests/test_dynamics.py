@@ -5,7 +5,7 @@ import pytest
 
 from dgopt.dg import DGConfig, dg_metric
 from dgopt.dynamics import (MEASURES, LandscapeGrid, NotAFixedPointError,
-                            StabilityReport, dg_exact_grid, eigenvalues_2x2,
+                            StabilityReport, eigenvalues_2x2,
                             grid_duality_gap, landscape, linearize)
 from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
                          make_bilinear, make_game, make_motivation,
@@ -13,7 +13,7 @@ from dgopt.games import (Box, GameOracle, JointPoint, NonFiniteValueError,
 from dgopt.optimizers import OptimizerConfig, make_step_map, run_trajectory
 from game_helpers import (bilinear_exact_dg, classify_critical_point,
                           dg_update_matrix_f1, dg_update_matrix_f2,
-                          verify_dg_update_matrix)
+                          exact_dg_query, verify_dg_update_matrix)
 
 ORIGIN = JointPoint.of(0.0, 0.0)
 F1 = make_quadratic_f1()
@@ -175,19 +175,19 @@ class TestExactDG:
 
     def test_origin_is_zero(self):
         game = make_bilinear(3.0)
-        fn, _ = dg_exact_grid(game, self.BOX, resolution=201)
+        fn = exact_dg_query(game, self.BOX, resolution=201)
         assert fn(0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_corner_value_and_closed_form(self):
         game = make_bilinear(3.0)
-        fn, grid = dg_exact_grid(game, self.BOX, resolution=201)
+        fn = exact_dg_query(game, self.BOX, resolution=201)
         assert fn(1.0, 1.0) == pytest.approx(6.0, abs=1e-9)
         assert bilinear_exact_dg(3.0, 1.0, 1.0, 1.0) == 6.0
 
     def test_grid_underestimates_by_at_most_spacing_times_lipschitz(self):
         game = make_bilinear(3.0)
         res = 201
-        fn, grid = dg_exact_grid(game, self.BOX, res)
+        fn = exact_dg_query(game, self.BOX, res)
         spacing = 2.0 / (res - 1)
         lipschitz = 3.0  # |d/dv' c u v'| <= |c| on the box
         rng = np.random.default_rng(31)
@@ -200,20 +200,22 @@ class TestExactDG:
 
     def test_grid_values_non_negative(self):
         game = make_game("f2")
-        _, grid = dg_exact_grid(game, self.BOX, resolution=51)
+        grid = landscape(game, self.BOX, 51, "dg_exact")
         assert np.all(grid.values >= -1e-9)
 
     def test_rejects_coarse_resolution(self):
-        with pytest.raises(ValueError):
-            dg_exact_grid(make_bilinear(3.0), self.BOX, resolution=2)
+        with pytest.raises(ValueError, match="^exact-DG grid resolution "
+                           "must be >= 3 and finite, got 2$"):
+            landscape(make_bilinear(3.0), self.BOX, 2, "dg_exact")
 
     def test_rejects_a_game_that_is_not_one_by_one(self):
         game = GameOracle(name="2x1", dim_u=2, dim_v=1,
                           value=lambda u, v: float(u @ u - v @ v),
                           grad_u=lambda u, v: 2 * u,
                           grad_v=lambda u, v: -2 * v)
-        with pytest.raises(ValueError, match="1-D/1-D"):
-            dg_exact_grid(game, self.BOX, resolution=11)
+        with pytest.raises(ValueError, match="^exact-DG grids are defined "
+                           "for 1-D/1-D games$"):
+            landscape(game, self.BOX, 11, "dg_exact")
 
     def test_gap_is_row_max_minus_column_min_per_table(self):
         table = np.array([[1.0, 4.0, 2.0],
@@ -386,8 +388,8 @@ class TestBatchedGrids:
                                                            half_width):
         game = make_game(spec)
         axis = np.linspace(-half_width, half_width, self.RES)
-        dg_fn, _ = dg_exact_grid(game, Box.square(-half_width, half_width),
-                                 self.RES)
+        dg_fn = exact_dg_query(game, Box.square(-half_width, half_width),
+                               self.RES)
         for u, v in ((0.0, 0.0), (0.3 * half_width, -0.7 * half_width),
                      (half_width, half_width)):
             best_max = max(game.value(np.array([u]), np.array([vj]))

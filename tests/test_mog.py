@@ -70,7 +70,7 @@ class TestDataset:
 
 class TestModeCoverage:
     def test_point_mass(self):
-        fracs = mode_coverage(np.zeros(100), window=0.5)
+        fracs = mode_coverage(np.zeros(100))
         assert fracs == (0.0, 1.0, 0.0)
 
     def test_real_dataset_is_balanced(self):
@@ -82,15 +82,13 @@ class TestModeCoverage:
     def test_uniform_spread(self):
         rng = np.random.default_rng(0)
         samples = rng.uniform(-6, 6, 200000)
-        fracs = mode_coverage(samples, window=0.5)
+        fracs = mode_coverage(samples)
         for f in fracs:
             assert f == pytest.approx(1 / 12, abs=0.005)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             mode_coverage(np.array([]))
-        with pytest.raises(ValueError, match="window"):
-            mode_coverage(np.zeros(3), window=0.0)
 
 
 class TestGanOracle:

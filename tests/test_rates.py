@@ -1,5 +1,6 @@
 """Realizable stochastic problems, AdaGrad rate, approximate realizability."""
 
+import math
 import os
 import signal
 import threading
@@ -74,12 +75,24 @@ class TestRateHarness:
                 last_eta = eta
 
     def test_start_at_optimum_gives_zero_error(self):
-        # every per-sample gradient vanishes at x*, so the iterate never
-        # moves; the 1e-30 headroom covers running-mean rounding
+        # every per-sample gradient vanishes at x*, so neither the AdaGrad
+        # step nor the SGD step (eta_t = D / sqrt(t), as _repeat_errors
+        # takes it) moves the iterate; the 1e-30 headroom covers
+        # running-mean rounding
         prob = make_realizable_quadratic(4, 6, seed=9)
-        for runner in (run_adagrad_rate, run_sgd_baseline):
-            res = runner(prob, [10, 100], seed=9, repeats=2, start="x_star")
-            assert all(e <= 1e-30 for e in res.error_mean)
+        for adagrad in (True, False):
+            rng = seeded_rng(9, f"x-star-{adagrad}")
+            x, sum_sq, running_sum = prob.x_star.copy(), 0.0, np.zeros(4)
+            for t in range(1, 101):
+                running_sum += x
+                g = prob.sample_grad(x, int(rng.integers(prob.family_size)))
+                if adagrad:
+                    sum_sq, x = adagrad_step(sum_sq, x, g, prob.diameter,
+                                             prob.box)
+                else:
+                    x = prob.box.clamp(x - prob.diameter / math.sqrt(t) * g)
+                if t in (10, 100):
+                    assert prob.expected_value(running_sum / t) <= 1e-30
 
     def test_adagrad_beats_sgd_and_obeys_bound(self):
         prob = make_realizable_quadratic(10, 20, seed=7)
@@ -171,17 +184,16 @@ class TestSplitRuns:
                       for ext in (".csv", ".json")]
         return blobs
 
-    @pytest.mark.parametrize("start", ["random", "x_star"])
     @pytest.mark.parametrize("repeats", [1, 2, 3])
     def test_split_equals_one_cpu(self, forks, monkeypatch, tmp_path,
-                                  repeats, start):
+                                  repeats):
         prob = make_realizable_quadratic(4, 5, seed=3)
         blobs = []
         for cpus in (2, 1):
             set_cpus(monkeypatch, cpus)
-            results = (*run_rates(prob, self.T_LIST, 3, repeats, start),
-                       run_adagrad_rate(prob, self.T_LIST, 3, repeats, start),
-                       run_sgd_baseline(prob, self.T_LIST, 3, repeats, start))
+            results = (*run_rates(prob, self.T_LIST, 3, repeats),
+                       run_adagrad_rate(prob, self.T_LIST, 3, repeats),
+                       run_sgd_baseline(prob, self.T_LIST, 3, repeats))
             blobs.append(self.result_bytes(results, tmp_path))
             assert no_child_left()
         # run_rates forks, and each single rule with two or more runs
